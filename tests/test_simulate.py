@@ -1,5 +1,6 @@
 """Simulation engines: streams, steps, ensembles, and the exact runner."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -228,3 +229,89 @@ def test_kendall_success_times_behaviour():
     assert np.array_equal(times, again, equal_nan=True)
     with pytest.raises(ValueError, match="kendall"):
         sim.kendall_success_times(cpl.synchronous_policy(), 1.0, 0.0, 1.0, 10)
+
+
+# ---------------------------------------------------------------------------
+# golden digests: the engines' output, bit for bit
+#
+# SHA-256 of every PathEnsemble array plus meta["clamps"] and meta["steps"],
+# recorded with numpy 2.4.6 Philox streams on x86-64.  A refactor of the
+# engines must leave every digest unchanged; a deliberate change to how the
+# streams are consumed or to the arithmetic must re-record them and say so.
+
+_CUSTOM_K = np.array([[0.75, -0.2], [0.2, -0.2]])  # Jhat != 0, K21 != K12
+
+
+def _custom_k(n):
+    """_CUSTOM_K on the distinguished pair (e1, e2) = columns (0, n) of I."""
+    K = np.eye(2 * n)
+    K[np.ix_([0, n], [0, n])] = _CUSTOM_K
+    return K
+
+
+_POLICIES = {
+    "synchronous": lambda n: cpl.synchronous_policy(),
+    "reflection": lambda n: cpl.reflection_policy(),
+    "perverse": lambda n: cpl.perverse_policy(),
+    "kendall": lambda n: cpl.kendall_policy(),
+    "custom": lambda n: cpl.custom_policy(_custom_k(n)),
+}
+
+
+def _digest(ens):
+    h = hashlib.sha256()
+    for name in ("times", "r2", "z", "v", "qv", "drift_int", "absorbed_at"):
+        h.update(np.ascontiguousarray(getattr(ens, name), dtype=np.float64).tobytes())
+    h.update(repr((ens.meta["clamps"], ens.meta.get("steps"))).encode())
+    return h.hexdigest()[:16]
+
+
+def _golden_ensemble(case, threads):
+    parts = case.split("/")
+    if parts[0] == "exact":
+        return sim.simulate_reflection_exact(
+            r0=0.5, T=1.0, n_paths=1500, z0=0.2, seed=17, delta=0.125,
+            t_first=1e-3, threads=threads,
+        )
+    scheme, policy, n = parts[0], parts[1], int(parts[2][1:])
+    # R0^2 = 1 and Z0 = 0.3: inside the kendall band, so regimes switch
+    r0 = 0.05 if case.endswith("absorbing") else 1.0
+    a = grp.identity(n)
+    ap = grp.point([r0] + [0.0] * (n - 1), [0.0] * n, -0.3)
+    return sim.simulate_ensemble(
+        _POLICIES[policy](n), a, ap, T=0.3, n_paths=1500, dt=0.01, seed=23,
+        scheme=scheme, threads=threads,
+    )
+
+
+_GOLDEN = {
+    "exact/reflection": "eeb74a9afeaabd3a",
+    "full/custom/n1": "bb679cfd214a1a41",
+    "full/custom/n2": "8997f55121a50439",
+    "full/kendall/n1": "b52ba022d3c2c9d0",
+    "full/kendall/n2": "419f2f357bb4f90f",
+    "full/perverse/n1": "b3efbe833f983110",
+    "full/perverse/n2": "b3efbe833f983110",
+    "full/reflection/n1": "500f2d7b8672f162",
+    "full/reflection/n1/absorbing": "4f6b41432b43d83b",
+    "full/reflection/n2": "6d35b2f0618347c7",
+    "full/synchronous/n1": "5657d11ad1b1522b",
+    "full/synchronous/n2": "8a516d0ee3373479",
+    "reduced/custom/n1": "c8e51bea29840b4c",
+    "reduced/custom/n2": "9fa0465cde755b63",
+    "reduced/kendall/n1": "bb492c4d7bf6ddbf",
+    "reduced/kendall/n2": "bb492c4d7bf6ddbf",
+    "reduced/perverse/n1": "b3efbe833f983110",
+    "reduced/perverse/n2": "b3efbe833f983110",
+    "reduced/reflection/n1": "802261d172eca0e1",
+    "reduced/reflection/n1/absorbing": "17e31be7168a11f6",
+    "reduced/reflection/n2": "802261d172eca0e1",
+    "reduced/synchronous/n1": "8ba9d754345f6277",
+    "reduced/synchronous/n2": "8ba9d754345f6277",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_golden_digests(case, threads):
+    assert _digest(_golden_ensemble(case, threads)) == _GOLDEN[case]
