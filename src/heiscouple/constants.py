@@ -22,10 +22,6 @@ MAX_CLAMP_FRACTION = 1e-4
 # default time step for the Euler schemes
 DEFAULT_DT = 1e-3
 
-# default number of bridge steps when sampling the vertical coordinate
-# conditionally on a horizontal endpoint
-DEFAULT_BRIDGE_STEPS = 256
-
 # KS gates in the experiments reject below this p-value
 KS_PVALUE_MIN = 1e-3
 

@@ -47,6 +47,16 @@ REGIME_SYNC = 1
 REGIME_PERVERSE = 2
 REGIME_CUSTOM = 3
 
+# regimes a path can occupy under each policy kind; every path of a
+# non-kendall policy starts in the first
+_REGIMES = {
+    "synchronous": (REGIME_SYNC,),
+    "reflection": (REGIME_REFLECT, REGIME_SYNC),
+    "perverse": (REGIME_PERVERSE,),
+    "kendall": (REGIME_REFLECT, REGIME_SYNC),
+    "custom": (REGIME_CUSTOM,),
+}
+
 
 def apply_complex_structure(v):
     """Apply M: (x, y) -> (-y, x) blockwise, i.e. multiply by i on C^n."""
@@ -226,8 +236,7 @@ class CouplingPolicy:
     matrix: np.ndarray | None = None  # frame-basis K for kind="custom"
 
     def __post_init__(self):
-        kinds = ("synchronous", "reflection", "perverse", "kendall", "custom")
-        if self.kind not in kinds:
+        if self.kind not in _REGIMES:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind == "kendall":
             if not (0.0 < self.epsilon < self.kappa):
@@ -239,19 +248,18 @@ class CouplingPolicy:
             if not validate_coupling_matrix(self.matrix):
                 raise ValueError("custom coupling matrix is not valid")
 
+    @property
+    def regimes(self):
+        """Regime codes a path under this policy can occupy."""
+        return _REGIMES[self.kind]
+
     def initial_regime(self, r2, z):
         """Vectorized initial memory for paths starting at (r2, z)."""
         r2 = np.asarray(r2, dtype=float)
         z = np.asarray(z, dtype=float)
         shape = np.broadcast_shapes(r2.shape, z.shape)
-        if self.kind == "synchronous":
-            return np.full(shape, REGIME_SYNC, dtype=np.int8)
-        if self.kind == "reflection":
-            return np.full(shape, REGIME_REFLECT, dtype=np.int8)
-        if self.kind == "perverse":
-            return np.full(shape, REGIME_PERVERSE, dtype=np.int8)
-        if self.kind == "custom":
-            return np.full(shape, REGIME_CUSTOM, dtype=np.int8)
+        if self.kind != "kendall":
+            return np.full(shape, self.regimes[0], dtype=np.int8)
         # kendall: synchronous region wins ties so a merged pair stays merged
         prev = np.full(shape, REGIME_REFLECT, dtype=np.int8)
         return self.next_regime(r2, z, prev)
@@ -275,16 +283,16 @@ class CouplingPolicy:
         return out.astype(np.int8)
 
     def matrix_for_regime(self, regime, n=1):
-        """Frame-basis K for a scalar regime code."""
-        if self.kind == "custom" and regime == REGIME_CUSTOM:
+        """Frame-basis K for a scalar regime code the policy can reach."""
+        if regime not in self.regimes:
+            raise ValueError(f"regime {regime} not reachable for kind {self.kind!r}")
+        if regime == REGIME_CUSTOM:
             return self.matrix
         if regime == REGIME_SYNC:
             return synchronous_matrix(n)
         if regime == REGIME_REFLECT:
             return reflection_matrix(n)
-        if regime == REGIME_PERVERSE:
-            return perverse_matrix(n)
-        raise ValueError(f"regime {regime} not reachable for kind {self.kind!r}")
+        return perverse_matrix(n)
 
 
 def synchronous_policy():

@@ -23,7 +23,10 @@ from heiscouple import coupling as cpl
 from heiscouple import estimators as est
 from heiscouple import group as grp
 from heiscouple import static as stc
-from heiscouple.constants import KS_PVALUE_MIN, MAX_CLAMP_FRACTION
+from heiscouple.constants import (
+    ALGEBRA_TOL, KENDALL_EPSILON, KENDALL_KAPPA, KENDALL_SUCCESS_DH,
+    KS_PVALUE_MIN, MATRIX_TOL, MAX_CLAMP_FRACTION,
+)
 from heiscouple.simulate import (
     kendall_success_times,
     philox_stream,
@@ -44,7 +47,7 @@ def _check(quantity, value, ok, stderr=float("nan")):
     return Check(quantity, float(value), float(stderr), bool(ok))
 
 
-def _policy(strategy, kappa=1.0, epsilon=0.5):
+def _policy(strategy, kappa=KENDALL_KAPPA, epsilon=KENDALL_EPSILON):
     if strategy == "synchronous":
         return cpl.synchronous_policy()
     if strategy == "reflection":
@@ -54,6 +57,13 @@ def _policy(strategy, kappa=1.0, epsilon=0.5):
     if strategy == "kendall":
         return cpl.kendall_policy(kappa=kappa, epsilon=epsilon)
     raise ValueError(f"unknown coupling strategy {strategy!r}")
+
+
+def _start_points(p):
+    """Configured (a, aprime); default the origin and (1, 0, 0) on H^1."""
+    a = np.asarray(p["a"]) if p["a"] else grp.identity(1)
+    ap = np.asarray(p["aprime"]) if p["aprime"] else grp.point([1.0], [0.0], 0.0)
+    return a, ap
 
 
 def _floats(text):
@@ -68,7 +78,6 @@ def _floats(text):
 def _run_algebra_suite(p, threads):
     rng = philox_stream(p["seed"], 0)
     m = p["n_cases"]
-    tol = 1e-12
     worst = {}
     for n in (1, 2, 3):
         dim = 2 * n + 1
@@ -91,7 +100,7 @@ def _run_algebra_suite(p, threads):
         worst[f"dilation_homogeneity_n{n}"] = float((np.abs(h0 - h1) / scale(h1)).max())
         d2 = grp.quasidistance(grp.rotate(b, th[:, None]), grp.rotate(c, th[:, None]))
         worst[f"rotation_isometry_n{n}"] = float((np.abs(d2 - d0) / scale(d0)).max())
-    checks = [_check(k, v, v < tol) for k, v in sorted(worst.items())]
+    checks = [_check(k, v, v < ALGEBRA_TOL) for k, v in sorted(worst.items())]
     rows = [(float("nan"), k, v, float("nan"), m) for k, v in sorted(worst.items())]
     return checks, rows, None
 
@@ -105,7 +114,6 @@ def _random_contractions(rng, n, m):
 def _run_matrix_lemmas(p, threads):
     rng = philox_stream(p["seed"], 0)
     m = p["n_cases"]
-    tol = 1e-10
     checks, rows = [], []
     for n in (1, 2):
         j = _random_contractions(rng, n, m)
@@ -114,21 +122,21 @@ def _run_matrix_lemmas(p, threads):
         q = cpl.frame(e1, np.zeros_like(e1))
         k = cpl.change_basis(j, q)
         tr_err = float(np.abs(np.trace(k, axis1=1, axis2=2) - np.trace(j, axis1=1, axis2=2)).max())
-        checks.append(_check(f"trace_invariance_n{n}", tr_err, tr_err < tol))
+        checks.append(_check(f"trace_invariance_n{n}", tr_err, tr_err < MATRIX_TOL))
         jhat = cpl.complete_jhat(j)
         res = jhat @ np.swapaxes(jhat, 1, 2) + j @ np.swapaxes(j, 1, 2) - np.eye(2 * n)
         d_err = float(np.abs(res).max())
-        checks.append(_check(f"defect_completion_n{n}", d_err, d_err < tol))
+        checks.append(_check(f"defect_completion_n{n}", d_err, d_err < MATRIX_TOL))
         if n == 1:
             asym = (k[:, 0, 1] - k[:, 1, 0]) - (j[:, 0, 1] - j[:, 1, 0])
             a_err = float(np.abs(asym).max())
-            checks.append(_check("asym_invariance_n1", a_err, a_err < tol))
+            checks.append(_check("asym_invariance_n1", a_err, a_err < MATRIX_TOL))
     # validator agreement with a direct singular value check, including
     # matrices scaled to straddle the tolerance boundary
     n = 2
     j = _random_contractions(rng, n, m // 2)
     j = np.concatenate([j, j * rng.uniform(0.9, 1.3, size=(m // 2, 1, 1))])
-    direct = np.linalg.svd(j, compute_uv=False)[:, 0] <= 1.0 + 1e-10
+    direct = np.linalg.svd(j, compute_uv=False)[:, 0] <= 1.0 + MATRIX_TOL
     mine = np.array([cpl.validate_coupling_matrix(jj) for jj in j])
     agree = float((mine == direct).mean())
     checks.append(_check("validator_agreement", agree, agree == 1.0))
@@ -138,8 +146,7 @@ def _run_matrix_lemmas(p, threads):
 
 def _scheme_pair(policy_name, p, threads):
     pol = _policy(policy_name, p["kappa"], p["epsilon"])
-    a = np.asarray(p["a"]) if p["a"] else grp.identity(1)
-    ap = np.asarray(p["aprime"]) if p["aprime"] else grp.point([1.0], [0.0], 0.0)
+    a, ap = _start_points(p)
     kw = dict(
         a=a, aprime=ap, T=p["horizon"], n_paths=p["n_paths"], dt=p["dt"],
         checkpoints=[p["horizon"]], threads=threads,
@@ -152,8 +159,7 @@ def _scheme_pair(policy_name, p, threads):
 def _run_scheme_consistency(p, threads):
     checks, rows = [], []
     keep = None
-    a = np.asarray(p["a"]) if p["a"] else grp.identity(1)
-    ap = np.asarray(p["aprime"]) if p["aprime"] else grp.point([1.0], [0.0], 0.0)
+    a, ap = _start_points(p)
     r0sq = float((grp.horizontal(grp.mul(grp.inverse(a), ap)) ** 2).sum())
     for name in ("synchronous", "reflection", "perverse", "kendall"):
         full, red = _scheme_pair(name, p, threads)
@@ -183,8 +189,7 @@ def _run_scheme_consistency(p, threads):
 def _run_blowup(strategy):
     def run(p, threads):
         pol = _policy(strategy, p["kappa"], p["epsilon"])
-        a = np.asarray(p["a"]) if p["a"] else grp.identity(1)
-        ap = np.asarray(p["aprime"]) if p["aprime"] else grp.point([1.0], [0.0], 0.0)
+        a, ap = _start_points(p)
         cks = sorted({1.0, p["horizon"]} | {p["horizon"] * 2.0**-k for k in range(7)})
         ens = simulate_ensemble(
             pol, a, ap, T=p["horizon"], n_paths=p["n_paths"], dt=p["dt"],
@@ -393,8 +398,8 @@ _ENSEMBLE = {
     "horizon": (float, 1.0),
     "dt": (float, 1e-3),
     "n_paths": (int, 10000),
-    "kappa": (float, 1.0),
-    "epsilon": (float, 0.5),
+    "kappa": (float, KENDALL_KAPPA),
+    "epsilon": (float, KENDALL_EPSILON),
 }
 
 EXPERIMENTS = {
@@ -417,8 +422,9 @@ EXPERIMENTS = {
         _run_blowup("perverse"),
     ),
     "kendall-success": (
-        {"kappa": (float, 1.0), "epsilon": (float, 0.5), "r0": (float, 1.0),
-         "z0": (float, 0.0), "alpha": (float, 1e-3), "success_dh": (float, 1e-3),
+        {"kappa": (float, KENDALL_KAPPA), "epsilon": (float, KENDALL_EPSILON),
+         "r0": (float, 1.0), "z0": (float, 0.0), "alpha": (float, 1e-3),
+         "success_dh": (float, KENDALL_SUCCESS_DH),
          "n_paths": (int, 10000), "checkpoints": (_floats, (10.0, 40.0, 160.0))},
         _run_kendall_success,
     ),

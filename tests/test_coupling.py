@@ -207,3 +207,13 @@ def test_custom_policy_matrix_passthrough():
     mat, mem2 = cpl.policy_step(pol, 1.0, 0.0, mem)
     assert np.array_equal(mat, k)
     assert mem2 == cpl.REGIME_CUSTOM
+
+
+def test_matrix_for_regime_only_for_reachable_regimes():
+    assert cpl.synchronous_policy().regimes == (cpl.REGIME_SYNC,)
+    assert cpl.reflection_policy().regimes == (cpl.REGIME_REFLECT, cpl.REGIME_SYNC)
+    assert np.array_equal(cpl.reflection_policy().matrix_for_regime(cpl.REGIME_SYNC, 2), np.eye(4))
+    with pytest.raises(ValueError, match="not reachable"):
+        cpl.perverse_policy().matrix_for_regime(cpl.REGIME_SYNC)
+    with pytest.raises(ValueError, match="not reachable"):
+        cpl.kendall_policy().matrix_for_regime(cpl.REGIME_CUSTOM)

@@ -234,10 +234,11 @@ def test_kendall_success_times_behaviour():
 # ---------------------------------------------------------------------------
 # golden digests: the engines' output, bit for bit
 #
-# SHA-256 of every PathEnsemble array plus meta["clamps"] and meta["steps"],
-# recorded with numpy 2.4.6 Philox streams on x86-64.  A refactor of the
-# engines must leave every digest unchanged; a deliberate change to how the
-# streams are consumed or to the arithmetic must re-record them and say so.
+# SHA-256 (first 16 hex digits) of every PathEnsemble array plus
+# meta["clamps"] and meta["steps"], recorded with numpy 2.4.6 Philox streams
+# on x86-64.  A refactor of the engines must leave every digest unchanged; a
+# deliberate change to how the streams are consumed or to the arithmetic must
+# re-record them and say so.
 
 _CUSTOM_K = np.array([[0.75, -0.2], [0.2, -0.2]])  # Jhat != 0, K21 != K12
 
@@ -315,3 +316,82 @@ _GOLDEN = {
 @pytest.mark.parametrize("case", sorted(_GOLDEN))
 def test_golden_digests(case, threads):
     assert _digest(_golden_ensemble(case, threads)) == _GOLDEN[case]
+
+
+# ---------------------------------------------------------------------------
+# the single-path steppers are the engines' oracles: same Philox noise, drawn
+# in the engine's order, must give the same paths
+
+
+def _oracle_setup(n):
+    a = grp.identity(n)
+    ap = grp.point([1.0] + [0.0] * (n - 1), [0.0] * n, -0.3)
+    K = _custom_k(n)
+    m, dt, n_steps, seed = 48, 0.01, 25, 5
+    kw = dict(T=n_steps * dt, n_paths=m, dt=dt, seed=seed,
+              checkpoints=dt * np.arange(1, n_steps + 1))
+    return a, ap, K, m, dt, n_steps, sim.philox_stream(seed, 0), kw
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_step_reduced_matches_reduced_engine(n):
+    a, ap, K, m, dt, n_steps, rng, kw = _oracle_setup(n)
+    ens = sim.simulate_ensemble(cpl.custom_policy(K), a, ap, scheme="reduced", **kw)
+    r2_0, z_0 = sim.relative_coordinates(a[:-1], ap[:-1], a[-1], ap[-1])
+    r2, z = np.full(m, float(r2_0)), np.full(m, float(z_0))
+    for k in range(n_steps):
+        g1, g2 = rng.standard_normal(m), rng.standard_normal(m)
+        for i in range(m):
+            r2[i], z[i] = sim.step_reduced(r2[i], z[i], K, dt, g1[i], g2[i])
+        np.testing.assert_allclose(ens.r2[k], r2, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ens.z[k], z, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_step_full_matches_full_engine(n):
+    a, ap, K, m, dt, n_steps, rng, kw = _oracle_setup(n)
+    ens = sim.simulate_ensemble(cpl.custom_policy(K), a, ap, scheme="full", **kw)
+    Khat = cpl.complete_jhat(K)
+    assert np.abs(Khat).max() > 0.1
+    states = [sim.CouplingState.from_points(a, ap) for _ in range(m)]
+    for k in range(n_steps):
+        dw = math.sqrt(dt) * rng.standard_normal((m, 2 * n))
+        dwt = math.sqrt(dt) * rng.standard_normal((m, 2 * n))
+        for i, st in enumerate(states):
+            Q = cpl.frame(st.b, st.bprime)
+            states[i] = sim.step_full(st, Q @ K @ Q.T, dt, dw[i], dwt[i], Q @ Khat @ Q.T)
+        np.testing.assert_allclose(ens.r2[k], [st.r2 for st in states], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ens.z[k], [st.z for st in states], rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# input contract of the ensemble runners
+
+
+@pytest.mark.parametrize("bad", [[-1.0], [0.05, -1e-9], [float("nan")], [float("inf")]])
+def test_runners_reject_bad_checkpoints(bad):
+    with pytest.raises(ValueError, match="checkpoints"):
+        sim.simulate_ensemble(cpl.synchronous_policy(), grp.identity(1),
+                              grp.point([1.0], [0.0], 0.0), T=0.1, n_paths=4,
+                              dt=0.01, checkpoints=bad)
+    with pytest.raises(ValueError, match="checkpoints"):
+        sim.simulate_reflection_exact(r0=1.0, T=0.1, n_paths=4, checkpoints=bad)
+
+
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_runners_reject_empty_ensembles(n_paths):
+    with pytest.raises(ValueError, match="n_paths"):
+        sim.simulate_ensemble(cpl.synchronous_policy(), grp.identity(1),
+                              grp.point([1.0], [0.0], 0.0), T=0.1, n_paths=n_paths, dt=0.01)
+    with pytest.raises(ValueError, match="n_paths"):
+        sim.simulate_reflection_exact(r0=1.0, T=0.1, n_paths=n_paths)
+
+
+def test_checkpoints_past_the_horizon_are_recorded_at_it():
+    ens = sim.simulate_ensemble(cpl.synchronous_policy(), grp.identity(1),
+                                grp.point([1.0], [0.0], 0.0), T=0.1, n_paths=4,
+                                dt=0.01, checkpoints=[0.05, 1.0])
+    exact = sim.simulate_reflection_exact(r0=1.0, T=0.1, n_paths=4, checkpoints=[0.05, 1.0])
+    for e in (ens, exact):
+        assert np.allclose(e.times, [0.05, 0.1])
+        assert np.all(np.isfinite(e.r2)) and np.all(np.isfinite(e.z))
