@@ -1,5 +1,6 @@
 """Fixed-time couplings and the conditional vertical law."""
 
+import hashlib
 import itertools
 import math
 
@@ -239,3 +240,90 @@ def test_static_joint_sample_csv(tmp_path):
     assert lines[0] == "# note"
     assert lines[1] == "sample_id,Lx1,Ly1,Lz,Rx1,Ry1,Rz,cost"
     assert len(lines) == 2 + 20
+
+
+# ---------------------------------------------------------------------------
+# golden digests: the couplings' output, bit for bit
+#
+# SHA-256 (first 16 hex digits) of left, right, cost and sorted(meta.items()),
+# recorded with numpy 2.4.6 Philox streams on x86-64.  A refactor of the
+# couplings must leave every digest unchanged; a deliberate change to how the
+# streams are consumed or to the arithmetic must re-record them and say so.
+
+# right-multiplied offsets a^{-1} a': rho = 0 with and without a central
+# part, a small and a unit horizontal offset, and a mixed one
+_OFFSETS = {
+    "same": ([0.0], [0.0], 0.0),
+    "central": ([0.0], [0.0], 0.5),
+    "small": ([6e-4], [-8e-4], 0.0),
+    "unit": ([0.6], [0.8], 0.0),
+    "mixed": ([-0.2], [0.25], -0.4),
+}
+
+_PLANS = {
+    "density": lambda a, ap: stc.static_couple(
+        a, ap, t=0.8, n_samples=40, seed=31, plan="density", m_steps=32
+    ),
+    "assignment": lambda a, ap: stc.static_couple(
+        a, ap, t=0.8, n_samples=6, seed=32, plan="assignment", m_bridge=12, m_steps=16
+    ),
+    "translation": lambda a, ap: stc.baseline_translation_couple(
+        a, ap, t=0.8, n_samples=40, seed=33, m_steps=32
+    ),
+}
+
+
+def _golden_sample(case):
+    plan, offset, n = case.split("/")
+    n = int(n[1:])
+    x, y, z = _OFFSETS[offset]
+    a = grp.point([0.3, -1.1][:n], [0.7, 0.2][:n], -0.45)
+    off = grp.point(x + [0.0] * (n - 1), y + [0.0] * (n - 1), z)
+    return _PLANS[plan](a, grp.mul(a, off))
+
+
+def _static_digest(smp):
+    h = hashlib.sha256()
+    for arr in (smp.left, smp.right, smp.cost):
+        h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    h.update(repr(sorted(smp.meta.items())).encode())
+    return h.hexdigest()[:16]
+
+
+_STATIC_GOLDEN = {
+    "assignment/central/n1": "479ec1bdc9f1a921",
+    "assignment/central/n2": "9e0088aa7b43545f",
+    "assignment/mixed/n1": "83a1bdb756a79d65",
+    "assignment/mixed/n2": "359795cb1218667a",
+    "assignment/same/n1": "62f29f3c7680db22",
+    "assignment/same/n2": "3cde47c87c3df05a",
+    "assignment/small/n1": "ec3b5041b8d9f2df",
+    "assignment/small/n2": "0dca545c97c02ee6",
+    "assignment/unit/n1": "f6beac1b4ed62087",
+    "assignment/unit/n2": "6117daaa9d47686e",
+    "density/central/n1": "dac0379a98af0779",
+    "density/central/n2": "37c7f2ee3f3f4268",
+    "density/mixed/n1": "209ab113c2cbd96f",
+    "density/mixed/n2": "c550610aa8fe6e18",
+    "density/same/n1": "e2fe9fdffbfb9cc9",
+    "density/same/n2": "2e76e5ed07e4c191",
+    "density/small/n1": "d994b106a82f9b56",
+    "density/small/n2": "4d51ce73509c4dfe",
+    "density/unit/n1": "036c44ca9963472a",
+    "density/unit/n2": "94baa4b68ba88c6a",
+    "translation/central/n1": "73f7bbf92ec55574",
+    "translation/central/n2": "18f27fd405b94713",
+    "translation/mixed/n1": "66c77083df1d1455",
+    "translation/mixed/n2": "30edb1253102c96c",
+    "translation/same/n1": "92237acbb10ae7e6",
+    "translation/same/n2": "d71746c488825588",
+    "translation/small/n1": "04c6296a75b29e79",
+    "translation/small/n2": "6caa8abeb28d24d0",
+    "translation/unit/n1": "aa01506be34e35ca",
+    "translation/unit/n2": "769d33f61ee2972e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STATIC_GOLDEN))
+def test_static_golden_digests(case):
+    assert _static_digest(_golden_sample(case)) == _STATIC_GOLDEN[case]
