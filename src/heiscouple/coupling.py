@@ -198,7 +198,7 @@ def reduced_coefficients(K):
     k21 = K[..., n, 0]
     var_r = 2.0 * (1.0 - k11)
     var_z = 2.0 * (1.0 + k22)
-    denom = np.sqrt(var_r * var_z)
+    denom = np.sqrt(np.maximum(var_r * var_z, 0.0))  # K11 may pass 1 within PSD_CLIP
     rho = np.where(denom > 0.0, (k21 - k12) / np.where(denom > 0, denom, 1.0), 0.0)
     rho = np.clip(rho, -1.0, 1.0)
     tr = np.trace(K, axis1=-2, axis2=-1)
@@ -247,6 +247,7 @@ class CouplingPolicy:
             self.matrix = np.asarray(self.matrix, dtype=float)
             if not validate_coupling_matrix(self.matrix):
                 raise ValueError("custom coupling matrix is not valid")
+            complete_jhat(self.matrix)  # raises where the full engine would
 
     @property
     def regimes(self):

@@ -47,18 +47,6 @@ def _check(quantity, value, ok, stderr=float("nan")):
     return Check(quantity, float(value), float(stderr), bool(ok))
 
 
-def _policy(strategy, kappa=KENDALL_KAPPA, epsilon=KENDALL_EPSILON):
-    if strategy == "synchronous":
-        return cpl.synchronous_policy()
-    if strategy == "reflection":
-        return cpl.reflection_policy()
-    if strategy == "perverse":
-        return cpl.perverse_policy()
-    if strategy == "kendall":
-        return cpl.kendall_policy(kappa=kappa, epsilon=epsilon)
-    raise ValueError(f"unknown coupling strategy {strategy!r}")
-
-
 def _start_points(p):
     """Configured (a, aprime); default the origin and (1, 0, 0) on H^1."""
     a = np.asarray(p["a"]) if p["a"] else grp.identity(1)
@@ -145,7 +133,7 @@ def _run_matrix_lemmas(p, threads):
 
 
 def _scheme_pair(policy_name, p, threads):
-    pol = _policy(policy_name, p["kappa"], p["epsilon"])
+    pol = cpl.CouplingPolicy(policy_name, p["kappa"], p["epsilon"])
     a, ap = _start_points(p)
     kw = dict(
         a=a, aprime=ap, T=p["horizon"], n_paths=p["n_paths"], dt=p["dt"],
@@ -188,7 +176,7 @@ def _run_scheme_consistency(p, threads):
 
 def _run_blowup(strategy):
     def run(p, threads):
-        pol = _policy(strategy, p["kappa"], p["epsilon"])
+        pol = cpl.CouplingPolicy(strategy, p["kappa"], p["epsilon"])
         a, ap = _start_points(p)
         cks = sorted({1.0, p["horizon"]} | {p["horizon"] * 2.0**-k for k in range(7)})
         ens = simulate_ensemble(
@@ -243,7 +231,8 @@ def _run_reflection_exponents(p, threads):
     checks, rows = [], []
     fits = {}
     for pw in (1.0, 0.5, 0.25):
-        moms = [est.estimate_moment(ens, p=pw, metric="abs_z")[i] for i in idx]
+        every = est.estimate_moment(ens, p=pw, metric="abs_z")
+        moms = [every[i] for i in idx]
         fit = est.fit_power_law(moms, window=(min(cks), max(cks)))
         fits[pw] = (moms, fit)
         rows += [(m.time, f"abs_z_p{pw}", m.estimate, m.stderr, m.n_paths) for m in moms]
@@ -254,7 +243,8 @@ def _run_reflection_exponents(p, threads):
         [m.time for m in fits[0.5][0]], [m.estimate for m in fits[0.5][0]]
     )
     checks.append(_check("p05_log_beats_power", float(cmp["prefer_log"]), cmp["prefer_log"]))
-    r_moms = [est.estimate_moment(ens, p=1, metric="r")[i] for i in idx]
+    every = est.estimate_moment(ens, p=1, metric="r")
+    r_moms = [every[i] for i in idx]
     worst = max(abs(m.estimate - p["r0"]) / m.stderr for m in r_moms)
     checks.append(_check("radial_martingale_max_sigma", worst, worst <= 3.0))
     rows += [(m.time, "mean_r", m.estimate, m.stderr, m.n_paths) for m in r_moms]
@@ -401,26 +391,15 @@ _ENSEMBLE = {
     "kappa": (float, KENDALL_KAPPA),
     "epsilon": (float, KENDALL_EPSILON),
 }
+_BLOWUP = {**_ENSEMBLE, "horizon": (float, 100.0), "dt": (float, 0.01),
+           "scheme": (str, "reduced")}
 
 EXPERIMENTS = {
     "algebra-suite": ({"n_cases": (int, 10000)}, _run_algebra_suite),
     "matrix-lemmas": ({"n_cases": (int, 10000)}, _run_matrix_lemmas),
     "scheme-consistency": (dict(_ENSEMBLE), _run_scheme_consistency),
-    "blowup-synchronous": (
-        {**_ENSEMBLE, "horizon": (float, 100.0), "dt": (float, 0.01),
-         "n_paths": (int, 10000), "scheme": (str, "reduced")},
-        _run_blowup("synchronous"),
-    ),
-    "blowup-reflection": (
-        {**_ENSEMBLE, "horizon": (float, 100.0), "dt": (float, 0.01),
-         "n_paths": (int, 10000), "scheme": (str, "reduced")},
-        _run_blowup("reflection"),
-    ),
-    "blowup-perverse": (
-        {**_ENSEMBLE, "horizon": (float, 100.0), "dt": (float, 0.01),
-         "n_paths": (int, 10000), "scheme": (str, "reduced")},
-        _run_blowup("perverse"),
-    ),
+    **{f"blowup-{kind}": (_BLOWUP, _run_blowup(kind))
+       for kind in ("synchronous", "reflection", "perverse")},
     "kendall-success": (
         {"kappa": (float, KENDALL_KAPPA), "epsilon": (float, KENDALL_EPSILON),
          "r0": (float, 1.0), "z0": (float, 0.0), "alpha": (float, 1e-3),
@@ -470,7 +449,7 @@ def parse_config(path, experiment=None):
 
     Returns a list of (experiment_name, params).  Raises ConfigError naming
     the section and key for unknown experiments, unknown keys, or values
-    that fail to parse or violate positivity.
+    that fail to parse or are out of range.
     """
     ini = configparser.ConfigParser(default_section="common")
     try:
@@ -497,14 +476,20 @@ def parse_config(path, experiment=None):
                 raise ConfigError(
                     f"section [{section}], key {key!r}: bad value {raw!r} ({exc})"
                 ) from exc
-        _validate_positive(section, params)
+        _validate_params(section, params)
         runs.append((section, params))
     if experiment is not None and not runs:
         raise ConfigError(f"config has no [{experiment}] section")
     return runs
 
 
-def _validate_positive(section, params):
+def _validate_params(section, params):
+    unknown = sorted(set(params) - set(_COMMON) - set(EXPERIMENTS[section][0]))
+    if unknown:
+        raise ConfigError(f"section [{section}], key {unknown[0]!r}: unknown key")
+    # experiments key Philox streams (uint64) with seed up to seed + 2
+    if not 0 <= params["seed"] <= 2**64 - 3:
+        raise ConfigError(f"section [{section}], key 'seed': must be in [0, 2**64 - 3]")
     for key in ("horizon", "dt", "t", "kappa", "epsilon", "alpha", "success_dh", "r0"):
         if key in params and not params[key] > 0:
             raise ConfigError(f"section [{section}], key {key!r}: must be positive")
@@ -547,13 +532,15 @@ def _write_artifacts(name, checks, rows, ens, out_dir, stamp):
 def run_experiment(name, params=None, out=".", threads=1, stamp=""):
     """Run one named experiment and write its three artifact files.
 
-    Returns (all_passed, checks).
+    The merged parameters pass the same checks as a parsed config; raises
+    ConfigError otherwise.  Returns (all_passed, checks).
     """
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}")
     merged = default_params(name)
     if params:
         merged.update(params)
+    _validate_params(name, merged)
     runner = EXPERIMENTS[name][1]
     checks, rows, ens = runner(merged, threads)
     out_dir = os.path.join(merged["out"] or out, name)

@@ -171,8 +171,10 @@ def step_reduced(r2, z, K, dt, g1, g2):
     dc = sdt * g1
     rho = float(co["rho"])
     dct = sdt * (rho * g1 + math.sqrt(max(1.0 - rho**2, 0.0)) * g2)
-    r2n = float(r2) + 2.0 * r * math.sqrt(float(co["var_r"])) * dc + float(co["drift_r"]) * dt
-    zn = float(z) + 0.5 * r * math.sqrt(float(co["var_z"])) * dct + float(co["drift_z"]) * dt
+    sd_r = math.sqrt(max(float(co["var_r"]), 0.0))
+    sd_z = math.sqrt(max(float(co["var_z"]), 0.0))
+    r2n = float(r2) + 2.0 * r * sd_r * dc + float(co["drift_r"]) * dt
+    zn = float(z) + 0.5 * r * sd_z * dct + float(co["drift_z"]) * dt
     return max(r2n, 0.0), zn
 
 

@@ -2,12 +2,12 @@
 
 Couples the time-t laws of two group Brownian motions started at a and a',
 pinning the horizontal difference to hor(a^{-1} a') on every joint sample and
-moving only the vertical coordinate.  The construction reduces to canonical
-position (a = identity, offset along the first horizontal axis) by a left
-translation and a horizontal rotation, couples the conditional vertical laws
-given the horizontal endpoint, and undoes the reduction.
-
-Two conditional plans are provided:
+moving only the vertical coordinate.  Every coupling here runs one pipeline,
+`_pinned_couple`: reduce to canonical position (a = identity, offset rho along
+the first horizontal axis) by a left translation and a horizontal rotation,
+draw the left leg, couple its vertical with the translate by rho * Y_1 through
+a conditional plan given the horizontal endpoint, add the Campbell correction
+and undo the reduction.  The plans are:
 
 * ``plan="density"`` -- the conditional law of the vertical coordinate given
   the horizontal endpoint has an even, unimodal density (computed here by
@@ -20,8 +20,12 @@ Two conditional plans are provided:
   m_bridge conditional samples and their translate, with the drawn vertical
   pinned to its nearest atom.  Unbiased only as m_bridge grows; its cost
   floor is set by the atom spacing, so prefer "density" for small offsets.
+* translation, the reference plan of `baseline_translation_couple`: every
+  vertical moves by the full shift, so the cost scales like sqrt(rho) for
+  small offsets -- what the two plans above are built to beat.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -209,25 +213,36 @@ def _interp_rows(z_grid, rows, at):
     return np.where(inside, np.maximum(vals, 0.0), 0.0)
 
 
-def _couple_vertical_density(z, shift, q, t, n, u_stay):
+def _sqrt_shift_assignment(x, shift):
+    """Exact sqrt|dx| assignment: x_i goes to x_{cols[i]} + shift at cost matched[i].
+
+    Returns (matched, cols).  Sorted matching is not optimal for this concave cost.
+    """
+    cost = np.sqrt(np.abs(x[:, None] - (x[None, :] + shift)))
+    rows, cols = linear_sum_assignment(cost)  # rows == arange: the cost is square
+    return cost[rows, cols], cols
+
+
+def _couple_vertical_density(z, shift, h_can, t, m_steps, rng):
     """Concave-cost optimal plan between Law(Z|b) and its translate.
 
     Keeps z with probability min(1, f(z-s)/f(z)), else reflects about s/2:
     for an even unimodal f the residuals sit on opposite sides of s/2 and
     the reflection is their anti-monotone (concavity-optimal) matching.
     """
-    z_grid, rows, sigma = _density_rows(q, t, n)
+    u_stay = rng.uniform(size=z.shape[0])
+    z_grid, rows, sigma = _density_rows((h_can**2).sum(axis=1), t, h_can.shape[1] // 2)
     zs = z / sigma
     ss = shift / sigma
     f_here = _interp_rows(z_grid, rows, zs)
     f_shift = _interp_rows(z_grid, rows, zs - ss)
     with np.errstate(divide="ignore", invalid="ignore"):
         stay_p = np.where(f_here > 0.0, np.minimum(1.0, f_shift / f_here), 1.0)
-    stay = u_stay < stay_p
-    return np.where(stay, z, shift - z)
+    z_tilde = np.where(u_stay < stay_p, z, shift - z)
+    return z_tilde, z_tilde - z
 
 
-def _couple_vertical_assignment(z, shift, endpoints, t, m_bridge, m_steps, rng):
+def _couple_vertical_assignment(z, shift, h_can, t, m_steps, rng, m_bridge):
     """Empirical plan: exact assignment between m_bridge atoms and their shift.
 
     For each sample, draws m_bridge conditional verticals, solves the exact
@@ -235,20 +250,22 @@ def _couple_vertical_assignment(z, shift, endpoints, t, m_bridge, m_steps, rng):
     vertical through its nearest atom.
     """
     m = z.shape[0]
-    reps = np.repeat(endpoints, m_bridge, axis=0)
+    reps = np.repeat(h_can, m_bridge, axis=0)
     atoms = sample_levy_area_given_endpoint(
         reps, t=t, m_steps=m_steps, rng=rng
     ).reshape(m, m_bridge)
-    out = np.empty(m)
+    z_tilde = np.empty(m)
     for i in range(m):
         zi = atoms[i]
-        cost = np.sqrt(np.abs(zi[:, None] - (zi[None, :] + shift[i])))
-        rows_i, cols_i = linear_sum_assignment(cost)
-        sig = np.empty(m_bridge, dtype=int)
-        sig[rows_i] = cols_i
+        _, cols = _sqrt_shift_assignment(zi, shift[i])
         nearest = int(np.argmin(np.abs(zi - z[i])))
-        out[i] = zi[sig[nearest]] + shift[i]
-    return out
+        z_tilde[i] = zi[cols[nearest]] + shift[i]
+    return z_tilde, z_tilde - z
+
+
+def _translate_vertical(z, shift, h_can, t, m_steps, rng):
+    """Reference plan: every vertical moves by the full shift."""
+    return z + shift, shift
 
 
 def _reduce_offset(a, aprime):
@@ -257,6 +274,9 @@ def _reduce_offset(a, aprime):
     ap = np.asarray(aprime, dtype=float)
     if a.shape != ap.shape or a.ndim != 1:
         raise ValueError("start points must be two group points of equal shape")
+    for name, point in (("a", a), ("aprime", ap)):
+        if not np.all(np.isfinite(point)):
+            raise ValueError(f"{name} must be finite, got {point!r}")
     delta = grp.mul(grp.inverse(a), ap)
     dh = grp.horizontal(delta)
     dz = float(grp.vertical(delta))
@@ -289,6 +309,46 @@ def _assemble(a, h_can, z_left, z_right, q_rot, delta_h):
     return left, right
 
 
+def _pinned_couple(a, aprime, t, n_samples, seed, m_steps, plan, vertical, m_bridge=None):
+    """The pipeline behind every coupling here, for the plan `vertical`.
+
+    `vertical(z, shift, h_can, t, m_steps, rng)` gets the left verticals, their
+    shifts rho * Y_1, the canonical endpoints and the stream after the left
+    leg's draws, and returns the coupled verticals and the move from z.  It is
+    not called at rho = 0, where the two conditional laws coincide.
+    """
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t!r}")
+    for name, count in (("n_samples", n_samples), ("m_steps", m_steps), ("m_bridge", m_bridge)):
+        if count is not None and count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count!r}")
+    delta, q_rot, rho, dz, n = _reduce_offset(a, aprime)
+    rng = philox_stream(seed, 0)
+    h_can = math.sqrt(t) * rng.standard_normal((n_samples, 2 * n))
+    z = sample_levy_area_given_endpoint(h_can, t=t, m_steps=m_steps, rng=rng)
+    shift = rho * h_can[:, n]  # offset times conjugate coordinate Y_1
+    if rho == 0.0:
+        z_tilde, move = z, np.zeros_like(z)
+    else:
+        z_tilde, move = vertical(z, shift, h_can, t, m_steps, rng)
+    # right leg in canonical frame: Campbell correction of the horizontal
+    # offset, then its central part
+    z_right = z_tilde - 0.5 * shift + dz
+    cost = np.sqrt(rho * rho + np.abs(move + dz))
+    left, right = _assemble(a, h_can, z, z_right, q_rot, grp.horizontal(delta))
+    meta = {
+        "plan": plan,
+        "t": t,
+        "rho": rho,
+        "delta_z": dz,
+        "seed": seed,
+        "m_steps": m_steps,
+        "m_bridge": m_bridge,
+        "n": n,
+    }
+    return StaticJointSample(left=left, right=right, cost=cost, meta=meta)
+
+
 def static_couple(
     a,
     aprime,
@@ -307,86 +367,34 @@ def static_couple(
     the offset rides along unchanged on the right leg.
 
     Args:
-        a, aprime: group points (2n+1,).
-        t: horizon, > 0.
-        n_samples: joint samples to draw.
-        m_bridge: atoms per sample for plan="assignment".
+        a, aprime: finite group points (2n+1,).
+        t: horizon, positive and finite.
+        n_samples: joint samples to draw, >= 1.
+        m_bridge: atoms per sample for plan="assignment", >= 1.
         seed: stream seed.
         plan: "density" or "assignment".
-        m_steps: bridge discretization for vertical draws.
+        m_steps: bridge discretization for vertical draws, >= 1.
 
     Returns:
         StaticJointSample.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if plan not in ("density", "assignment"):
-        raise ValueError('plan must be "density" or "assignment"')
-    delta, q_rot, rho, dz, n = _reduce_offset(a, aprime)
-    rng = philox_stream(seed, 0)
-    h_can = math.sqrt(t) * rng.standard_normal((n_samples, 2 * n))
-    z = sample_levy_area_given_endpoint(h_can, t=t, m_steps=m_steps, rng=rng)
-    shift = rho * h_can[:, n]  # offset times conjugate coordinate Y_1
-    if rho == 0.0:
-        z_tilde = z.copy()
-    elif plan == "density":
-        u_stay = rng.uniform(size=n_samples)
-        q = (h_can**2).sum(axis=1)
-        z_tilde = _couple_vertical_density(z, shift, q, t, n, u_stay)
+    if plan == "density":
+        vertical, m_bridge = _couple_vertical_density, None
+    elif plan == "assignment":
+        vertical = functools.partial(_couple_vertical_assignment, m_bridge=m_bridge)
     else:
-        z_tilde = _couple_vertical_assignment(
-            z, shift, h_can, t, m_bridge, m_steps, rng
-        )
-    # right leg in canonical frame: translate the coupled vertical back by
-    # the Campbell correction of the horizontal offset, then append the
-    # central part of the original offset
-    z_right = z_tilde - 0.5 * shift + dz
-    cost = np.sqrt(rho * rho + np.abs(z_tilde - z + dz))
-    left, right = _assemble(a, h_can, z, z_right, q_rot, grp.horizontal(delta))
-    meta = {
-        "plan": plan,
-        "t": t,
-        "rho": rho,
-        "delta_z": dz,
-        "seed": seed,
-        "m_steps": m_steps,
-        "m_bridge": m_bridge if plan == "assignment" else None,
-        "n": n,
-    }
-    return StaticJointSample(left=left, right=right, cost=cost, meta=meta)
+        raise ValueError('plan must be "density" or "assignment"')
+    return _pinned_couple(a, aprime, t, n_samples, seed, m_steps, plan, vertical, m_bridge)
 
 
 def baseline_translation_couple(a, aprime, t=1.0, n_samples=1000, seed=0, m_steps=1024):
     """Reference coupling that translates the conditional vertical law.
 
-    Identical reduction and marginals to static_couple, but the conditional
-    plan is the pure translation (the coupled vertical moves by the full
-    shift on every sample).  Its cost concentrates at
-    sqrt(rho^2 + |rho Y_1 + dz|), which scales like sqrt(rho) for small
-    offsets -- the behaviour the transported plan is built to beat.
+    Same reduction, marginals and arguments as static_couple with the
+    translation plan; its cost concentrates at sqrt(rho^2 + |rho Y_1 + dz|).
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    delta, q_rot, rho, dz, n = _reduce_offset(a, aprime)
-    rng = philox_stream(seed, 0)
-    h_can = math.sqrt(t) * rng.standard_normal((n_samples, 2 * n))
-    z = sample_levy_area_given_endpoint(h_can, t=t, m_steps=m_steps, rng=rng)
-    shift = rho * h_can[:, n]
-    z_tilde = z + shift
-    z_right = z_tilde - 0.5 * shift + dz
-    cost = np.sqrt(rho * rho + np.abs(shift + dz))
-    left, right = _assemble(a, h_can, z, z_right, q_rot, grp.horizontal(delta))
-    meta = {
-        "plan": "translation",
-        "t": t,
-        "rho": rho,
-        "delta_z": dz,
-        "seed": seed,
-        "m_steps": m_steps,
-        "m_bridge": None,
-        "n": n,
-    }
-    return StaticJointSample(left=left, right=right, cost=cost, meta=meta)
+    return _pinned_couple(a, aprime, t, n_samples, seed, m_steps, "translation",
+                          _translate_vertical)
 
 
 def transport_cost_sqrt_1d(samples, shift, max_n=512):
@@ -403,6 +411,5 @@ def transport_cost_sqrt_1d(samples, shift, max_n=512):
         raise ValueError(f"exact assignment limited to {max_n} samples")
     if x.size == 0:
         raise ValueError("empty sample")
-    cost = np.sqrt(np.abs(x[:, None] - (x[None, :] + shift)))
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
+    matched, _ = _sqrt_shift_assignment(x, shift)
+    return float(matched.mean())

@@ -156,6 +156,15 @@ def test_policy_validation():
         cpl.custom_policy(2.0 * np.eye(2))
 
 
+def test_custom_policy_rejects_what_the_full_engine_rejects():
+    # spectral norm within MATRIX_TOL of 1, but I - K K^T dips below -PSD_CLIP,
+    # so complete_jhat (the full engine's Jhat) refuses it
+    K = np.diag([1 + 5e-11, 1.0])
+    assert cpl.validate_coupling_matrix(K)
+    with pytest.raises(ValueError, match="exceeds unit spectral norm"):
+        cpl.custom_policy(K)
+
+
 def test_kendall_hysteresis_script():
     pol = cpl.kendall_policy(kappa=1.0, epsilon=0.5)
     # middle of the band: starts in reflection

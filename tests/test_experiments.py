@@ -122,6 +122,33 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
     assert cli.main(["--experiment", "algebra-suite", "--threads", "0"]) == 2
 
 
+@pytest.mark.parametrize("name,params,key", [
+    pytest.param("static-ratio", {"n_samples": 0}, "n_samples", id="n_samples=0"),
+    pytest.param("mg-lemma", {"seed": -1}, "seed", id="seed=-1"),
+    pytest.param("mg-lemma", {"seed": 2**64 - 2}, "seed", id="seed=2**64-2"),
+    pytest.param("algebra-suite", {"n_case": 3}, "n_case", id="unknown-key"),
+])
+def test_run_experiment_validates_merged_params(tmp_path, name, params, key):
+    # programmatic parameters pass the checks a parsed config does, before
+    # anything runs or is written
+    with pytest.raises(exp.ConfigError, match=f"'{key}'"):
+        exp.run_experiment(name, params, out=tmp_path)
+    assert not (tmp_path / name).exists()
+
+
+def test_run_experiment_accepts_the_largest_seed(tmp_path):
+    exp.run_experiment("mg-lemma", {"seed": 2**64 - 3, "n_paths": 200}, out=tmp_path)
+    assert (tmp_path / "mg-lemma" / "report.jsonl").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_cli_seed_out_of_range_exits_two(tmp_path, capsys, seed):
+    code = cli.main(["--experiment", "mg-lemma", "--seed", seed, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "'seed'" in err
+
+
 def test_cli_runs_config_and_reports(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[algebra-suite]\nn_cases = 400\n")

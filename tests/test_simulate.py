@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,16 @@ def test_step_reduced_closed_forms():
     # clamping at zero: 0.01 - 2*0.1*2*0.05 + 4e-4 < 0
     r2, _ = sim.step_reduced(0.01, 0.0, cpl.reflection_matrix(1), 1e-4, -5.0, 0.0)
     assert r2 == 0.0
+
+
+def test_step_reduced_takes_a_nonnegative_variance():
+    # K11 a hair above 1 gives var_r = 2 (1 - K11) < 0; like the engines,
+    # the step takes sqrt(max(var, 0)) and warns about nothing
+    K = np.diag([1 + 5e-11, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r2, z = sim.step_reduced(1.0, 0.5, K, 0.01, 1.3, -0.2)
+    assert abs(r2 - 1.0) < 1e-9 and math.isfinite(z)
 
 
 def test_default_checkpoints_dyadic():

@@ -200,6 +200,40 @@ def test_static_couple_validation():
         stc.static_couple(a, grp.identity(2))
 
 
+_FRONTS = {
+    "density": lambda **kw: stc.static_couple(plan="density", **kw),
+    "assignment": lambda **kw: stc.static_couple(plan="assignment", **kw),
+    "translation": stc.baseline_translation_couple,
+}
+_BAD_INPUTS = [
+    pytest.param("n_samples", {"n_samples": 0}, id="n_samples=0"),
+    pytest.param("m_steps", {"m_steps": 0}, id="m_steps=0"),
+    pytest.param("t", {"t": float("nan")}, id="t=nan"),
+    pytest.param("t", {"t": float("inf")}, id="t=inf"),
+    pytest.param("a", {"a": grp.point([np.nan], [0.0], 0.0)}, id="a=nan"),
+    pytest.param("aprime", {"aprime": grp.point([0.5], [0.0], np.nan)}, id="aprime=nan"),
+]
+
+
+@pytest.mark.parametrize("front", sorted(_FRONTS))
+@pytest.mark.parametrize("arg,bad", _BAD_INPUTS)
+def test_couplings_reject_bad_input(front, arg, bad):
+    kw = {"a": grp.identity(1), "aprime": grp.point([0.5], [0.0], 0.0),
+          "n_samples": 4, "m_steps": 8, **bad}
+    with pytest.raises(ValueError, match=rf"^{arg} must"):
+        _FRONTS[front](**kw)
+
+
+def test_assignment_plan_rejects_empty_atom_set():
+    with pytest.raises(ValueError, match="^m_bridge must"):
+        stc.static_couple(grp.identity(1), grp.point([0.5], [0.0], 0.0), n_samples=4,
+                          m_steps=8, plan="assignment", m_bridge=0)
+    # the density plan draws no atoms, so m_bridge is not its input
+    smp = stc.static_couple(grp.identity(1), grp.point([0.5], [0.0], 0.0), n_samples=4,
+                            m_steps=8, m_bridge=0)
+    assert smp.meta["m_bridge"] is None
+
+
 def test_transport_cost_sqrt_1d_brute_force():
     rng = np.random.default_rng(16)
     for _ in range(25):
