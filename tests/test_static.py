@@ -361,3 +361,65 @@ _STATIC_GOLDEN = {
 @pytest.mark.parametrize("case", sorted(_STATIC_GOLDEN))
 def test_static_golden_digests(case):
     assert _static_digest(_golden_sample(case)) == _STATIC_GOLDEN[case]
+
+
+# chunk-crossing goldens: inputs that span several sample chunks of the
+# bridge sampler and of the density plan.  Recorded the same way, before the
+# sampler and the plan were streamed in chunks; draws are sample-major, so the
+# chunk sizes must not move a single bit.
+
+_CHUNK_PLANS = {
+    "density": lambda a, ap: stc.static_couple(
+        a, ap, t=0.8, n_samples=700, seed=34, plan="density", m_steps=32
+    ),
+    "assignment": lambda a, ap: stc.static_couple(
+        a, ap, t=0.8, n_samples=3, seed=35, plan="assignment", m_bridge=40, m_steps=1024
+    ),
+    "translation": lambda a, ap: stc.baseline_translation_couple(
+        a, ap, t=0.8, n_samples=700, seed=36, m_steps=256
+    ),
+}
+
+_CHUNK_GOLDEN = {
+    "assignment/mixed/n1": "7f64671c4cd2b1cf",
+    "assignment/unit/n2": "65e24f53879e5563",
+    "density/mixed/n1": "60f46cd1dcc509c5",
+    "density/mixed/n2": "e7b1ac92338982a3",
+    "density/unit/n1": "c5db776913cf9243",
+    "density/unit/n2": "fcf7bec199c4399e",
+    "translation/mixed/n2": "bc76d1d3bf84f0bb",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHUNK_GOLDEN))
+def test_static_golden_digests_across_chunks(case):
+    plan, offset, n = case.split("/")
+    n = int(n[1:])
+    x, y, z = _OFFSETS[offset]
+    a = grp.point([0.3, -1.1][:n], [0.7, 0.2][:n], -0.45)
+    off = grp.point(x + [0.0] * (n - 1), y + [0.0] * (n - 1), z)
+    smp = _CHUNK_PLANS[plan](a, grp.mul(a, off))
+    assert _static_digest(smp) == _CHUNK_GOLDEN[case]
+
+
+_BRIDGE_GOLDEN = {1: "95396d99d72ea0cc", 2: "7229055d67105de5"}
+
+
+@pytest.mark.parametrize("n", sorted(_BRIDGE_GOLDEN))
+def test_bridge_sampler_golden_digests(n):
+    # 300 endpoints x 8192 steps: several sample chunks at any chunk size used
+    b = np.random.default_rng(40 + n).standard_normal((300, 2 * n))
+    areas = stc.sample_levy_area_given_endpoint(b, t=0.7, m_steps=8192, seed=42)
+    assert areas.shape == (300,)
+    assert hashlib.sha256(areas.tobytes()).hexdigest()[:16] == _BRIDGE_GOLDEN[n]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_bridge_sampler_prefix_is_stable(n):
+    # each endpoint's normals are drawn in sample order, so a prefix of the
+    # endpoints gets bitwise the prefix of the areas, across chunk boundaries
+    b = np.random.default_rng(50 + n).standard_normal((80, 2 * n))
+    full = stc.sample_levy_area_given_endpoint(b, t=1.3, m_steps=1024, seed=43)
+    head = stc.sample_levy_area_given_endpoint(b[:37], t=1.3, m_steps=1024, seed=43)
+    assert np.array_equal(head, full[:37])
+
