@@ -284,10 +284,13 @@ class CouplingPolicy:
         return out.astype(np.int8)
 
     def matrix_for_regime(self, regime, n=1):
-        """Frame-basis K for a scalar regime code the policy can reach."""
+        """Frame-basis K for a scalar regime code the policy can reach, on H^n."""
         if regime not in self.regimes:
             raise ValueError(f"regime {regime} not reachable for kind {self.kind!r}")
         if regime == REGIME_CUSTOM:
+            if self.matrix.shape != (2 * n, 2 * n):
+                raise ValueError(f"policy matrix must be {2 * n}x{2 * n} for points in H^{n}, "
+                                 f"got shape {self.matrix.shape}")
             return self.matrix
         if regime == REGIME_SYNC:
             return synchronous_matrix(n)

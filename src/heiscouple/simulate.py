@@ -263,6 +263,21 @@ def _check_run_args(n_paths, checkpoints):
             raise ValueError(f"checkpoints must be finite and >= 0, got {checkpoints!r}")
 
 
+def _check_starts(a, aprime):
+    """The start points as float arrays: finite group points of one shape."""
+    a = np.asarray(a, dtype=float)
+    ap = np.asarray(aprime, dtype=float)
+    if a.ndim != 1:
+        raise ValueError(f"a must be one group point (2n+1,), got shape {a.shape}")
+    if ap.shape != a.shape:
+        raise ValueError(f"aprime must be a group point of equal shape to a {a.shape}, "
+                         f"got {ap.shape}")
+    for name, point in (("a", a), ("aprime", ap)):
+        if not np.all(np.isfinite(point)):
+            raise ValueError(f"{name} must be finite, got {point!r}")
+    return a, ap
+
+
 def _coefficient_tables(policy, n):
     """Reduced coefficients of every regime the policy can reach.
 
@@ -559,11 +574,11 @@ def simulate_ensemble(
     """Simulate a coupled ensemble and record it at checkpoint times.
 
     Args:
-        policy: CouplingPolicy.
-        a, aprime: starting group points, arrays of length 2n + 1.
-        T: horizon.
+        policy: CouplingPolicy; a custom K must be 2n x 2n.
+        a, aprime: finite starting group points, arrays of length 2n + 1.
+        T: horizon, finite and >= 0.
         n_paths: ensemble size, at least 1.
-        dt: Euler step.
+        dt: Euler step, positive and finite.
         seed: base seed; path block j uses the stream keyed (seed, j).
         scheme: "full" (group coordinates) or "reduced" ((R^2, Z) only).
         checkpoints: recording times, finite and >= 0 (snapped to the step
@@ -574,12 +589,15 @@ def simulate_ensemble(
     Returns:
         PathEnsemble.
     """
-    a = np.asarray(a, dtype=float)
-    aprime = np.asarray(aprime, dtype=float)
-    n = grp.npairs(a)
     if scheme not in ("full", "reduced"):
         raise ValueError(f"unknown scheme {scheme!r}")
     _check_run_args(n_paths, checkpoints)
+    a, aprime = _check_starts(a, aprime)
+    n = grp.npairs(a)
+    if not 0.0 <= T < math.inf:
+        raise ValueError(f"T must be finite and >= 0, got {T!r}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("T must be an integer multiple of dt")

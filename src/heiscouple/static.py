@@ -23,6 +23,11 @@ and undo the reduction.  The plans are:
 * translation, the reference plan of `baseline_translation_couple`: every
   vertical moves by the full shift, so the cost scales like sqrt(rho) for
   small offsets -- what the two plans above are built to beat.
+
+The two heavy steps, the bridge sampler and the density plan's conditional
+densities, stream through sample chunks sized for a core's L2 cache, so their
+working memory is O(chunk) beyond the O(n_samples) result arrays.  Draws are
+sample-major, so the chunk sizes never change a sample's bits.
 """
 
 import functools
@@ -34,7 +39,7 @@ from scipy.optimize import linear_sum_assignment
 
 from heiscouple import group as grp
 from heiscouple.coupling import _frame_from_unit
-from heiscouple.simulate import philox_stream
+from heiscouple.simulate import _check_starts, philox_stream
 
 # Standardized Fourier grid for conditional vertical densities: frequencies
 # j * _DV for j < _M_GRID cover the slowest characteristic-function decay
@@ -42,6 +47,11 @@ from heiscouple.simulate import philox_stream
 # spacing 2*pi/(_M_GRID*_DV) ~ sigma/50 and reach pi/_DV ~ 20 sigma.
 _M_GRID = 2048
 _DV = 0.15625
+
+# Chunk sizes (see the module docstring): bridge steps per chunk of the area
+# sampler, and samples per chunk of the density plan.
+_BRIDGE_CELLS = 2**14
+_DENSITY_CHUNK = 16
 
 
 @dataclass
@@ -86,17 +96,28 @@ class StaticJointSample:
             np.savetxt(fh, body, delimiter=",", fmt="%.17g")
 
 
+def _check_bridge_args(t, m_steps):
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t!r}")
+    if m_steps < 1:
+        raise ValueError(f"m_steps must be at least 1, got {m_steps!r}")
+
+
 def sample_levy_area_given_endpoint(b, t=1.0, m_steps=1024, rng=None, seed=0):
     """Vertical coordinate of a horizontal Brownian bridge 0 -> b on [0, t].
 
     Builds the bridge from scaled increments and accumulates the left-endpoint
     area sum (1/2) sum omega(B_{j-1}, dB_j), which is the vertical coordinate
-    of the group path at time t given its horizontal endpoint b.
+    of the group path at time t given its horizontal endpoint b.  Bridges are
+    built in place, a chunk of about _BRIDGE_CELLS steps (at least one bridge)
+    at a time, so working memory is O(chunk), not O(len(b) * m_steps).
+    Normals are drawn sample by sample, so an endpoint's area depends neither
+    on the chunking nor on the endpoints after it.
 
     Args:
         b: (..., 2n) horizontal endpoints; one area per leading index.
-        t: horizon, > 0.
-        m_steps: bridge discretization.
+        t: horizon, positive and finite.
+        m_steps: bridge discretization, >= 1.
         rng: optional Generator (a fresh Philox stream from `seed` otherwise).
 
     Returns:
@@ -105,28 +126,36 @@ def sample_levy_area_given_endpoint(b, t=1.0, m_steps=1024, rng=None, seed=0):
     b = np.asarray(b, dtype=float)
     if b.ndim < 1 or b.shape[-1] < 2 or b.shape[-1] % 2:
         raise ValueError("endpoints must have even horizontal dimension 2n")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_bridge_args(t, m_steps)
     if rng is None:
         rng = philox_stream(seed, 0)
     lead = b.shape[:-1]
     flat = b.reshape(-1, b.shape[-1])
-    m = flat.shape[0]
+    m, d = flat.shape
     out = np.empty(m)
-    chunk = max(1, int(2**21) // m_steps)
+    chunk = max(1, min(m, _BRIDGE_CELLS // m_steps))
     sqdt = math.sqrt(t / m_steps)
-    frac = np.arange(1, m_steps + 1) / m_steps  # (m_steps,)
+    frac = np.arange(1, m_steps + 1) / m_steps
+    # Normals arrive in draw order (sample, step, coordinate).  The path (led
+    # by B_0 = 0) and its increments are stored step-contiguous per
+    # coordinate, so the cumulative sums, the bridge correction and the
+    # symplectic products run along contiguous memory.  Each area is the sum
+    # of one contiguous row of m_steps products, whatever the chunk.
+    normals = np.empty((chunk, m_steps, d))
+    path = np.zeros((chunk, d, m_steps + 1))
+    db = np.empty((chunk, d, m_steps))
     for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        bb = flat[lo:hi]  # (k, 2n)
-        dw = rng.standard_normal((hi - lo, m_steps, bb.shape[1])) * sqdt
-        w = np.cumsum(dw, axis=1)
-        # bridge: B_j = W_j - (j/m)(W_m - b); left endpoints include B_0 = 0
-        corr = w[:, -1:, :] - bb[:, None, :]
-        bpath = w - frac[None, :, None] * corr
-        left = np.concatenate([np.zeros_like(bpath[:, :1]), bpath[:, :-1]], axis=1)
-        db = np.diff(np.concatenate([np.zeros_like(bpath[:, :1]), bpath], axis=1), axis=1)
-        out[lo:hi] = 0.5 * grp.symplectic(left, db).sum(axis=1)
+        k = min(chunk, m - lo)
+        nk, pk, dbk = normals[:k], path[:k], db[:k]
+        w = pk[:, :, 1:]
+        rng.standard_normal(out=nk)
+        np.multiply(nk.transpose(0, 2, 1), sqdt, out=dbk)
+        np.cumsum(dbk, axis=2, out=w)
+        # bridge: B_j = W_j - (j/m)(W_m - b)
+        w -= frac * (w[:, :, -1:] - flat[lo:lo + k, :, None])
+        np.subtract(w, pk[:, :, :-1], out=dbk)
+        area = grp.symplectic(pk[:, :, :-1].transpose(0, 2, 1), dbk.transpose(0, 2, 1))
+        out[lo:lo + k] = 0.5 * area.sum(axis=1)
     return out.reshape(lead)
 
 
@@ -228,16 +257,21 @@ def _couple_vertical_density(z, shift, h_can, t, m_steps, rng):
 
     Keeps z with probability min(1, f(z-s)/f(z)), else reflects about s/2:
     for an even unimodal f the residuals sit on opposite sides of s/2 and
-    the reflection is their anti-monotone (concavity-optimal) matching.
+    the reflection is their anti-monotone (concavity-optimal) matching.  The
+    densities are built _DENSITY_CHUNK samples at a time.
     """
     u_stay = rng.uniform(size=z.shape[0])
-    z_grid, rows, sigma = _density_rows((h_can**2).sum(axis=1), t, h_can.shape[1] // 2)
-    zs = z / sigma
-    ss = shift / sigma
-    f_here = _interp_rows(z_grid, rows, zs)
-    f_shift = _interp_rows(z_grid, rows, zs - ss)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stay_p = np.where(f_here > 0.0, np.minimum(1.0, f_shift / f_here), 1.0)
+    q = (h_can**2).sum(axis=1)
+    n = h_can.shape[1] // 2
+    stay_p = np.empty_like(z)
+    for lo in range(0, z.shape[0], _DENSITY_CHUNK):
+        part = slice(lo, lo + _DENSITY_CHUNK)
+        z_grid, rows, sigma = _density_rows(q[part], t, n)
+        zs = z[part] / sigma
+        f_here = _interp_rows(z_grid, rows, zs)
+        f_shift = _interp_rows(z_grid, rows, zs - shift[part] / sigma)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stay_p[part] = np.where(f_here > 0.0, np.minimum(1.0, f_shift / f_here), 1.0)
     z_tilde = np.where(u_stay < stay_p, z, shift - z)
     return z_tilde, z_tilde - z
 
@@ -270,13 +304,7 @@ def _translate_vertical(z, shift, h_can, t, m_steps, rng):
 
 def _reduce_offset(a, aprime):
     """Split a^{-1} a' into rotation frame, axis offset, and central part."""
-    a = np.asarray(a, dtype=float)
-    ap = np.asarray(aprime, dtype=float)
-    if a.shape != ap.shape or a.ndim != 1:
-        raise ValueError("start points must be two group points of equal shape")
-    for name, point in (("a", a), ("aprime", ap)):
-        if not np.all(np.isfinite(point)):
-            raise ValueError(f"{name} must be finite, got {point!r}")
+    a, ap = _check_starts(a, aprime)
     delta = grp.mul(grp.inverse(a), ap)
     dh = grp.horizontal(delta)
     dz = float(grp.vertical(delta))
@@ -317,9 +345,8 @@ def _pinned_couple(a, aprime, t, n_samples, seed, m_steps, plan, vertical, m_bri
     leg's draws, and returns the coupled verticals and the move from z.  It is
     not called at rho = 0, where the two conditional laws coincide.
     """
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t!r}")
-    for name, count in (("n_samples", n_samples), ("m_steps", m_steps), ("m_bridge", m_bridge)):
+    _check_bridge_args(t, m_steps)
+    for name, count in (("n_samples", n_samples), ("m_bridge", m_bridge)):
         if count is not None and count < 1:
             raise ValueError(f"{name} must be at least 1, got {count!r}")
     delta, q_rot, rho, dz, n = _reduce_offset(a, aprime)

@@ -406,3 +406,27 @@ def test_checkpoints_past_the_horizon_are_recorded_at_it():
     for e in (ens, exact):
         assert np.allclose(e.times, [0.05, 0.1])
         assert np.all(np.isfinite(e.r2)) and np.all(np.isfinite(e.z))
+
+
+_H1_START = {"a": grp.identity(1), "aprime": grp.point([1.0], [0.0], 0.0)}
+_BAD_ENSEMBLE_INPUTS = [
+    pytest.param("a", {"a": grp.point([np.nan], [0.0], 0.0)}, id="a=nan"),
+    pytest.param("aprime", {"aprime": grp.point([1.0], [0.0], np.inf)}, id="aprime=inf"),
+    pytest.param("aprime", {"aprime": grp.point([1.0, 0.0], [0.0, 0.0], 0.0)}, id="aprime-in-H2"),
+    pytest.param("dt", {"dt": -0.01}, id="dt<0"),
+    pytest.param("dt", {"dt": float("nan")}, id="dt=nan"),
+    pytest.param("T", {"T": -0.1}, id="T<0"),
+    pytest.param("T", {"T": float("nan")}, id="T=nan"),
+    pytest.param("T", {"T": float("inf")}, id="T=inf"),
+    pytest.param("policy matrix", {"policy": cpl.custom_policy(0.5 * np.eye(4))},
+                 id="4x4-custom-K-on-H1"),
+]
+
+
+@pytest.mark.parametrize("scheme", ["full", "reduced"])
+@pytest.mark.parametrize("arg,bad", _BAD_ENSEMBLE_INPUTS)
+def test_simulate_ensemble_rejects_bad_input(arg, bad, scheme):
+    kw = {"policy": cpl.reflection_policy(), **_H1_START, "T": 0.1, "n_paths": 4,
+          "dt": 0.01, "scheme": scheme, **bad}
+    with pytest.raises(ValueError, match=rf"^{arg} must"):
+        sim.simulate_ensemble(**kw)

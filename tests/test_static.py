@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,16 @@ def test_bridge_sampler_validation():
     with pytest.raises(ValueError, match="positive"):
         stc.sample_levy_area_given_endpoint(np.zeros(2), t=0.0)
 
+
+
+@pytest.mark.parametrize("arg,bad", [
+    pytest.param("t", {"t": float("nan")}, id="t=nan"),
+    pytest.param("t", {"t": float("inf")}, id="t=inf"),
+    pytest.param("m_steps", {"m_steps": 0}, id="m_steps=0"),
+])
+def test_bridge_sampler_rejects_bad_input(arg, bad):
+    with pytest.raises(ValueError, match=rf"^{arg} must"):
+        stc.sample_levy_area_given_endpoint(np.ones((3, 2)), **bad)
 
 def _pin_gate(smp, a, aprime):
     delta_h = grp.horizontal(grp.mul(grp.inverse(a), aprime))
@@ -423,3 +434,18 @@ def test_bridge_sampler_prefix_is_stable(n):
     head = stc.sample_levy_area_given_endpoint(b[:37], t=1.3, m_steps=1024, seed=43)
     assert np.array_equal(head, full[:37])
 
+
+
+def test_density_coupling_memory_is_bounded():
+    # 2048 samples x 1024 bridge steps: the streamed sampler and density plan
+    # hold O(chunk) working memory, not O(n_samples * m_steps) or
+    # O(n_samples * grid)
+    a = grp.identity(1)
+    ap = grp.point([0.05], [0.0], 0.0)
+    tracemalloc.start()
+    try:
+        stc.static_couple(a, ap, t=1.0, n_samples=2048, seed=44, m_steps=1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
