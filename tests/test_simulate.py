@@ -278,11 +278,11 @@ def _digest(ens):
     return h.hexdigest()[:16]
 
 
-def _golden_ensemble(case, threads):
+def _golden_ensemble(case, threads, n_paths=1500):
     parts = case.split("/")
     if parts[0] == "exact":
         return sim.simulate_reflection_exact(
-            r0=0.5, T=1.0, n_paths=1500, z0=0.2, seed=17, delta=0.125,
+            r0=0.5, T=1.0, n_paths=n_paths, z0=0.2, seed=17, delta=0.125,
             t_first=1e-3, threads=threads,
         )
     scheme, policy, n = parts[0], parts[1], int(parts[2][1:])
@@ -291,7 +291,7 @@ def _golden_ensemble(case, threads):
     a = grp.identity(n)
     ap = grp.point([r0] + [0.0] * (n - 1), [0.0] * n, -0.3)
     return sim.simulate_ensemble(
-        _POLICIES[policy](n), a, ap, T=0.3, n_paths=1500, dt=0.01, seed=23,
+        _POLICIES[policy](n), a, ap, T=0.3, n_paths=n_paths, dt=0.01, seed=23,
         scheme=scheme, threads=threads,
     )
 
@@ -327,6 +327,69 @@ _GOLDEN = {
 @pytest.mark.parametrize("case", sorted(_GOLDEN))
 def test_golden_digests(case, threads):
     assert _digest(_golden_ensemble(case, threads)) == _GOLDEN[case]
+
+
+# 4500 paths are four full RNG blocks and one partial; at threads=3 they split
+# into uneven groups of 1, 2 and 2 blocks
+_WIDE_PATHS = 4500
+_WIDE_GOLDEN = {
+    "exact/reflection": "dc128b23d6349bdf",
+    "full/custom/n1": "e303ec01ba8ae83a",
+    "full/kendall/n1": "1cd8d16cdccdcfe5",
+    "full/reflection/n1/absorbing": "5a09d7296ac3f444",
+    "reduced/custom/n1": "54e7b23289562cfe",
+    "reduced/kendall/n1": "16cb9d5c503ad7fe",
+    "reduced/reflection/n1/absorbing": "936230ce833029ec",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(_WIDE_GOLDEN))
+def test_golden_digests_across_groups(case, threads):
+    assert _digest(_golden_ensemble(case, threads, _WIDE_PATHS)) == _WIDE_GOLDEN[case]
+
+
+class _CountingStream:
+    """A block's Generator that logs the leading size of every draw."""
+
+    def __init__(self, gen, block, log):
+        self._gen, self._block, self._log = gen, block, log
+
+    def _draw(self, method, size, kwargs):
+        rows = size[0] if isinstance(size, tuple) else size
+        out = kwargs.get("out")
+        self._log.append((self._block, method, rows, rows if out is None else len(out)))
+        return getattr(self._gen, method)(size, **kwargs)
+
+    def standard_normal(self, size=None, **kwargs):
+        return self._draw("standard_normal", size, kwargs)
+
+    def random(self, size=None, **kwargs):
+        return self._draw("random", size, kwargs)
+
+
+@pytest.mark.parametrize("case", ["exact/reflection", "full/custom/n1",
+                                  "reduced/reflection/n1/absorbing"])
+def test_block_streams_are_keyed_once_and_draw_their_own_rows(monkeypatch, case):
+    keys, log = [], []
+    real = sim.philox_stream
+
+    def counting(seed, block):
+        keys.append((seed, block))
+        return _CountingStream(real(seed, block), block, log)
+
+    monkeypatch.setattr(sim, "philox_stream", counting)
+    ens = _golden_ensemble(case, 3, _WIDE_PATHS)
+    spans = list(sim._blocks(_WIDE_PATHS))
+    seed = ens.meta["seed"]
+    assert sorted(keys) == [(seed, block) for block, _, _ in spans]
+    per_block = {block: [] for block, _, _ in spans}
+    for block, method, rows, out_rows in log:
+        per_block[block].append((method, rows, out_rows))
+    first = [draw[0] for draw in per_block[0]]
+    for block, lo, hi in spans:
+        assert [draw[0] for draw in per_block[block]] == first
+        assert {draw[1:] for draw in per_block[block]} == {(hi - lo, hi - lo)}
 
 
 # ---------------------------------------------------------------------------
