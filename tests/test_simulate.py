@@ -349,6 +349,13 @@ def test_golden_digests_across_groups(case, threads):
     assert _digest(_golden_ensemble(case, threads, _WIDE_PATHS)) == _WIDE_GOLDEN[case]
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_golden_digest_with_a_one_path_block(threads):
+    # 2049 paths end in a block of one path; on H^1 the full engine's frame
+    # rounds a one-element complex product unlike a wider one
+    assert _digest(_golden_ensemble("full/custom/n1", threads, 2049)) == "d071707f1ae35abb"
+
+
 class _CountingStream:
     """A block's Generator that logs the leading size of every draw."""
 
