@@ -33,5 +33,7 @@ KENDALL_EPSILON = 0.5
 KENDALL_SUCCESS_DH = 1e-3
 
 # RNG blocking: paths are carved into blocks of this size, each with its own
-# counter-based stream keyed (seed, block index); independent of thread count
+# counter-based stream keyed (seed, block index).  A thread steps one
+# contiguous group of whole blocks as one array, each block's rows drawn from
+# its own stream, so output is independent of thread count
 RNG_BLOCK = 1024

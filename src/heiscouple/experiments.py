@@ -28,6 +28,7 @@ from heiscouple.constants import (
     KS_PVALUE_MIN, MATRIX_TOL, MAX_CLAMP_FRACTION,
 )
 from heiscouple.simulate import (
+    _check_threads,
     kendall_success_times,
     philox_stream,
     simulate_ensemble,
@@ -533,10 +534,12 @@ def run_experiment(name, params=None, out=".", threads=1, stamp=""):
     """Run one named experiment and write its three artifact files.
 
     The merged parameters pass the same checks as a parsed config; raises
-    ConfigError otherwise.  Returns (all_passed, checks).
+    ConfigError otherwise, and ValueError unless `threads` is an integer >= 1.
+    Returns (all_passed, checks).
     """
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}")
+    _check_threads(threads)
     merged = default_params(name)
     if params:
         merged.update(params)

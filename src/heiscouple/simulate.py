@@ -38,9 +38,12 @@ schemes:
   hysteresis later re-enters the synchronous region the regime switch does
   the freezing.
 
-Both engines consume noise in a fixed order with counter-based per-block
-streams, so results are bitwise reproducible for a given (seed, n_paths)
-regardless of thread count.
+Paths are carved into RNG blocks of RNG_BLOCK paths, block j drawing from the
+counter-based stream keyed (seed, j) in a fixed per-step order.  A runner
+splits the blocks into one contiguous group per thread and steps each group
+as one array: every draw fills each block's rows from that block's own
+stream, and every engine operation acts path by path, so results are bitwise
+reproducible for a given (seed, n_paths) regardless of thread count.
 """
 
 import math
@@ -368,19 +371,62 @@ class _Recorder:
         return dict(self.out, absorbed_at=self.absorbed_at, clamps=clamps)
 
 
-def _run_blocks(run, n_paths, threads):
-    """Run `run(block, m)` on every RNG block and join the blocks' outputs.
+class _Streams:
+    """The Philox streams of a contiguous group of RNG blocks, drawn side by side.
 
-    `run` returns per-path arrays (path axis last) and an int "clamps".  The
-    arrays are joined in block order and the clamps summed, so the result does
-    not depend on `threads`.  Returns (arrays, clamps).
+    A draw fills a group-wide buffer whose rows [lo, hi) belong to block j and
+    come from philox_stream(seed, j), exactly as if the block were stepped
+    alone.  `size` goes along with `out`, so a generator wrapper that counts
+    variates by `size` counts these draws too.
     """
-    blocks = [(block, hi - lo) for block, lo, hi in _blocks(n_paths)]
+
+    def __init__(self, seed, spans):
+        base = spans[0][1]
+        self.rows = [(philox_stream(seed, block), lo - base, hi - base)
+                     for block, lo, hi in spans]
+        self.m = spans[-1][2] - base
+
+    def normal(self, out):
+        for rng, lo, hi in self.rows:
+            rng.standard_normal(out[lo:hi].shape, out=out[lo:hi])
+
+    def uniform(self, out):
+        for rng, lo, hi in self.rows:
+            rng.random(out[lo:hi].shape, out=out[lo:hi])
+
+
+def _check_threads(threads):
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+
+
+def _run_groups(run, n_paths, threads):
+    """Run `run(spans)` once per group of RNG blocks and join the groups' outputs.
+
+    The blocks of `_blocks(n_paths)` split into min(threads, n_blocks)
+    contiguous groups of whole blocks, each stepped as one array on its own
+    worker.  A trailing block of one path is always a group of its own: numpy
+    rounds a one-element complex product (the full engine's frame on H^1)
+    unlike a wider one, so that path must never share an array.  `run` returns
+    per-path arrays (path axis last) and an int "clamps".  The arrays are
+    joined in block order and the clamps summed, so the result does not depend
+    on `threads`.  Returns (arrays, clamps).
+    """
+    spans = list(_blocks(n_paths))
+    lone = len(spans) > 1 and spans[-1][2] - spans[-1][1] == 1
+    wide = spans[:-1] if lone else spans
+    k = min(threads, len(wide))
+    groups = [wide[i * len(wide) // k:(i + 1) * len(wide) // k] for i in range(k)]
+    if lone:
+        groups.append(spans[-1:])
+    if len(groups) == 1:
+        arrays = run(spans)
+        return arrays, arrays.pop("clamps")
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(lambda bm: run(*bm), blocks))
+        with ThreadPoolExecutor(max_workers=min(threads, len(groups))) as ex:
+            results = list(ex.map(run, groups))
     else:
-        results = [run(*bm) for bm in blocks]
+        results = [run(group) for group in groups]
     clamps = sum(res.pop("clamps") for res in results)
     arrays = {key: np.concatenate([res[key] for res in results], axis=-1)
               for key in results[0]}
@@ -388,12 +434,13 @@ def _run_blocks(run, n_paths, threads):
 
 
 # ---------------------------------------------------------------------------
-# vectorised per-block engines
+# vectorised engines, each stepping one group of RNG blocks (`spans`)
 
 
-def _run_reduced_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, seed, block, m):
+def _run_reduced_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, seed, spans):
     """Reduced-scheme engine: Euler Z, per-regime radial update of R^2."""
-    rng = philox_stream(seed, block)
+    rng = _Streams(seed, spans)
+    m = rng.m
     r2_0, z_0 = relative_coordinates(a[:-1], aprime[:-1], a[-1], aprime[-1])
     r2 = np.full(m, float(r2_0))
     z = np.full(m, float(z_0))
@@ -405,14 +452,15 @@ def _run_reduced_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps
     drift_r, drift_z = coef["drift_r"], coef["drift_z"]
     sdt = math.sqrt(dt)
     rec = _Recorder(ck_steps, m)
+    g1, g2, u = np.empty(m), np.empty(m), np.empty(m)
 
     rec(0, r2, z)
     for k in range(1, n_steps + 1):
         regime = policy.next_regime(r2, z, regime)
-        g1 = rng.standard_normal(m)
-        g2 = rng.standard_normal(m)
+        rng.normal(g1)
+        rng.normal(g2)
         if absorbing:
-            u = rng.random(m)
+            rng.uniform(u)
 
         r = np.sqrt(r2)
         # vertical update first (left-endpoint R), shared by every regime
@@ -453,7 +501,7 @@ def _run_reduced_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps
     return rec.result(clamps)
 
 
-def _run_full_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, seed, block, m):
+def _run_full_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, seed, spans):
     """Full-scheme engine.
 
     Plain Euler in group coordinates, plus exact enforcement of the two
@@ -469,7 +517,8 @@ def _run_full_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, s
 
     Reflection and custom regimes are left genuinely stochastic.
     """
-    rng = philox_stream(seed, block)
+    rng = _Streams(seed, spans)
+    m = rng.m
     n = grp.npairs(a)
     b = np.tile(a[:-1], (m, 1))
     bp = np.tile(aprime[:-1], (m, 1))
@@ -484,15 +533,18 @@ def _run_full_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, s
         need_defect = float(np.abs(Khat).max()) > 0.0
     sdt = math.sqrt(dt)
     rec = _Recorder(ck_steps, m)
+    dw, dwt, u = np.empty((m, 2 * n)), np.empty((m, 2 * n)), np.empty(m)
 
     rec(0, r2, z)
     for k in range(1, n_steps + 1):
         regime = policy.next_regime(r2, z, regime)
-        dw = sdt * rng.standard_normal((m, 2 * n))
+        rng.normal(dw)
+        dw *= sdt
         if custom:
-            dwt = sdt * rng.standard_normal((m, 2 * n))
+            rng.normal(dwt)
+            dwt *= sdt
         if absorbing:
-            u = rng.random(m)
+            rng.uniform(u)
 
         d = b - bp
         r = np.sqrt(r2)
@@ -584,13 +636,15 @@ def simulate_ensemble(
         checkpoints: recording times, finite and >= 0 (snapped to the step
             grid, and to T past it); default is the dyadic grid of
             `default_checkpoints`.
-        threads: worker threads over path blocks; does not affect output.
+        threads: integer >= 1; each thread steps one contiguous group of RNG
+            blocks as one array.  Does not affect output.
 
     Returns:
         PathEnsemble.
     """
     if scheme not in ("full", "reduced"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    _check_threads(threads)
     _check_run_args(n_paths, checkpoints)
     a, aprime = _check_starts(a, aprime)
     n = grp.npairs(a)
@@ -609,7 +663,7 @@ def simulate_ensemble(
     absorbing = policy.kind == "reflection"  # absorbed at R = 0, then latched
     run = partial(engine, policy, _coefficient_tables(policy, n), absorbing,
                   a, aprime, n_steps, dt, ck_steps, seed)
-    arrays, clamps = _run_blocks(run, n_paths, threads)
+    arrays, clamps = _run_groups(run, n_paths, threads)
     steps = n_steps * n_paths
     return PathEnsemble(
         times=ck_steps * dt,
@@ -646,12 +700,24 @@ def simulate_reflection_exact(
     bridge-crossing absorption; the crossing time is recorded mid-step.  The
     vertical part integrates dZ = R dCt with a trapezoid rule for the
     conditional variance int R^2 ds over each cell.  Checkpoints must be
-    finite and >= 0; those past T are recorded at T.
+    finite and >= 0; those past T are recorded at T.  `r0` and `T` must be
+    finite and >= 0, `z0` finite, `delta` and `t_first` finite and > 0.
+    `threads` (integer >= 1) threads each step one contiguous group of RNG
+    blocks as one array; the output does not depend on it.
 
     Returns a PathEnsemble whose absorbed_at carries the hitting times
     (NaN when R survives past T).
     """
+    _check_threads(threads)
     _check_run_args(n_paths, checkpoints)
+    for name, val in (("r0", r0), ("T", T)):
+        if not 0.0 <= val < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {val!r}")
+    if not math.isfinite(z0):
+        raise ValueError(f"z0 must be finite, got {z0!r}")
+    for name, val in (("delta", delta), ("t_first", t_first)):
+        if not 0.0 < val < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {val!r}")
     if checkpoints is None:
         checkpoints = default_checkpoints(T, max(t_first, T * 2.0**-12))
     checkpoints = sorted({min(float(c), T) for c in checkpoints})
@@ -663,17 +729,19 @@ def simulate_reflection_exact(
     ck_idx = np.searchsorted(grid, np.asarray(checkpoints, dtype=float))
     dts = np.diff(grid)
 
-    def run(block, m):
-        rng = philox_stream(seed, block)
+    def run(spans):
+        rng = _Streams(seed, spans)
+        m = rng.m
         r = np.full(m, float(r0))
         r2 = r**2
         z = np.full(m, float(z0))
         rec = _Recorder(ck_idx, m)
+        g, u, gz = np.empty(m), np.empty(m), np.empty(m)
         rec(0, r2, z)
         for j, dtj in enumerate(dts):
-            g = rng.standard_normal(m)
-            u = rng.random(m)
-            gz = rng.standard_normal(m)
+            rng.normal(g)
+            rng.uniform(u)
+            rng.normal(gz)
             alive = np.isnan(rec.absorbed_at)
             rn = r + 2.0 * math.sqrt(dtj) * g
             hit = alive & _bridge_hit(r, rn, dtj, u)
@@ -687,7 +755,7 @@ def simulate_reflection_exact(
             rec(j + 1, r2, z)
         return rec.result()
 
-    arrays, clamps = _run_blocks(run, n_paths, threads)
+    arrays, clamps = _run_groups(run, n_paths, threads)
     return PathEnsemble(
         times=grid[ck_idx],
         **arrays,
@@ -731,10 +799,19 @@ def kendall_success_times(
     policy memory itself only tracks its regime.  Runs single-threaded on one
     noise stream: thread counts never affect the output.
 
+    `r2_0` and `t_max` must be finite and >= 0, `z_0` finite and `n_paths`
+    at least 1.
+
     Returns an array of success times (NaN for paths still apart at t_max).
     """
     if policy.kind != "kendall":
         raise ValueError("adaptive contraction runner requires a kendall policy")
+    _check_run_args(n_paths, None)
+    for name, val in (("r2_0", r2_0), ("t_max", t_max)):
+        if not 0.0 <= val < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {val!r}")
+    if not math.isfinite(z_0):
+        raise ValueError(f"z_0 must be finite, got {z_0!r}")
     if alpha <= 0 or dt_cap <= 0 or success_dh <= 0:
         raise ValueError("alpha, dt_cap and success_dh must be positive")
     tol2 = float(success_dh) ** 2

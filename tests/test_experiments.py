@@ -136,6 +136,13 @@ def test_run_experiment_validates_merged_params(tmp_path, name, params, key):
     assert not (tmp_path / name).exists()
 
 
+@pytest.mark.parametrize("threads", [0, -2, 2.5, True])
+def test_run_experiment_rejects_bad_threads(tmp_path, threads):
+    with pytest.raises(ValueError, match=r"^threads must"):
+        exp.run_experiment("algebra-suite", out=tmp_path, threads=threads)
+    assert not (tmp_path / "algebra-suite").exists()
+
+
 def test_run_experiment_accepts_the_largest_seed(tmp_path):
     exp.run_experiment("mg-lemma", {"seed": 2**64 - 3, "n_paths": 200}, out=tmp_path)
     assert (tmp_path / "mg-lemma" / "report.jsonl").exists()

@@ -500,3 +500,52 @@ def test_simulate_ensemble_rejects_bad_input(arg, bad, scheme):
           "dt": 0.01, "scheme": scheme, **bad}
     with pytest.raises(ValueError, match=rf"^{arg} must"):
         sim.simulate_ensemble(**kw)
+
+
+_BAD_THREADS = [0, -2, 2.5, True]
+
+
+@pytest.mark.parametrize("threads", _BAD_THREADS)
+def test_simulate_ensemble_rejects_bad_threads(threads):
+    with pytest.raises(ValueError, match=r"^threads must"):
+        sim.simulate_ensemble(cpl.reflection_policy(), **_H1_START, T=0.1, n_paths=4,
+                              dt=0.01, threads=threads)
+
+
+@pytest.mark.parametrize("threads", _BAD_THREADS)
+def test_simulate_reflection_exact_rejects_bad_threads(threads):
+    with pytest.raises(ValueError, match=r"^threads must"):
+        sim.simulate_reflection_exact(r0=1.0, T=0.1, n_paths=4, threads=threads)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("arg,bad", [
+    pytest.param("r0", {"r0": _NAN}, id="r0=nan"),
+    pytest.param("r0", {"r0": -0.5}, id="r0<0"),
+    pytest.param("z0", {"z0": _NAN}, id="z0=nan"),
+    pytest.param("T", {"T": _NAN}, id="T=nan"),
+    pytest.param("T", {"T": -1.0}, id="T<0"),
+    pytest.param("T", {"T": _INF}, id="T=inf"),
+    pytest.param("delta", {"delta": 0.0}, id="delta=0"),
+    pytest.param("t_first", {"t_first": 0.0}, id="t_first=0"),
+])
+def test_simulate_reflection_exact_rejects_bad_input(arg, bad):
+    with pytest.raises(ValueError, match=rf"^{arg} must"):
+        sim.simulate_reflection_exact(**{"r0": 1.0, "T": 0.1, "n_paths": 4, **bad})
+
+
+@pytest.mark.parametrize("arg,bad", [
+    pytest.param("r2_0", {"r2_0": _NAN}, id="r2_0=nan"),
+    pytest.param("r2_0", {"r2_0": -1.0}, id="r2_0<0"),
+    pytest.param("z_0", {"z_0": _NAN}, id="z_0=nan"),
+    pytest.param("t_max", {"t_max": _NAN}, id="t_max=nan"),
+    pytest.param("t_max", {"t_max": -1.0}, id="t_max<0"),
+    pytest.param("t_max", {"t_max": _INF}, id="t_max=inf"),
+    pytest.param("n_paths", {"n_paths": 0}, id="n_paths=0"),
+])
+def test_kendall_success_times_rejects_bad_input(arg, bad):
+    kw = {"r2_0": 1.0, "z_0": 0.0, "t_max": 1.0, "n_paths": 4, **bad}
+    with pytest.raises(ValueError, match=rf"^{arg} must"):
+        sim.kendall_success_times(cpl.kendall_policy(), **kw)
