@@ -258,12 +258,17 @@ def _checkpoint_steps(checkpoints, dt, n_steps):
 
 
 def _check_run_args(n_paths, checkpoints):
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
+    _check(n_paths >= 1, "n_paths", n_paths, "at least 1")
     if checkpoints is not None:
         cks = np.asarray(checkpoints, dtype=float)
         if not np.all(np.isfinite(cks)) or np.any(cks < 0.0):
             raise ValueError(f"checkpoints must be finite and >= 0, got {checkpoints!r}")
+
+
+def _check(ok, name, val, what):
+    """Raise ValueError "<name> must be <what>" unless ok."""
+    if not ok:
+        raise ValueError(f"{name} must be {what}, got {val!r}")
 
 
 def _check_starts(a, aprime):
@@ -396,8 +401,8 @@ class _Streams:
 
 
 def _check_threads(threads):
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    integer = isinstance(threads, (int, np.integer)) and not isinstance(threads, bool)
+    _check(integer and threads >= 1, "threads", threads, "an integer >= 1")
 
 
 def _run_groups(run, n_paths, threads):
@@ -405,12 +410,13 @@ def _run_groups(run, n_paths, threads):
 
     The blocks of `_blocks(n_paths)` split into min(threads, n_blocks)
     contiguous groups of whole blocks, each stepped as one array on its own
-    worker.  A trailing block of one path is always a group of its own: numpy
-    rounds a one-element complex product (the full engine's frame on H^1)
-    unlike a wider one, so that path must never share an array.  `run` returns
-    per-path arrays (path axis last) and an int "clamps".  The arrays are
-    joined in block order and the clamps summed, so the result does not depend
-    on `threads`.  Returns (arrays, clamps).
+    worker.  A trailing block of one path always forms a group of its own:
+    numpy rounds a one-element complex product (the full engine's frame on
+    H^1) unlike the same product inside a wider array, and alone that path
+    gets the same bits at every thread count.  `run` returns per-path arrays
+    (path axis last) and an int "clamps".  The arrays are joined in block
+    order and the clamps summed, so the result does not depend on `threads`.
+    Returns (arrays, clamps).
     """
     spans = list(_blocks(n_paths))
     lone = len(spans) > 1 and spans[-1][2] - spans[-1][1] == 1
@@ -648,10 +654,8 @@ def simulate_ensemble(
     _check_run_args(n_paths, checkpoints)
     a, aprime = _check_starts(a, aprime)
     n = grp.npairs(a)
-    if not 0.0 <= T < math.inf:
-        raise ValueError(f"T must be finite and >= 0, got {T!r}")
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    _check(0.0 <= T < math.inf, "T", T, "finite and >= 0")
+    _check(0.0 < dt < math.inf, "dt", dt, "positive and finite")
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("T must be an integer multiple of dt")
@@ -702,22 +706,20 @@ def simulate_reflection_exact(
     conditional variance int R^2 ds over each cell.  Checkpoints must be
     finite and >= 0; those past T are recorded at T.  `r0` and `T` must be
     finite and >= 0, `z0` finite, `delta` and `t_first` finite and > 0.
-    `threads` (integer >= 1) threads each step one contiguous group of RNG
-    blocks as one array; the output does not depend on it.
+    `threads` must be an integer >= 1; each thread steps one contiguous group
+    of RNG blocks as one array, and the output does not depend on their
+    number.
 
     Returns a PathEnsemble whose absorbed_at carries the hitting times
     (NaN when R survives past T).
     """
     _check_threads(threads)
     _check_run_args(n_paths, checkpoints)
-    for name, val in (("r0", r0), ("T", T)):
-        if not 0.0 <= val < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {val!r}")
-    if not math.isfinite(z0):
-        raise ValueError(f"z0 must be finite, got {z0!r}")
-    for name, val in (("delta", delta), ("t_first", t_first)):
-        if not 0.0 < val < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {val!r}")
+    _check(0.0 <= r0 < math.inf, "r0", r0, "finite and >= 0")
+    _check(0.0 <= T < math.inf, "T", T, "finite and >= 0")
+    _check(math.isfinite(z0), "z0", z0, "finite")
+    _check(0.0 < delta < math.inf, "delta", delta, "positive and finite")
+    _check(0.0 < t_first < math.inf, "t_first", t_first, "positive and finite")
     if checkpoints is None:
         checkpoints = default_checkpoints(T, max(t_first, T * 2.0**-12))
     checkpoints = sorted({min(float(c), T) for c in checkpoints})
@@ -799,21 +801,19 @@ def kendall_success_times(
     policy memory itself only tracks its regime.  Runs single-threaded on one
     noise stream: thread counts never affect the output.
 
-    `r2_0` and `t_max` must be finite and >= 0, `z_0` finite and `n_paths`
-    at least 1.
+    `r2_0` and `t_max` must be finite and >= 0, `z_0` finite, `n_paths` at
+    least 1, and `alpha`, `dt_cap` and `success_dh` positive and finite.
 
     Returns an array of success times (NaN for paths still apart at t_max).
     """
     if policy.kind != "kendall":
         raise ValueError("adaptive contraction runner requires a kendall policy")
     _check_run_args(n_paths, None)
-    for name, val in (("r2_0", r2_0), ("t_max", t_max)):
-        if not 0.0 <= val < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {val!r}")
-    if not math.isfinite(z_0):
-        raise ValueError(f"z_0 must be finite, got {z_0!r}")
-    if alpha <= 0 or dt_cap <= 0 or success_dh <= 0:
-        raise ValueError("alpha, dt_cap and success_dh must be positive")
+    _check(0.0 <= r2_0 < math.inf, "r2_0", r2_0, "finite and >= 0")
+    _check(0.0 <= t_max < math.inf, "t_max", t_max, "finite and >= 0")
+    _check(math.isfinite(z_0), "z_0", z_0, "finite")
+    for name, val in (("alpha", alpha), ("dt_cap", dt_cap), ("success_dh", success_dh)):
+        _check(0.0 < val < math.inf, name, val, "positive and finite")
     tol2 = float(success_dh) ** 2
     band_in = (policy.kappa - policy.epsilon) / math.sqrt(8.0)
     rng = philox_stream(seed, 0)

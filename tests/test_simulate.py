@@ -512,12 +512,6 @@ def test_simulate_ensemble_rejects_bad_threads(threads):
                               dt=0.01, threads=threads)
 
 
-@pytest.mark.parametrize("threads", _BAD_THREADS)
-def test_simulate_reflection_exact_rejects_bad_threads(threads):
-    with pytest.raises(ValueError, match=r"^threads must"):
-        sim.simulate_reflection_exact(r0=1.0, T=0.1, n_paths=4, threads=threads)
-
-
 _NAN, _INF = float("nan"), float("inf")
 
 
@@ -530,10 +524,12 @@ _NAN, _INF = float("nan"), float("inf")
     pytest.param("T", {"T": _INF}, id="T=inf"),
     pytest.param("delta", {"delta": 0.0}, id="delta=0"),
     pytest.param("t_first", {"t_first": 0.0}, id="t_first=0"),
+    *(pytest.param("threads", {"threads": t}, id=f"threads={t}") for t in _BAD_THREADS),
 ])
 def test_simulate_reflection_exact_rejects_bad_input(arg, bad):
+    kw = {"r0": 1.0, "T": 0.1, "n_paths": 4, **bad}
     with pytest.raises(ValueError, match=rf"^{arg} must"):
-        sim.simulate_reflection_exact(**{"r0": 1.0, "T": 0.1, "n_paths": 4, **bad})
+        sim.simulate_reflection_exact(**kw)
 
 
 @pytest.mark.parametrize("arg,bad", [
@@ -544,6 +540,9 @@ def test_simulate_reflection_exact_rejects_bad_input(arg, bad):
     pytest.param("t_max", {"t_max": -1.0}, id="t_max<0"),
     pytest.param("t_max", {"t_max": _INF}, id="t_max=inf"),
     pytest.param("n_paths", {"n_paths": 0}, id="n_paths=0"),
+    pytest.param("alpha", {"alpha": _NAN}, id="alpha=nan"),
+    pytest.param("dt_cap", {"dt_cap": _NAN}, id="dt_cap=nan"),
+    pytest.param("success_dh", {"success_dh": _NAN}, id="success_dh=nan"),
 ])
 def test_kendall_success_times_rejects_bad_input(arg, bad):
     kw = {"r2_0": 1.0, "z_0": 0.0, "t_max": 1.0, "n_paths": 4, **bad}
