@@ -318,13 +318,13 @@ _PLANS = {
 }
 
 
-def _golden_sample(case):
+def _golden_sample(case, plans=_PLANS):
     plan, offset, n = case.split("/")
     n = int(n[1:])
     x, y, z = _OFFSETS[offset]
     a = grp.point([0.3, -1.1][:n], [0.7, 0.2][:n], -0.45)
     off = grp.point(x + [0.0] * (n - 1), y + [0.0] * (n - 1), z)
-    return _PLANS[plan](a, grp.mul(a, off))
+    return plans[plan](a, grp.mul(a, off))
 
 
 def _static_digest(smp):
@@ -404,13 +404,57 @@ _CHUNK_GOLDEN = {
 
 @pytest.mark.parametrize("case", sorted(_CHUNK_GOLDEN))
 def test_static_golden_digests_across_chunks(case):
-    plan, offset, n = case.split("/")
-    n = int(n[1:])
-    x, y, z = _OFFSETS[offset]
-    a = grp.point([0.3, -1.1][:n], [0.7, 0.2][:n], -0.45)
-    off = grp.point(x + [0.0] * (n - 1), y + [0.0] * (n - 1), z)
-    smp = _CHUNK_PLANS[plan](a, grp.mul(a, off))
+    smp = _golden_sample(case, _CHUNK_PLANS)
     assert _static_digest(smp) == _CHUNK_GOLDEN[case]
+
+
+# What a change to the vertical draw must not move.  The canonical horizontal
+# endpoints are the first normals of every stream, so the left horizontals of
+# the density and translation cases, and the translation plan's cost (a
+# function of those endpoints alone), are fixed whatever the vertical law's
+# sampler.  Keys are "<table>:<case>"; values are the left-horizontal digest
+# and, for translation, the cost digest.
+_PINNED_GOLDEN = {
+    "chunk:density/mixed/n1": ("85ad0c8a42f80277", None),
+    "chunk:density/mixed/n2": ("eff48bbf50c11a3a", None),
+    "chunk:density/unit/n1": ("c3cc151ef17b9d82", None),
+    "chunk:density/unit/n2": ("317166ad89df1eb9", None),
+    "chunk:translation/mixed/n2": ("2fa7d399a34e72bc", "56a566bf41f81a85"),
+    "static:density/central/n1": ("64a05c48f4d8e169", None),
+    "static:density/central/n2": ("e1c3dd847786fb22", None),
+    "static:density/mixed/n1": ("528ea46e5c71b1fc", None),
+    "static:density/mixed/n2": ("1c96e8f7fbc56729", None),
+    "static:density/same/n1": ("64a05c48f4d8e169", None),
+    "static:density/same/n2": ("e1c3dd847786fb22", None),
+    "static:density/small/n1": ("536e676eef516c27", None),
+    "static:density/small/n2": ("88fe7e148a3910d7", None),
+    "static:density/unit/n1": ("412fc2d3e4c871da", None),
+    "static:density/unit/n2": ("243d1a4300c7c80a", None),
+    "static:translation/central/n1": ("ecb82586e0f79a15", "315d86d1b7c8b530"),
+    "static:translation/central/n2": ("e7a033d237753bc7", "315d86d1b7c8b530"),
+    "static:translation/mixed/n1": ("a097fc58cfe199ab", "7b9409c6680fa77b"),
+    "static:translation/mixed/n2": ("e8b2cb20e0ef5d30", "673b453600c9c767"),
+    "static:translation/same/n1": ("ecb82586e0f79a15", "7b6436b0c98f6238"),
+    "static:translation/same/n2": ("e7a033d237753bc7", "7b6436b0c98f6238"),
+    "static:translation/small/n1": ("14ad75f597843a5d", "745f3e8e8ade76f3"),
+    "static:translation/small/n2": ("8138542baaa96e7d", "5e32d021266b1a0f"),
+    "static:translation/unit/n1": ("65b1d5210abd582e", "e7783e8fd2351766"),
+    "static:translation/unit/n2": ("4f5fcbf594bb0800", "87ab1d2cd384a5e4"),
+}
+
+
+def _array_digest(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.float64).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_GOLDEN))
+def test_left_horizontals_and_translation_cost_golden(key):
+    table, case = key.split(":")
+    smp = _golden_sample(case, _CHUNK_PLANS if table == "chunk" else _PLANS)
+    left_h, cost = _PINNED_GOLDEN[key]
+    assert _array_digest(grp.horizontal(smp.left)) == left_h
+    if cost is not None:
+        assert _array_digest(smp.cost) == cost
 
 
 _BRIDGE_GOLDEN = {1: "95396d99d72ea0cc", 2: "7229055d67105de5"}
