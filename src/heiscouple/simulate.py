@@ -64,7 +64,14 @@ from heiscouple.constants import (
 
 
 def philox_stream(seed, block):
-    """Counter-based stream keyed by (seed, block index)."""
+    """Counter-based stream keyed by (seed, block index).
+
+    The seed must be an integer in [0, 2**64): a Python or numpy integer, not
+    a bool or a float, so that no seed is silently rounded onto another's
+    stream.  Every public entry point that takes a seed reaches this check.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     key = np.array([np.uint64(seed), np.uint64(block)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -637,7 +644,8 @@ def simulate_ensemble(
         T: horizon, finite and >= 0.
         n_paths: ensemble size, at least 1.
         dt: Euler step, positive and finite.
-        seed: base seed; path block j uses the stream keyed (seed, j).
+        seed: base seed, an integer in [0, 2**64); path block j uses the
+            stream keyed (seed, j).
         scheme: "full" (group coordinates) or "reduced" ((R^2, Z) only).
         checkpoints: recording times, finite and >= 0 (snapped to the step
             grid, and to T past it); default is the dyadic grid of

@@ -24,22 +24,33 @@ and undo the reduction.  The plans are:
   vertical moves by the full shift, so the cost scales like sqrt(rho) for
   small offsets -- what the two plans above are built to beat.
 
-The two heavy steps, the bridge sampler and the density plan's conditional
-densities, stream through sample chunks sized for a core's L2 cache, so their
-working memory is O(chunk) beyond the O(n_samples) result arrays.  Draws are
-sample-major, so the chunk sizes never change a sample's bits.
+The density and translation plans draw the left vertical from the exact
+conditional law, tabulated once per n (`_law_table`): by Levy's area formula
+the law of Z / sigma given the endpoint b depends only on (n, |b|^2 / t), so
+one table of densities and normal-score maps covers every endpoint and
+horizon, with no bridge discretization bias (the interpolation error is
+~1e-5 in Z / sigma).  The density plan's keep/reflect probability reads the
+same table.  The assignment plan draws its left vertical and its atoms from
+discrete Brownian bridges of m_steps steps, so that the drawn vertical and
+its atoms share one law.
+
+The bridge sampler streams through sample chunks sized for a core's L2 cache,
+so its working memory is O(chunk) beyond the O(n_samples) result arrays.
+Draws are sample-major, so the chunk size never changes a sample's bits.
 """
 
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.special import ndtri
 
 from heiscouple import group as grp
 from heiscouple.coupling import _frame_from_unit
-from heiscouple.simulate import _check_starts, philox_stream
+from heiscouple.simulate import _check, _check_starts, philox_stream
 
 # Standardized Fourier grid for conditional vertical densities: frequencies
 # j * _DV for j < _M_GRID cover the slowest characteristic-function decay
@@ -48,10 +59,19 @@ from heiscouple.simulate import _check_starts, philox_stream
 _M_GRID = 2048
 _DV = 0.15625
 
-# Chunk sizes (see the module docstring): bridge steps per chunk of the area
-# sampler, and samples per chunk of the density plan.
+# Bridge steps per chunk of the area sampler (see the module docstring).
 _BRIDGE_CELLS = 2**14
-_DENSITY_CHUNK = 16
+
+# Tabulated conditional law (`_law_table`): _LAW_CELLS uniform cells in
+# s = r / (n + r) on [0, 1], and the normal-score map on g in [0, _G_MAX] in
+# _G_CELLS cells.  A standard normal exceeds _G_MAX = 7 with probability
+# 2.6e-12; there the computed survival function still has ~1e-4 relative
+# accuracy.  _SURV_FLOOR cuts off the survival values that rounding has made
+# meaningless.
+_LAW_CELLS = 128
+_G_MAX = 7.0
+_G_CELLS = 1024
+_SURV_FLOOR = 1e-14
 
 
 @dataclass
@@ -96,11 +116,13 @@ class StaticJointSample:
             np.savetxt(fh, body, delimiter=",", fmt="%.17g")
 
 
+def _check_horizon(t):
+    _check(0.0 < t < math.inf, "t", t, "positive and finite")
+
+
 def _check_bridge_args(t, m_steps):
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t!r}")
-    if m_steps < 1:
-        raise ValueError(f"m_steps must be at least 1, got {m_steps!r}")
+    _check_horizon(t)
+    _check(m_steps >= 1, "m_steps", m_steps, "at least 1")
 
 
 def sample_levy_area_given_endpoint(b, t=1.0, m_steps=1024, rng=None, seed=0):
@@ -118,7 +140,8 @@ def sample_levy_area_given_endpoint(b, t=1.0, m_steps=1024, rng=None, seed=0):
         b: (..., 2n) horizontal endpoints; one area per leading index.
         t: horizon, positive and finite.
         m_steps: bridge discretization, >= 1.
-        rng: optional Generator (a fresh Philox stream from `seed` otherwise).
+        rng: optional Generator (a fresh Philox stream from `seed`, an
+            integer in [0, 2**64), otherwise).
 
     Returns:
         Array of areas with shape b.shape[:-1].
@@ -213,8 +236,8 @@ def conditional_vertical_density(z, b, t=1.0):
 
     Args:
         z: evaluation points, any shape.
-        b: single horizontal endpoint (2n,).
-        t: horizon.
+        b: single finite horizontal endpoint (2n,).
+        t: horizon, positive and finite.
 
     Returns:
         Densities with the shape of z.
@@ -222,24 +245,116 @@ def conditional_vertical_density(z, b, t=1.0):
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.size % 2:
         raise ValueError("b must be a single horizontal endpoint (2n,)")
+    _check(np.all(np.isfinite(b)), "b", b, "finite")
+    _check_horizon(t)
     z = np.asarray(z, dtype=float)
     grid, rows, sigma = _density_rows(np.array([b @ b]), t, b.size // 2)
     out = np.interp(z / sigma[0], grid, rows[0], left=0.0, right=0.0) / sigma[0]
     return out if out.ndim else float(out)
 
 
-def _interp_rows(z_grid, rows, at):
-    """Per-row linear interpolation on the shared uniform grid (0 outside)."""
-    dz = z_grid[1] - z_grid[0]
-    pos = (at - z_grid[0]) / dz
-    idx = np.clip(np.floor(pos).astype(int), 0, len(z_grid) - 2)
-    frac = pos - idx
-    take = np.take_along_axis
-    v0 = take(rows, idx[:, None], axis=1)[:, 0]
-    v1 = take(rows, (idx + 1)[:, None], axis=1)[:, 0]
-    vals = v0 * (1.0 - frac) + v1 * frac
-    inside = (at >= z_grid[0]) & (at <= z_grid[-1])
-    return np.where(inside, np.maximum(vals, 0.0), 0.0)
+class _Law(NamedTuple):
+    """The standardized conditional vertical law of one n, on s-nodes."""
+
+    density: np.ndarray  # (nodes, _M_GRID//2 + 1): f_s at z_k = k dz, z >= 0
+    score: np.ndarray  # (nodes, _G_CELLS + 1): T_s(g_k), g_k = k _G_MAX/_G_CELLS
+
+
+def _law_node(s, n):
+    """Half density and normal-score map of Z/sigma at s = r/(n + r).
+
+    The density row is `_density_rows`' FFT inversion, reparameterized by s:
+    x = v sqrt(3 (1 - s)/n) and q/2t = n s / (2 (1 - s)), with the N(0, 1)
+    characteristic function at s = 1.  Integrating the same trigonometric sum
+    term by term gives the survival function on the grid,
+    S(z) = 1/2 - (dv/pi) (z/2 + sum_j phi_j sin(v_j z)/v_j).  The map
+    T_s = F_s^{-1} o Phi is then the inverse of z -> -ndtri(S(z)), linear
+    between grid points in the normal score; at s = 1 it is the identity to
+    within 1e-5, the effect of rounding in the far tail of S.
+    """
+    v = np.arange(_M_GRID) * _DV
+    if s < 1.0:
+        x = v * math.sqrt(3.0 * (1.0 - s) / n)
+        phi = np.exp(_log_phi(x, 0.5 * n * s / (1.0 - s), n))
+    else:
+        phi = np.exp(-0.5 * v * v)
+    density = (_DV / math.pi) * (np.fft.rfft(phi).real - 0.5)
+    phi[1:] /= v[1:]
+    z = np.arange(density.size) * (2.0 * math.pi / (_M_GRID * _DV))
+    surv = 0.5 - (_DV / math.pi) * (0.5 * z - np.fft.rfft(phi).imag)
+    surv = np.minimum.accumulate(surv)
+    keep = surv > _SURV_FLOOR
+    g = np.linspace(0.0, _G_MAX, _G_CELLS + 1)
+    return density, np.interp(g, -ndtri(surv[keep]), z[keep])
+
+
+@functools.lru_cache(maxsize=4)
+def _law_table(n):
+    """The conditional vertical law of H^n, tabulated once on first use.
+
+    Given the horizontal endpoint b at time t, Z/sigma with
+    sigma^2 = (t/12)(n t + |b|^2) has a law that depends only on (n, r) with
+    r = |b|^2/t (Levy's area formula; see `_density_rows`).  Nodes run
+    uniformly in s = r/(n + r) over [0, 1]; s = 1 is the N(0, 1) limit.  Each
+    stores the even density on the half-line of `_density_rows`' z-grid and
+    the odd map T_s = F_s^{-1} o Phi on g in [0, _G_MAX]; `_law_at` reads
+    both by bilinear interpolation.  About 2 MB per n, read-only.
+    """
+    rows = [_law_node(s, n) for s in np.linspace(0.0, 1.0, _LAW_CELLS + 1)]
+    law = _Law(*(np.array(col) for col in zip(*rows)))
+    for arr in law:
+        arr.flags.writeable = False
+    return law
+
+
+def _bilinear(table, node, w, pos):
+    """Rows node and node + 1 of table mixed by w, at fractional columns pos.
+
+    Columns past the last are extrapolated with the last cell's slope.
+    """
+    col = np.minimum(pos.astype(np.intp), table.shape[1] - 2)
+    u = pos - col
+    lo = table[node, col] + u * (table[node, col + 1] - table[node, col])
+    hi = table[node + 1, col] + u * (table[node + 1, col + 1] - table[node + 1, col])
+    return lo + w * (hi - lo)
+
+
+class _LawAt(NamedTuple):
+    """The tabulated law at given endpoints: node rows, weights and scales."""
+
+    law: _Law
+    node: np.ndarray
+    w: np.ndarray
+    sigma: np.ndarray
+
+    def density(self, z):
+        """Standardized density at z/sigma (0 past the tabulated 20 sigma)."""
+        pos = np.abs(z / self.sigma) * (_M_GRID * _DV / (2.0 * math.pi))
+        inside = pos <= self.law.density.shape[1] - 1
+        f = _bilinear(self.law.density, self.node, self.w, np.where(inside, pos, 0.0))
+        return np.where(inside, np.maximum(f, 0.0), 0.0)
+
+    def quantile(self, g):
+        """sigma T_s(g): the vertical whose CDF level is Phi(g).
+
+        Past |g| = _G_MAX the map continues linearly with its slope over the
+        last grid cell, so it stays odd, continuous and increasing.  That
+        thins the exponential tails of the law beyond a level a standard
+        normal exceeds with probability 2.6e-12.
+        """
+        t_abs = _bilinear(self.law.score, self.node, self.w, np.abs(g) * (_G_CELLS / _G_MAX))
+        return self.sigma * np.copysign(t_abs, g)
+
+
+def _law_at(h_can, t):
+    """`_LawAt` for the canonical endpoints h_can (m, 2n) at horizon t."""
+    n = h_can.shape[1] // 2
+    q = (h_can**2).sum(axis=1)
+    nt = n * t
+    k = (q / (nt + q)) * _LAW_CELLS
+    node = np.minimum(k.astype(np.intp), _LAW_CELLS - 1)
+    sigma = np.sqrt((t / 12.0) * (nt + q))
+    return _LawAt(_law_table(n), node, k - node, sigma)
 
 
 def _sqrt_shift_assignment(x, shift):
@@ -252,31 +367,25 @@ def _sqrt_shift_assignment(x, shift):
     return cost[rows, cols], cols
 
 
-def _couple_vertical_density(z, shift, h_can, t, m_steps, rng):
+def _couple_vertical_density(z, shift, h_can, t, rng):
     """Concave-cost optimal plan between Law(Z|b) and its translate.
 
     Keeps z with probability min(1, f(z-s)/f(z)), else reflects about s/2:
     for an even unimodal f the residuals sit on opposite sides of s/2 and
-    the reflection is their anti-monotone (concavity-optimal) matching.  The
-    densities are built _DENSITY_CHUNK samples at a time.
+    the reflection is their anti-monotone (concavity-optimal) matching.  f is
+    read from the tabulated law.
     """
     u_stay = rng.uniform(size=z.shape[0])
-    q = (h_can**2).sum(axis=1)
-    n = h_can.shape[1] // 2
-    stay_p = np.empty_like(z)
-    for lo in range(0, z.shape[0], _DENSITY_CHUNK):
-        part = slice(lo, lo + _DENSITY_CHUNK)
-        z_grid, rows, sigma = _density_rows(q[part], t, n)
-        zs = z[part] / sigma
-        f_here = _interp_rows(z_grid, rows, zs)
-        f_shift = _interp_rows(z_grid, rows, zs - shift[part] / sigma)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            stay_p[part] = np.where(f_here > 0.0, np.minimum(1.0, f_shift / f_here), 1.0)
+    at = _law_at(h_can, t)
+    f_here = at.density(z)
+    f_shift = at.density(z - shift)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stay_p = np.where(f_here > 0.0, np.minimum(1.0, f_shift / f_here), 1.0)
     z_tilde = np.where(u_stay < stay_p, z, shift - z)
     return z_tilde, z_tilde - z
 
 
-def _couple_vertical_assignment(z, shift, h_can, t, m_steps, rng, m_bridge):
+def _couple_vertical_assignment(z, shift, h_can, t, rng, m_steps, m_bridge):
     """Empirical plan: exact assignment between m_bridge atoms and their shift.
 
     For each sample, draws m_bridge conditional verticals, solves the exact
@@ -297,7 +406,7 @@ def _couple_vertical_assignment(z, shift, h_can, t, m_steps, rng, m_bridge):
     return z_tilde, z_tilde - z
 
 
-def _translate_vertical(z, shift, h_can, t, m_steps, rng):
+def _translate_vertical(z, shift, h_can, t, rng):
     """Reference plan: every vertical moves by the full shift."""
     return z + shift, shift
 
@@ -340,7 +449,10 @@ def _assemble(a, h_can, z_left, z_right, q_rot, delta_h):
 def _pinned_couple(a, aprime, t, n_samples, seed, m_steps, plan, vertical, m_bridge=None):
     """The pipeline behind every coupling here, for the plan `vertical`.
 
-    `vertical(z, shift, h_can, t, m_steps, rng)` gets the left verticals, their
+    The left verticals are drawn given the canonical endpoints: from m_steps
+    bridges for the assignment plan (the one with m_bridge atoms, which must
+    share the drawn vertical's law), exactly from the tabulated law otherwise.
+    `vertical(z, shift, h_can, t, rng)` gets the left verticals, their
     shifts rho * Y_1, the canonical endpoints and the stream after the left
     leg's draws, and returns the coupled verticals and the move from z.  It is
     not called at rho = 0, where the two conditional laws coincide.
@@ -352,12 +464,15 @@ def _pinned_couple(a, aprime, t, n_samples, seed, m_steps, plan, vertical, m_bri
     delta, q_rot, rho, dz, n = _reduce_offset(a, aprime)
     rng = philox_stream(seed, 0)
     h_can = math.sqrt(t) * rng.standard_normal((n_samples, 2 * n))
-    z = sample_levy_area_given_endpoint(h_can, t=t, m_steps=m_steps, rng=rng)
+    if m_bridge is None:  # one normal per sample through sigma T_s
+        z = _law_at(h_can, t).quantile(rng.standard_normal(n_samples))
+    else:
+        z = sample_levy_area_given_endpoint(h_can, t=t, m_steps=m_steps, rng=rng)
     shift = rho * h_can[:, n]  # offset times conjugate coordinate Y_1
     if rho == 0.0:
         z_tilde, move = z, np.zeros_like(z)
     else:
-        z_tilde, move = vertical(z, shift, h_can, t, m_steps, rng)
+        z_tilde, move = vertical(z, shift, h_can, t, rng)
     # right leg in canonical frame: Campbell correction of the horizontal
     # offset, then its central part
     z_right = z_tilde - 0.5 * shift + dz
@@ -369,7 +484,7 @@ def _pinned_couple(a, aprime, t, n_samples, seed, m_steps, plan, vertical, m_bri
         "rho": rho,
         "delta_z": dz,
         "seed": seed,
-        "m_steps": m_steps,
+        "m_steps": None if m_bridge is None else m_steps,
         "m_bridge": m_bridge,
         "n": n,
     }
@@ -398,9 +513,11 @@ def static_couple(
         t: horizon, positive and finite.
         n_samples: joint samples to draw, >= 1.
         m_bridge: atoms per sample for plan="assignment", >= 1.
-        seed: stream seed.
+        seed: stream seed, an integer in [0, 2**64).
         plan: "density" or "assignment".
-        m_steps: bridge discretization for vertical draws, >= 1.
+        m_steps: bridge discretization of the assignment plan, >= 1.  The
+            density plan draws from the exact tabulated law and runs no
+            bridge, so m_steps is only validated there (meta records None).
 
     Returns:
         StaticJointSample.
@@ -408,7 +525,8 @@ def static_couple(
     if plan == "density":
         vertical, m_bridge = _couple_vertical_density, None
     elif plan == "assignment":
-        vertical = functools.partial(_couple_vertical_assignment, m_bridge=m_bridge)
+        vertical = functools.partial(_couple_vertical_assignment, m_steps=m_steps,
+                                     m_bridge=m_bridge)
     else:
         raise ValueError('plan must be "density" or "assignment"')
     return _pinned_couple(a, aprime, t, n_samples, seed, m_steps, plan, vertical, m_bridge)
@@ -419,6 +537,8 @@ def baseline_translation_couple(a, aprime, t=1.0, n_samples=1000, seed=0, m_step
 
     Same reduction, marginals and arguments as static_couple with the
     translation plan; its cost concentrates at sqrt(rho^2 + |rho Y_1 + dz|).
+    Its verticals come from the exact tabulated law, so m_steps, which drives
+    only the assignment plan's bridges, is validated and otherwise unused.
     """
     return _pinned_couple(a, aprime, t, n_samples, seed, m_steps, "translation",
                           _translate_vertical)

@@ -548,3 +548,33 @@ def test_kendall_success_times_rejects_bad_input(arg, bad):
     kw = {"r2_0": 1.0, "z_0": 0.0, "t_max": 1.0, "n_paths": 4, **bad}
     with pytest.raises(ValueError, match=rf"^{arg} must"):
         sim.kendall_success_times(cpl.kendall_policy(), **kw)
+
+
+_BAD_SEEDS = [
+    pytest.param(1.5, id="seed=1.5"),
+    pytest.param(-1, id="seed=-1"),
+    pytest.param(2**64, id="seed=2**64"),
+    pytest.param(True, id="seed=True"),
+    pytest.param(_NAN, id="seed=nan"),
+]
+_SEEDED_RUNNERS = {
+    "ensemble": lambda seed: sim.simulate_ensemble(
+        cpl.reflection_policy(), **_H1_START, T=0.1, n_paths=4, dt=0.01, seed=seed),
+    "reflection-exact": lambda seed: sim.simulate_reflection_exact(
+        r0=1.0, T=0.1, n_paths=4, seed=seed),
+    "kendall": lambda seed: sim.kendall_success_times(
+        cpl.kendall_policy(), r2_0=1.0, z_0=0.0, t_max=1.0, n_paths=4, seed=seed),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(_SEEDED_RUNNERS))
+@pytest.mark.parametrize("seed", _BAD_SEEDS)
+def test_runners_reject_bad_seeds(runner, seed):
+    with pytest.raises(ValueError, match=r"^seed must"):
+        _SEEDED_RUNNERS[runner](seed)
+
+
+def test_philox_stream_accepts_numpy_integer_seeds():
+    draw = lambda seed: sim.philox_stream(seed, 3).standard_normal(4)
+    assert np.array_equal(draw(np.int64(7)), draw(7))
+    assert np.array_equal(draw(np.uint64(2**64 - 1)), draw(2**64 - 1))

@@ -3,12 +3,16 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 from scipy.optimize import linear_sum_assignment
+from scipy.special import ndtr
 from scipy.stats import ks_2samp, kstest
 
 from heiscouple import group as grp
@@ -57,6 +61,103 @@ def test_conditional_density_matches_direct_quadrature():
         assert abs(fft_val - ref) < 2e-4
 
 
+# ---------------------------------------------------------------------------
+# the tabulated conditional law behind the density and translation plans
+
+_LAW_R = [0.0, 0.3, 7.0, 50.0, 1e4]  # r = |b|^2 / t; only r = 0 sits on a node
+
+
+def _endpoints(r, t, n, m):
+    # m copies of an endpoint with |b|^2 = r t, spread over the coordinates
+    return np.full((m, 2 * n), math.sqrt(r * t / (2 * n)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("r", _LAW_R)
+def test_law_table_density_matches_direct_rows(n, r):
+    t = 0.7
+    at = stc._law_at(_endpoints(r, t, n, 1), t)
+    sigma = at.sigma[0]
+    z_grid, rows, _ = stc._density_rows(np.array([r * t]), t, n)
+    half = z_grid[stc._M_GRID // 2:]
+    table = at.density(sigma * half)
+    assert np.abs(table - rows[0, stc._M_GRID // 2:]).max() < 1e-5
+    for zs in (0.0, 0.5, 1.5):
+        f = at.density(np.array([zs * sigma]))[0] / sigma
+        assert abs(f - _cf_density(zs * sigma, r * t, t, n)) < 2e-4
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("r", _LAW_R)
+def test_tabulated_draws_follow_the_conditional_density(n, r):
+    t = 1.3
+    h = _endpoints(r, t, n, 200_000)
+    z = stc._law_at(h, t).quantile(np.random.default_rng(60 + n).standard_normal(len(h)))
+    sigma = math.sqrt((t / 12.0) * (n * t + r * t))
+    zs = np.linspace(-14.0, 14.0, 28001)
+    pdf = stc.conditional_vertical_density(zs * sigma, h[0], t=t) * sigma
+    cdf = cumulative_trapezoid(pdf, zs, initial=0.0)
+    cdf /= cdf[-1]
+    assert kstest(z / sigma, lambda u: np.interp(u, zs, cdf)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n,r", [(1, 0.3), (2, 7.0)])
+def test_tabulated_draws_match_fine_bridges(n, r):
+    # an independent route to the same law: discrete bridges at 8192 steps
+    t = 1.0
+    h = _endpoints(r, t, n, 200_000)
+    z = stc._law_at(h, t).quantile(np.random.default_rng(70 + n).standard_normal(len(h)))
+    bridge = stc.sample_levy_area_given_endpoint(h[:1500], t=t, m_steps=8192, seed=71)
+    assert ks_2samp(z, bridge).pvalue > 1e-3
+
+
+def test_law_table_normal_score_map_and_its_tails():
+    # at r = 0 on H^1 the law is explicit: Z given b = 0 has CDF
+    # (1 + tanh(pi z / t)) / 2, so T(g) = (sqrt(12)/2pi) log((1 - S)/S),
+    # S = Phi(-g), in units of sigma = t / sqrt(12)
+    at = stc._law_at(np.zeros((1, 2)), 1.0)
+    g_max, cells = stc._G_MAX, stc._G_CELLS
+    g = np.linspace(0.0, g_max, 701)
+    tail = ndtr(-g)
+    exact = (math.sqrt(12.0) / (2.0 * math.pi)) * np.log((1.0 - tail) / tail)
+    mapped = at.quantile(g) / at.sigma
+    assert np.abs(mapped - exact).max() < 1e-4
+    assert np.array_equal(at.quantile(-g), -at.quantile(g))
+    # past the grid the map continues with the slope of its last cell
+    edge = at.quantile(np.array([g_max - g_max / cells, g_max]))
+    slope = (edge[1] - edge[0]) / (g_max / cells)
+    far = np.array([g_max + 0.5, g_max + 3.0, 40.0])
+    assert np.allclose(at.quantile(far), edge[1] + slope * (far - g_max), rtol=1e-12)
+    assert np.all(np.diff(at.quantile(np.linspace(-40.0, 40.0, 4001))) > 0)
+
+
+def test_law_table_retains_little_and_is_built_lazily():
+    tracemalloc.start()
+    try:
+        law = stc._law_table.__wrapped__(1)  # a build outside the cache
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(arr.nbytes for arr in law) <= retained <= 3 * 2**20
+    assert peak < 16 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
+    assert not any(arr.flags.writeable for arr in law)
+    code = ("import heiscouple.static as s; "
+            "assert s._law_table.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+@pytest.mark.parametrize("arg,kw", [
+    pytest.param("t", {"t": -1.0}, id="t=-1"),
+    pytest.param("t", {"t": 0.0}, id="t=0"),
+    pytest.param("b", {"b": np.array([np.nan, 0.3])}, id="b=nan"),
+])
+def test_conditional_density_rejects_bad_input(arg, kw):
+    kw = {"z": np.zeros(2), "b": np.array([0.5, 0.3]), **kw}
+    with pytest.raises(ValueError, match=rf"^{arg} must"):
+        stc.conditional_vertical_density(**kw)
+
+
 def test_bridge_area_sampler_variance_and_law():
     t = 1.0
     b = np.array([1.2, -0.3])
@@ -97,10 +198,18 @@ def test_bridge_sampler_validation():
 
 
 
+_BAD_SEEDS = [
+    pytest.param("seed", {"seed": seed}, id=f"seed={name}")
+    for name, seed in (("1.5", 1.5), ("-1", -1), ("2**64", 2**64), ("True", True),
+                       ("nan", float("nan")))
+]
+
+
 @pytest.mark.parametrize("arg,bad", [
     pytest.param("t", {"t": float("nan")}, id="t=nan"),
     pytest.param("t", {"t": float("inf")}, id="t=inf"),
     pytest.param("m_steps", {"m_steps": 0}, id="m_steps=0"),
+    *_BAD_SEEDS,
 ])
 def test_bridge_sampler_rejects_bad_input(arg, bad):
     with pytest.raises(ValueError, match=rf"^{arg} must"):
@@ -223,6 +332,7 @@ _BAD_INPUTS = [
     pytest.param("t", {"t": float("inf")}, id="t=inf"),
     pytest.param("a", {"a": grp.point([np.nan], [0.0], 0.0)}, id="a=nan"),
     pytest.param("aprime", {"aprime": grp.point([0.5], [0.0], np.nan)}, id="aprime=nan"),
+    *_BAD_SEEDS,
 ]
 
 
@@ -294,6 +404,8 @@ def test_static_joint_sample_csv(tmp_path):
 # recorded with numpy 2.4.6 Philox streams on x86-64.  A refactor of the
 # couplings must leave every digest unchanged; a deliberate change to how the
 # streams are consumed or to the arithmetic must re-record them and say so.
+# The density and translation digests were re-recorded when their left
+# vertical moved from discrete bridges to the tabulated exact law.
 
 # right-multiplied offsets a^{-1} a': rho = 0 with and without a central
 # part, a small and a unit horizontal offset, and a mixed one
@@ -346,26 +458,26 @@ _STATIC_GOLDEN = {
     "assignment/small/n2": "0dca545c97c02ee6",
     "assignment/unit/n1": "f6beac1b4ed62087",
     "assignment/unit/n2": "6117daaa9d47686e",
-    "density/central/n1": "dac0379a98af0779",
-    "density/central/n2": "37c7f2ee3f3f4268",
-    "density/mixed/n1": "209ab113c2cbd96f",
-    "density/mixed/n2": "c550610aa8fe6e18",
-    "density/same/n1": "e2fe9fdffbfb9cc9",
-    "density/same/n2": "2e76e5ed07e4c191",
-    "density/small/n1": "d994b106a82f9b56",
-    "density/small/n2": "4d51ce73509c4dfe",
-    "density/unit/n1": "036c44ca9963472a",
-    "density/unit/n2": "94baa4b68ba88c6a",
-    "translation/central/n1": "73f7bbf92ec55574",
-    "translation/central/n2": "18f27fd405b94713",
-    "translation/mixed/n1": "66c77083df1d1455",
-    "translation/mixed/n2": "30edb1253102c96c",
-    "translation/same/n1": "92237acbb10ae7e6",
-    "translation/same/n2": "d71746c488825588",
-    "translation/small/n1": "04c6296a75b29e79",
-    "translation/small/n2": "6caa8abeb28d24d0",
-    "translation/unit/n1": "aa01506be34e35ca",
-    "translation/unit/n2": "769d33f61ee2972e",
+    "density/central/n1": "b1b26a37d0aea3cb",
+    "density/central/n2": "ac2256be75430107",
+    "density/mixed/n1": "01fb4aa0d35c48ec",
+    "density/mixed/n2": "7621d1fb4f7ab25e",
+    "density/same/n1": "0bf10f8f49f30ffe",
+    "density/same/n2": "5565c72b0873322f",
+    "density/small/n1": "915acf842b00e0c0",
+    "density/small/n2": "51cd214e289f8047",
+    "density/unit/n1": "eef9fd6ab08340cc",
+    "density/unit/n2": "d018da637fb8d3f1",
+    "translation/central/n1": "a0e044f90e0c3c1b",
+    "translation/central/n2": "b18bc61810cddf73",
+    "translation/mixed/n1": "b47a1cb9d0fa9f61",
+    "translation/mixed/n2": "f0c7375e3e608a7e",
+    "translation/same/n1": "2020b850e0ce90d7",
+    "translation/same/n2": "0c96ba19ddfae84d",
+    "translation/small/n1": "6252fd821fdd333a",
+    "translation/small/n2": "0a1cb1324be94f2f",
+    "translation/unit/n1": "18504863f48ce30f",
+    "translation/unit/n2": "4ae74a3735ed2316",
 }
 
 
@@ -374,10 +486,12 @@ def test_static_golden_digests(case):
     assert _static_digest(_golden_sample(case)) == _STATIC_GOLDEN[case]
 
 
-# chunk-crossing goldens: inputs that span several sample chunks of the
-# bridge sampler and of the density plan.  Recorded the same way, before the
-# sampler and the plan were streamed in chunks; draws are sample-major, so the
-# chunk sizes must not move a single bit.
+# chunk-crossing goldens: inputs that spanned several sample chunks of the
+# bridge sampler and of the density plan when both were streamed in chunks.
+# Recorded the same way; draws are sample-major, so the chunk sizes must not
+# move a single bit.  Only the bridge sampler (the assignment cases) still
+# chunks; the density and translation cases were re-recorded with the
+# tabulated law.
 
 _CHUNK_PLANS = {
     "density": lambda a, ap: stc.static_couple(
@@ -394,11 +508,11 @@ _CHUNK_PLANS = {
 _CHUNK_GOLDEN = {
     "assignment/mixed/n1": "7f64671c4cd2b1cf",
     "assignment/unit/n2": "65e24f53879e5563",
-    "density/mixed/n1": "60f46cd1dcc509c5",
-    "density/mixed/n2": "e7b1ac92338982a3",
-    "density/unit/n1": "c5db776913cf9243",
-    "density/unit/n2": "fcf7bec199c4399e",
-    "translation/mixed/n2": "bc76d1d3bf84f0bb",
+    "density/mixed/n1": "c04e84d50837b602",
+    "density/mixed/n2": "022b336f509a423c",
+    "density/unit/n1": "f6e0ce79041d0529",
+    "density/unit/n2": "427c6ab536c198c0",
+    "translation/mixed/n2": "1faaf3953640a840",
 }
 
 
