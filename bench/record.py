@@ -12,11 +12,12 @@ alike.  With ``--workloads`` only those workloads run.
 The output file holds, per side: the commit of its checkout (when it is a git
 checkout), the ``# perfbench`` machine record of its first run (machine,
 versions and the ``src/heiscouple`` line count), every run's metrics by seed,
-and each metric's median, quartiles and IQR per workload.  For every side
-after the first it also counts, per workload and metric, the seeds on which
-that side did better than the first, by the direction BENCHMARK.json gives.
-Runs already in the output file are kept, so several invocations (say, more
-seeds for one workload) add up to one record.
+and each metric's median, quartiles and IQR per workload.  Under "wins" it
+counts, for every side but the first ``--side`` (the "base"), per workload
+and metric, the seeds on which that side did better than the base, by the
+direction BENCHMARK.json gives.  Runs already in the output file are kept,
+so several invocations (say, more seeds for one workload) add up to one
+record; with no ``--seeds`` the summaries are only recomputed.
 """
 
 import argparse
@@ -58,33 +59,37 @@ def summary(values):
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
 
 
-def summarize(out, directions):
-    sides = list(out["sides"])
+def summarize(out, base, directions):
     for side in out["sides"].values():
         side["metrics"] = {
             work: {name: summary([run["metrics"][name] for run in runs.values()])
                    for name in directions}
             for work, runs in side["runs"].items()
         }
-    base = out["sides"][sides[0]]["runs"]
-    out["wins_over_" + sides[0]] = {}
-    for name in sides[1:]:
+    out["base"] = base
+    out["wins"] = {}
+    base_runs = out["sides"][base]["runs"]
+    for name in out["sides"]:
+        if name == base:
+            continue
         wins = {}
         for work, runs in out["sides"][name]["runs"].items():
-            seeds = sorted(set(runs) & set(base.get(work, {})), key=int)
+            seeds = sorted(set(runs) & set(base_runs.get(work, {})), key=int)
             wins[work] = {}
             for metric, better in directions.items():
                 sign = 1.0 if better == "higher" else -1.0
-                won = sum(sign * (runs[s]["metrics"][metric] - base[work][s]["metrics"][metric]) > 0
+                won = sum(sign * (runs[s]["metrics"][metric]
+                                  - base_runs[work][s]["metrics"][metric]) > 0
                           for s in seeds)
                 wins[work][metric] = {"better": won, "pairs": len(seeds)}
-        out["wins_over_" + sides[0]][name] = wins
+        out["wins"][name] = wins
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--seeds", required=True, type=int, nargs="+")
+    ap.add_argument("--seeds", type=int, nargs="*", default=[],
+                    help="none: only recompute the summaries of the runs in --out")
     ap.add_argument("--side", required=True, action="append", metavar="NAME=CHECKOUT",
                     help="a checkout to measure; the first one is the base of the win counts")
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
@@ -115,7 +120,7 @@ def main(argv=None):
                 }
                 print(f"{work} seed {seed} {name}: " + ", ".join(
                     f"{m}={v['value']:.4g}" for m, v in result["metrics"].items()), flush=True)
-    summarize(out, directions)
+    summarize(out, sides[0][0], directions)
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
 
