@@ -3,21 +3,20 @@
     python3 bench/record.py --out BENCH_7.json --seeds 41 42 43 44 45 \\
         --side parent=../parent-checkout --side change=.
 
-For every seed and workload this runs ``perfbench/run.py --trace 0`` once per
+For every seed and each of the three workloads this runs
+``perfbench/run.py --trace 0`` for BENCHMARK.json's ``run_seconds`` once per
 side, in that side's own checkout, so each side is measured on its own
 sources with its own copy of the benchmark.  The order of the sides rotates
 from one seed to the next, so a drift of the host's speed falls on every side
-alike.  With ``--workloads`` only those workloads run.
+alike.
 
-The output file holds, per side: the commit of its checkout (when it is a git
-checkout), the ``# perfbench`` machine record of its first run (machine,
-versions and the ``src/heiscouple`` line count), every run's metrics by seed,
-and each metric's median, quartiles and IQR per workload.  Under "wins" it
-counts, for every side but the first ``--side`` (the "base"), per workload
-and metric, the seeds on which that side did better than the base, by the
-direction BENCHMARK.json gives.  Runs already in the output file are kept,
-so several invocations (say, more seeds for one workload) add up to one
-record; with no ``--seeds`` the summaries are only recomputed.
+The output file, written fresh, holds per side: the commit of its checkout
+(when it is a git checkout), the ``# perfbench`` machine record of its first
+run (machine, versions and the ``src/heiscouple`` line count), every run's
+metrics by seed, and each metric's median, quartiles and IQR per workload.
+Under "wins" it counts, for every side but the first ``--side`` (the "base"),
+per workload and metric, the seeds on which that side did better than the
+base, by the direction BENCHMARK.json gives.
 """
 
 import argparse
@@ -28,14 +27,17 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("euler-sweep", "static-coupling", "experiment-suite")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+SECONDS = BENCHMARK["run_seconds"]
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+DIRECTIONS = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 PREFIX = "# perfbench "
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed):
     """One ``--trace 0`` run; returns (machine record, result line)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     res = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900,
                          check=False)
     if res.returncode != 0:
@@ -59,68 +61,55 @@ def summary(values):
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
 
 
-def summarize(out, base, directions):
-    for side in out["sides"].values():
-        side["metrics"] = {
-            work: {name: summary([run["metrics"][name] for run in runs.values()])
-                   for name in directions}
-            for work, runs in side["runs"].items()
-        }
-    out["base"] = base
-    out["wins"] = {}
-    base_runs = out["sides"][base]["runs"]
-    for name in out["sides"]:
-        if name == base:
-            continue
-        wins = {}
-        for work, runs in out["sides"][name]["runs"].items():
-            seeds = sorted(set(runs) & set(base_runs.get(work, {})), key=int)
-            wins[work] = {}
-            for metric, better in directions.items():
-                sign = 1.0 if better == "higher" else -1.0
-                won = sum(sign * (runs[s]["metrics"][metric]
-                                  - base_runs[work][s]["metrics"][metric]) > 0
-                          for s in seeds)
-                wins[work][metric] = {"better": won, "pairs": len(seeds)}
-        out["wins"][name] = wins
+def wins(runs, base_runs):
+    """Per workload and metric, the seeds on which runs beat base_runs."""
+    out = {}
+    for work, by_seed in runs.items():
+        out[work] = {}
+        for metric, better in DIRECTIONS.items():
+            sign = 1.0 if better == "higher" else -1.0
+            won = sum(sign * (run["metrics"][metric] - base_runs[work][seed]["metrics"][metric]) > 0
+                      for seed, run in by_seed.items())
+            out[work][metric] = {"better": won, "pairs": len(by_seed)}
+    return out
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--seeds", type=int, nargs="*", default=[],
-                    help="none: only recompute the summaries of the runs in --out")
+    ap.add_argument("--seeds", required=True, type=int, nargs="+")
     ap.add_argument("--side", required=True, action="append", metavar="NAME=CHECKOUT",
                     help="a checkout to measure; the first one is the base of the win counts")
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--seconds", type=float,
-                    default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     args = ap.parse_args(argv)
     sides = [spec.split("=", 1) for spec in args.side]
     if any(len(s) != 2 for s in sides):
         ap.error("--side takes NAME=CHECKOUT")
-    directions = {m["name"]: m["better"]
-                  for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
-    out = json.loads(args.out.read_text()) if args.out.exists() else {}
-    out.update(command="perfbench/run.py --trace 0", seconds=args.seconds)
-    out.setdefault("sides", {})
-    for name, checkout in sides:
-        out["sides"].setdefault(name, {"commit": commit_of(checkout), "runs": {}})
+    out = {"command": "perfbench/run.py --trace 0", "seconds": SECONDS, "base": sides[0][0],
+           "sides": {name: {"commit": commit_of(checkout), "runs": {w: {} for w in WORKLOADS}}
+                     for name, checkout in sides}}
     for k, seed in enumerate(args.seeds):
-        for work in args.workloads:
+        for work in WORKLOADS:
             for name, checkout in sides[k % len(sides):] + sides[:k % len(sides)]:
-                machine, result = run_once(checkout, work, seed, args.seconds)
+                machine, result = run_once(checkout, work, seed)
                 side = out["sides"][name]
                 side.setdefault("machine", machine)
                 side["src_heiscouple_lines"] = machine["src_heiscouple_lines"]
-                side["runs"].setdefault(work, {})[str(seed)] = {
+                side["runs"][work][str(seed)] = {
                     "correct": result["correct"],
                     "metrics": {m: v["value"] for m, v in result["metrics"].items()},
                 }
                 print(f"{work} seed {seed} {name}: " + ", ".join(
                     f"{m}={v['value']:.4g}" for m, v in result["metrics"].items()), flush=True)
-    summarize(out, sides[0][0], directions)
+    for side in out["sides"].values():
+        side["metrics"] = {
+            work: {metric: summary([run["metrics"][metric] for run in by_seed.values()])
+                   for metric in DIRECTIONS}
+            for work, by_seed in side["runs"].items()
+        }
+    base_runs = out["sides"][out["base"]]["runs"]
+    out["wins"] = {name: wins(side["runs"], base_runs)
+                   for name, side in out["sides"].items() if name != out["base"]}
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
 

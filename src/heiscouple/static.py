@@ -72,6 +72,8 @@ _LAW_CELLS = 128
 _G_MAX = 7.0
 _G_CELLS = 1024
 _SURV_FLOOR = 1e-14
+# s-nodes per step of the table build; a block's temporaries fit in L2.
+_LAW_BLOCK = 8
 
 
 @dataclass
@@ -120,9 +122,14 @@ def _check_horizon(t):
     _check(0.0 < t < math.inf, "t", t, "positive and finite")
 
 
+def _check_count(name, count):
+    integer = isinstance(count, (int, np.integer)) and not isinstance(count, bool)
+    _check(integer and count >= 1, name, count, "an integer >= 1")
+
+
 def _check_bridge_args(t, m_steps):
     _check_horizon(t)
-    _check(m_steps >= 1, "m_steps", m_steps, "at least 1")
+    _check_count("m_steps", m_steps)
 
 
 def sample_levy_area_given_endpoint(b, t=1.0, m_steps=1024, rng=None, seed=0):
@@ -139,7 +146,7 @@ def sample_levy_area_given_endpoint(b, t=1.0, m_steps=1024, rng=None, seed=0):
     Args:
         b: (..., 2n) horizontal endpoints; one area per leading index.
         t: horizon, positive and finite.
-        m_steps: bridge discretization, >= 1.
+        m_steps: bridge discretization, an integer >= 1.
         rng: optional Generator (a fresh Philox stream from `seed`, an
             integer in [0, 2**64), otherwise).
 
@@ -201,6 +208,29 @@ def _log_phi(x, q_over_2t, n):
     return -n * log_ratio + q_over_2t * (1.0 - xcoth)
 
 
+def _cf_rows(s, n):
+    """Characteristic functions and half-line densities of Z/sigma, one row per s.
+
+    With r = |b|^2/t and s = r/(n + r), Levy's formula at the standardized
+    frequencies v_j = j _DV (u = v/sigma) reads x = ut/2 = v sqrt(3 (1 - s)/n)
+    and q/2t = r/2 = n s / (2 (1 - s)); s = 1 is the N(0, 1) limit.  FFT
+    inversion gives the even density at z_k = 2 pi k/(_M_GRID _DV),
+    k <= _M_GRID/2, counting the j = 0 term with half weight.
+
+    Returns:
+        (phi, half): phi (k, _M_GRID) and half (k, _M_GRID//2 + 1).
+    """
+    s = np.asarray(s, dtype=float)[:, None]
+    v = np.arange(_M_GRID) * _DV
+    inner = s < 1.0
+    s_in = np.where(inner, s, 0.0)
+    x = v * np.sqrt(3.0 * (1.0 - s_in) / n)
+    phi = np.where(inner, np.exp(_log_phi(x, 0.5 * n * s_in / (1.0 - s_in), n)),
+                   np.exp(-0.5 * v * v))
+    half = (_DV / math.pi) * (np.fft.rfft(phi, axis=1).real - 0.5)
+    return phi, half
+
+
 def _density_rows(q, t, n):
     """Standardized conditional vertical densities by FFT inversion.
 
@@ -215,11 +245,7 @@ def _density_rows(q, t, n):
     """
     q = np.asarray(q, dtype=float)
     sigma = np.sqrt((t / 12.0) * (n * t + q))
-    v = np.arange(_M_GRID) * _DV  # standardized frequencies
-    x = (v[None, :] / sigma[:, None]) * (t / 2.0)
-    phi = np.exp(_log_phi(x, (q / (2.0 * t))[:, None], n))
-    spec = np.fft.rfft(phi, n=_M_GRID).real - 0.5  # half-weight at j=0
-    half = (_DV / math.pi) * spec  # density at z_k = 2 pi k/(M dv), k<=M/2
+    _, half = _cf_rows(q / (n * t + q), n)
     rows = np.concatenate([half[:, -1:0:-1], half], axis=1)
     dz = 2.0 * math.pi / (_M_GRID * _DV)
     m_half = _M_GRID // 2
@@ -260,48 +286,39 @@ class _Law(NamedTuple):
     score: np.ndarray  # (nodes, _G_CELLS + 1): T_s(g_k), g_k = k _G_MAX/_G_CELLS
 
 
-def _law_node(s, n):
-    """Half density and normal-score map of Z/sigma at s = r/(n + r).
-
-    The density row is `_density_rows`' FFT inversion, reparameterized by s:
-    x = v sqrt(3 (1 - s)/n) and q/2t = n s / (2 (1 - s)), with the N(0, 1)
-    characteristic function at s = 1.  Integrating the same trigonometric sum
-    term by term gives the survival function on the grid,
-    S(z) = 1/2 - (dv/pi) (z/2 + sum_j phi_j sin(v_j z)/v_j).  The map
-    T_s = F_s^{-1} o Phi is then the inverse of z -> -ndtri(S(z)), linear
-    between grid points in the normal score; at s = 1 it is the identity to
-    within 1e-5, the effect of rounding in the far tail of S.
-    """
-    v = np.arange(_M_GRID) * _DV
-    if s < 1.0:
-        x = v * math.sqrt(3.0 * (1.0 - s) / n)
-        phi = np.exp(_log_phi(x, 0.5 * n * s / (1.0 - s), n))
-    else:
-        phi = np.exp(-0.5 * v * v)
-    density = (_DV / math.pi) * (np.fft.rfft(phi).real - 0.5)
-    phi[1:] /= v[1:]
-    z = np.arange(density.size) * (2.0 * math.pi / (_M_GRID * _DV))
-    surv = 0.5 - (_DV / math.pi) * (0.5 * z - np.fft.rfft(phi).imag)
-    surv = np.minimum.accumulate(surv)
-    keep = surv > _SURV_FLOOR
-    g = np.linspace(0.0, _G_MAX, _G_CELLS + 1)
-    return density, np.interp(g, -ndtri(surv[keep]), z[keep])
-
-
 @functools.lru_cache(maxsize=4)
 def _law_table(n):
     """The conditional vertical law of H^n, tabulated once on first use.
 
     Given the horizontal endpoint b at time t, Z/sigma with
     sigma^2 = (t/12)(n t + |b|^2) has a law that depends only on (n, r) with
-    r = |b|^2/t (Levy's area formula; see `_density_rows`).  Nodes run
-    uniformly in s = r/(n + r) over [0, 1]; s = 1 is the N(0, 1) limit.  Each
-    stores the even density on the half-line of `_density_rows`' z-grid and
-    the odd map T_s = F_s^{-1} o Phi on g in [0, _G_MAX]; `_law_at` reads
-    both by bilinear interpolation.  About 2 MB per n, read-only.
+    r = |b|^2/t (Levy's area formula; see `_cf_rows`).  Nodes run uniformly
+    in s = r/(n + r) over [0, 1]; s = 1 is the N(0, 1) limit.  Each stores
+    the even density on the half-line of `_density_rows`' z-grid and the odd
+    map T_s = F_s^{-1} o Phi on g in [0, _G_MAX]; `_law_at` reads both by
+    bilinear interpolation.  About 2 MB per n, read-only.
+
+    Integrating the density's trigonometric sum term by term gives the
+    survival function on the grid,
+    S(z) = 1/2 - (dv/pi) (z/2 + sum_j phi_j sin(v_j z)/v_j).  T_s is the
+    inverse of z -> -ndtri(S(z)), linear between grid points in the normal
+    score; at s = 1 it is the identity to within 1e-5, the effect of
+    rounding in the far tail of S.
     """
-    rows = [_law_node(s, n) for s in np.linspace(0.0, 1.0, _LAW_CELLS + 1)]
-    law = _Law(*(np.array(col) for col in zip(*rows)))
+    nodes = np.linspace(0.0, 1.0, _LAW_CELLS + 1)
+    v = np.arange(1, _M_GRID) * _DV
+    z = np.arange(_M_GRID // 2 + 1) * (2.0 * math.pi / (_M_GRID * _DV))
+    g = np.linspace(0.0, _G_MAX, _G_CELLS + 1)
+    density = np.empty((nodes.size, z.size))
+    score = np.empty((nodes.size, g.size))
+    for lo in range(0, nodes.size, _LAW_BLOCK):
+        phi, density[lo:lo + _LAW_BLOCK] = _cf_rows(nodes[lo:lo + _LAW_BLOCK], n)
+        phi[:, 1:] /= v
+        surv = 0.5 - (_DV / math.pi) * (0.5 * z - np.fft.rfft(phi, axis=1).imag)
+        for k, row in enumerate(np.minimum.accumulate(surv, axis=1), lo):
+            keep = row > _SURV_FLOOR
+            score[k] = np.interp(g, -ndtri(row[keep]), z[keep])
+    law = _Law(density, score)
     for arr in law:
         arr.flags.writeable = False
     return law
@@ -450,24 +467,25 @@ def _pinned_couple(a, aprime, t, n_samples, seed, m_steps, plan, vertical, m_bri
     """The pipeline behind every coupling here, for the plan `vertical`.
 
     The left verticals are drawn given the canonical endpoints: from m_steps
-    bridges for the assignment plan (the one with m_bridge atoms, which must
-    share the drawn vertical's law), exactly from the tabulated law otherwise.
+    bridges for plan "assignment", whose m_bridge atoms must share the drawn
+    vertical's law, and exactly from the tabulated law for the other plans.
     `vertical(z, shift, h_can, t, rng)` gets the left verticals, their
     shifts rho * Y_1, the canonical endpoints and the stream after the left
     leg's draws, and returns the coupled verticals and the move from z.  It is
     not called at rho = 0, where the two conditional laws coincide.
     """
+    bridged = plan == "assignment"
     _check_bridge_args(t, m_steps)
-    for name, count in (("n_samples", n_samples), ("m_bridge", m_bridge)):
-        if count is not None and count < 1:
-            raise ValueError(f"{name} must be at least 1, got {count!r}")
+    _check_count("n_samples", n_samples)
+    if bridged:
+        _check_count("m_bridge", m_bridge)
     delta, q_rot, rho, dz, n = _reduce_offset(a, aprime)
     rng = philox_stream(seed, 0)
     h_can = math.sqrt(t) * rng.standard_normal((n_samples, 2 * n))
-    if m_bridge is None:  # one normal per sample through sigma T_s
-        z = _law_at(h_can, t).quantile(rng.standard_normal(n_samples))
-    else:
+    if bridged:
         z = sample_levy_area_given_endpoint(h_can, t=t, m_steps=m_steps, rng=rng)
+    else:  # one normal per sample through sigma T_s
+        z = _law_at(h_can, t).quantile(rng.standard_normal(n_samples))
     shift = rho * h_can[:, n]  # offset times conjugate coordinate Y_1
     if rho == 0.0:
         z_tilde, move = z, np.zeros_like(z)
@@ -484,8 +502,8 @@ def _pinned_couple(a, aprime, t, n_samples, seed, m_steps, plan, vertical, m_bri
         "rho": rho,
         "delta_z": dz,
         "seed": seed,
-        "m_steps": None if m_bridge is None else m_steps,
-        "m_bridge": m_bridge,
+        "m_steps": m_steps if bridged else None,
+        "m_bridge": m_bridge if bridged else None,
         "n": n,
     }
     return StaticJointSample(left=left, right=right, cost=cost, meta=meta)
@@ -511,19 +529,21 @@ def static_couple(
     Args:
         a, aprime: finite group points (2n+1,).
         t: horizon, positive and finite.
-        n_samples: joint samples to draw, >= 1.
-        m_bridge: atoms per sample for plan="assignment", >= 1.
+        n_samples: joint samples to draw, an integer >= 1.
+        m_bridge: atoms per sample for plan="assignment", an integer >= 1;
+            the density plan draws no atoms and ignores it.
         seed: stream seed, an integer in [0, 2**64).
         plan: "density" or "assignment".
-        m_steps: bridge discretization of the assignment plan, >= 1.  The
-            density plan draws from the exact tabulated law and runs no
-            bridge, so m_steps is only validated there (meta records None).
+        m_steps: bridge discretization of the assignment plan, an integer
+            >= 1.  The density plan draws from the exact tabulated law and
+            runs no bridge, so m_steps is only validated there (meta records
+            None).
 
     Returns:
         StaticJointSample.
     """
     if plan == "density":
-        vertical, m_bridge = _couple_vertical_density, None
+        vertical = _couple_vertical_density
     elif plan == "assignment":
         vertical = functools.partial(_couple_vertical_assignment, m_steps=m_steps,
                                      m_bridge=m_bridge)

@@ -209,6 +209,7 @@ _BAD_SEEDS = [
     pytest.param("t", {"t": float("nan")}, id="t=nan"),
     pytest.param("t", {"t": float("inf")}, id="t=inf"),
     pytest.param("m_steps", {"m_steps": 0}, id="m_steps=0"),
+    pytest.param("m_steps", {"m_steps": 2.5}, id="m_steps=2.5"),
     *_BAD_SEEDS,
 ])
 def test_bridge_sampler_rejects_bad_input(arg, bad):
@@ -327,7 +328,10 @@ _FRONTS = {
 }
 _BAD_INPUTS = [
     pytest.param("n_samples", {"n_samples": 0}, id="n_samples=0"),
+    pytest.param("n_samples", {"n_samples": 2.5}, id="n_samples=2.5"),
+    pytest.param("n_samples", {"n_samples": True}, id="n_samples=True"),
     pytest.param("m_steps", {"m_steps": 0}, id="m_steps=0"),
+    pytest.param("m_steps", {"m_steps": 2.5}, id="m_steps=2.5"),
     pytest.param("t", {"t": float("nan")}, id="t=nan"),
     pytest.param("t", {"t": float("inf")}, id="t=inf"),
     pytest.param("a", {"a": grp.point([np.nan], [0.0], 0.0)}, id="a=nan"),
@@ -353,6 +357,27 @@ def test_assignment_plan_rejects_empty_atom_set():
     smp = stc.static_couple(grp.identity(1), grp.point([0.5], [0.0], 0.0), n_samples=4,
                             m_steps=8, m_bridge=0)
     assert smp.meta["m_bridge"] is None
+
+
+@pytest.mark.parametrize("m_bridge", [2.5, True, None])
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+def test_assignment_plan_rejects_non_integer_atom_count(m_bridge, rho):
+    a, ap = grp.identity(1), grp.point([rho], [0.0], 0.0)
+    with pytest.raises(ValueError, match="^m_bridge must"):
+        stc.static_couple(a, ap, n_samples=4, m_steps=8, plan="assignment", m_bridge=m_bridge)
+    # the density plan draws no atoms, so m_bridge is not its input
+    smp = stc.static_couple(a, ap, n_samples=4, m_steps=8, m_bridge=m_bridge)
+    assert smp.meta["m_bridge"] is None and smp.meta["m_steps"] is None
+
+
+def test_couplings_accept_numpy_integer_counts():
+    a, ap = grp.identity(1), grp.point([0.5], [0.0], 0.0)
+    smp = stc.static_couple(a, ap, n_samples=np.int64(4), m_steps=np.int32(8),
+                            m_bridge=np.uint8(3), plan="assignment", seed=2)
+    ref = stc.static_couple(a, ap, n_samples=4, m_steps=8, m_bridge=3, plan="assignment",
+                            seed=2)
+    assert np.array_equal(smp.right, ref.right)
+    assert (smp.meta["m_steps"], smp.meta["m_bridge"]) == (8, 3)
 
 
 def test_transport_cost_sqrt_1d_brute_force():
