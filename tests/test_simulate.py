@@ -1,5 +1,6 @@
 """Simulation engines: streams, steps, ensembles, and the exact runner."""
 
+import functools
 import hashlib
 import math
 import warnings
@@ -578,3 +579,73 @@ def test_philox_stream_accepts_numpy_integer_seeds():
     draw = lambda seed: sim.philox_stream(seed, 3).standard_normal(4)
     assert np.array_equal(draw(np.int64(7)), draw(7))
     assert np.array_equal(draw(np.uint64(2**64 - 1)), draw(2**64 - 1))
+
+
+# ---------------------------------------------------------------------------
+# artifact bytes: SHA-256 (first 16 hex digits) of the whole to_csv file text,
+# header note fixed.  The cases are an exact-runner ensemble, a full-scheme H^1
+# ensemble whose last RNG block holds one path, and a reduced H^2 ensemble with
+# non-finite, signed-zero and subnormal entries set by hand; each written whole
+# and capped at 0, 1 and 5 paths.  A change to the CSV writer must leave every
+# digest unchanged.
+
+_CSV_NOTE = "golden note"
+
+
+@functools.lru_cache(maxsize=None)
+def _csv_ensemble(case):
+    if case == "exact":
+        return _golden_ensemble("exact/reflection", 1, 3000)
+    if case == "full-kendall":
+        return _golden_ensemble("full/kendall/n1", 1, 1025)
+    ens = _golden_ensemble("reduced/perverse/n2", 1)
+    ens.r2[0, 0] = np.nan
+    ens.z[1, 1] = np.inf
+    ens.v[2, 2] = -np.inf
+    ens.qv[0, 3] = -0.0
+    ens.r2[-1, 4] = 5e-324
+    ens.z[-1, 0] = -5e-324
+    ens.qv[-1, 2] = np.finfo(float).max
+    return ens
+
+
+_CSV_GOLDEN = {
+    "exact/0": "f898184347fb2edc",
+    "exact/1": "19c5a28eaf28f039",
+    "exact/5": "2a4d2a0a6d547948",
+    "exact/all": "9ead184b97f6cd42",
+    "full-kendall/0": "f898184347fb2edc",
+    "full-kendall/1": "27fae285ec2a01a2",
+    "full-kendall/5": "9702e98ae4db5e61",
+    "full-kendall/all": "d09b088dbe4ca447",
+    "special/0": "f898184347fb2edc",
+    "special/1": "716fd41ccdd2b5db",
+    "special/5": "fa327954b71e1cd0",
+    "special/all": "406bd4729bdb15d7",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_CSV_GOLDEN))
+def test_to_csv_file_golden(tmp_path, key):
+    case, cap = key.split("/")
+    path = tmp_path / "ensemble.csv"
+    _csv_ensemble(case).to_csv(path, header_note=_CSV_NOTE,
+                               max_paths=None if cap == "all" else int(cap))
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == _CSV_GOLDEN[key]
+
+
+@pytest.mark.parametrize("case", ["exact", "special"])
+def test_to_csv_round_trips_every_float(tmp_path, case):
+    # %.17g round-trips every float64, so the columns parse back bit for bit
+    ens = _csv_ensemble(case)
+    path = tmp_path / "ensemble.csv"
+    ens.to_csv(path, header_note=_CSV_NOTE)
+    lines = path.read_text().splitlines()
+    assert lines[:2] == [f"# {_CSV_NOTE}", "checkpoint_time,path_id,R2,Z,V,QV"]
+    table = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[2:]])
+    nt, m = ens.r2.shape
+    table = table.reshape(nt, m, 6)
+    assert np.array_equal(table[:, :, 0], np.repeat(ens.times[:, None], m, axis=1))
+    assert np.array_equal(table[:, :, 1], np.tile(np.arange(m), (nt, 1)))
+    for col, name in enumerate(("r2", "z", "v", "qv"), start=2):
+        assert table[:, :, col].tobytes() == getattr(ens, name).tobytes(), name

@@ -632,3 +632,19 @@ def test_density_coupling_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
+
+
+# artifact bytes: SHA-256 (first 16 hex digits) of the whole
+# StaticJointSample.to_csv file text, header note fixed; a change to the CSV
+# writer must leave both unchanged.  Without a note the comment line is left out.
+_CSV_GOLDEN = {"assignment/unit/n2": "afa2c90da89f6832", "density/mixed/n1": "3a13c48ff52ca812"}
+
+
+@pytest.mark.parametrize("case", sorted(_CSV_GOLDEN))
+def test_static_to_csv_file_golden(tmp_path, case):
+    smp = _golden_sample(case, _CHUNK_PLANS)
+    path, bare = tmp_path / "joint.csv", tmp_path / "bare.csv"
+    smp.to_csv(path, header_note="golden note")
+    smp.to_csv(bare)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == _CSV_GOLDEN[case]
+    assert b"# golden note\n" + bare.read_bytes() == path.read_bytes()
