@@ -70,7 +70,7 @@ def philox_stream(seed, block):
     a bool or a float, so that no seed is silently rounded onto another's
     stream.  Every public entry point that takes a seed reaches this check.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+    if not (_is_integer(seed) and 0 <= seed < 2**64):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     key = np.array([np.uint64(seed), np.uint64(block)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -220,29 +220,55 @@ class PathEnsemble:
 
         First line is a `#` comment (timestamp/notes -- excluded from
         reproducibility comparisons); the body is deterministic.  With
-        `max_paths` set, only the first that many paths are written (keeps
-        large-ensemble artifacts bounded without changing what is written
-        for any path that does appear).
+        `max_paths` set (None or an integer >= 0), only the first that many
+        paths are written (keeps large-ensemble artifacts bounded without
+        changing what is written for any path that does appear).
+
+        Byte contract: one row `checkpoint_time,path_id,R2,Z,V,QV` per
+        checkpoint and path, checkpoint-major, every float as `%.17g`, which
+        round-trips every float64 through `float()`; path_id is the bare
+        integer.  Rows are written in blocks of one checkpoint's paths, at
+        most _CSV_ROWS at a time (`_write_csv_rows`), so neither the file's
+        text nor its whole table is ever held.
         """
+        _check(max_paths is None or (_is_integer(max_paths) and max_paths >= 0),
+               "max_paths", max_paths, "None or an integer >= 0")
         nt, m = self.r2.shape
         if max_paths is not None:
             m = min(m, int(max_paths))
-        tcol = np.repeat(self.times, m)
-        pid = np.tile(np.arange(m), nt)
-        body = np.column_stack(
-            [
-                tcol,
-                pid,
-                self.r2[:, :m].ravel(),
-                self.z[:, :m].ravel(),
-                self.v[:, :m].ravel(),
-                self.qv[:, :m].ravel(),
-            ]
-        )
+        rows = _csv_rows(m, 4)
         with open(path, "w") as fh:
             fh.write(f"# {header_note}\n")
             fh.write("checkpoint_time,path_id,R2,Z,V,QV\n")
-            np.savetxt(fh, body, fmt="%.17g", delimiter=",")
+            for k, t in enumerate(self.times.tolist()):
+                block = np.stack([self.r2[k, :m], self.z[k, :m], self.v[k, :m],
+                                  self.qv[k, :m]], axis=1)
+                _write_csv_rows(fh, rows, block, lead="%.17g," % t)
+
+
+# rows per write of _write_csv_rows: bounds the text held, not the file's size
+_CSV_ROWS = 8192
+
+
+def _csv_rows(m, k):
+    """Row templates `<i>,%.17g,...,%.17g\\n` (k cells) for row ids i < m."""
+    cells = ",%.17g" * k + "\n"
+    return [f"{i}{cells}" for i in range(m)]
+
+
+def _write_csv_rows(fh, rows, values, lead=""):
+    """Write `lead + rows[i] % values[i]` for every row, in blocks of _CSV_ROWS.
+
+    `values` is (len(rows), k) to match `_csv_rows(len(rows), k)`; `lead`
+    must hold no `%`.  Each block is one `%` over its values as Python
+    floats, which formats every value exactly as `"%.17g" % value`, and the
+    row ids are the integer text that `%.17g` gives an integer-valued float
+    below 2**53.  So the bytes are those of formatting every cell of the
+    (id, values) table row by row with `%.17g`, without the per-row cost.
+    """
+    for lo in range(0, len(rows), _CSV_ROWS):
+        hi = lo + _CSV_ROWS
+        fh.write((lead + lead.join(rows[lo:hi])) % tuple(values[lo:hi].ravel().tolist()))
 
 
 def default_checkpoints(T, dt):
@@ -276,6 +302,11 @@ def _check(ok, name, val, what):
     """Raise ValueError "<name> must be <what>" unless ok."""
     if not ok:
         raise ValueError(f"{name} must be {what}, got {val!r}")
+
+
+def _is_integer(x):
+    """A Python or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _check_starts(a, aprime):
@@ -408,8 +439,7 @@ class _Streams:
 
 
 def _check_threads(threads):
-    integer = isinstance(threads, (int, np.integer)) and not isinstance(threads, bool)
-    _check(integer and threads >= 1, "threads", threads, "an integer >= 1")
+    _check(_is_integer(threads) and threads >= 1, "threads", threads, "an integer >= 1")
 
 
 def _run_groups(run, n_paths, threads):

@@ -50,7 +50,9 @@ from scipy.special import ndtri
 
 from heiscouple import group as grp
 from heiscouple.coupling import _frame_from_unit
-from heiscouple.simulate import _check, _check_starts, philox_stream
+from heiscouple.simulate import (
+    _check, _check_starts, _csv_rows, _is_integer, _write_csv_rows, philox_stream,
+)
 
 # Standardized Fourier grid for conditional vertical densities: frequencies
 # j * _DV for j < _M_GRID cover the slowest characteristic-function decay
@@ -101,6 +103,13 @@ class StaticJointSample:
         return grp.horizontal(self.right) - grp.horizontal(self.left)
 
     def to_csv(self, path, header_note=""):
+        """Write one row per sample: sample_id, left, right, cost.
+
+        A `# header_note` line comes first when the note is not empty.
+        Byte contract: every float is written as `%.17g`, which round-trips
+        every float64 through `float()`; sample_id is the bare integer.  Rows
+        are written in blocks (`simulate._write_csv_rows`).
+        """
         m, dim = self.left.shape
         n = (dim - 1) // 2
         cols = (
@@ -110,12 +119,12 @@ class StaticJointSample:
             + [f"R{c}{i+1}" for c in ("x", "y") for i in range(n)]
             + ["Rz", "cost"]
         )
-        body = np.column_stack([np.arange(m), self.left, self.right, self.cost])
+        body = np.column_stack([self.left, self.right, self.cost])
         with open(path, "w") as fh:
             if header_note:
                 fh.write(f"# {header_note}\n")
             fh.write(",".join(cols) + "\n")
-            np.savetxt(fh, body, delimiter=",", fmt="%.17g")
+            _write_csv_rows(fh, _csv_rows(m, 2 * dim + 1), body)
 
 
 def _check_horizon(t):
@@ -123,8 +132,7 @@ def _check_horizon(t):
 
 
 def _check_count(name, count):
-    integer = isinstance(count, (int, np.integer)) and not isinstance(count, bool)
-    _check(integer and count >= 1, name, count, "an integer >= 1")
+    _check(_is_integer(count) and count >= 1, name, count, "an integer >= 1")
 
 
 def _check_bridge_args(t, m_steps):

@@ -649,3 +649,51 @@ def test_to_csv_round_trips_every_float(tmp_path, case):
     assert np.array_equal(table[:, :, 1], np.tile(np.arange(m), (nt, 1)))
     for col, name in enumerate(("r2", "z", "v", "qv"), start=2):
         assert table[:, :, col].tobytes() == getattr(ens, name).tobytes(), name
+
+
+def _savetxt_csv(ens, path, header_note="", max_paths=None):
+    """Reference writer: np.savetxt over the whole (rows, 6) table."""
+    nt, m = ens.r2.shape
+    m = m if max_paths is None else min(m, max_paths)
+    body = np.column_stack([np.repeat(ens.times, m), np.tile(np.arange(m), nt)]
+                           + [getattr(ens, name)[:, :m].ravel()
+                              for name in ("r2", "z", "v", "qv")])
+    with open(path, "w") as fh:
+        fh.write(f"# {header_note}\n")
+        fh.write("checkpoint_time,path_id,R2,Z,V,QV\n")
+        np.savetxt(fh, body, fmt="%.17g", delimiter=",")
+
+
+def _random_bits_ensemble(nt, m, seed):
+    # every float64 bit pattern is as likely: all exponents, subnormals,
+    # signed zeros, infinities and NaNs with any payload
+    rng = np.random.default_rng(seed)
+    bits = lambda: rng.integers(0, 2**64, size=(nt, m), dtype=np.uint64).view(np.float64)
+    return sim.PathEnsemble(times=np.sort(rng.uniform(0.0, 10.0, nt)), r2=bits(), z=bits(),
+                            v=bits(), qv=bits(), drift_int=bits(), absorbed_at=np.full(m, np.nan))
+
+
+@pytest.mark.parametrize("max_paths", [None, 0, 7, 8, 22, 10**6])
+def test_to_csv_blocks_match_savetxt(tmp_path, monkeypatch, max_paths):
+    # 7-row write blocks split each checkpoint's 23 paths unevenly
+    monkeypatch.setattr(sim, "_CSV_ROWS", 7)
+    ens = _random_bits_ensemble(5, 23, seed=max_paths or 0)
+    mine, ref = tmp_path / "mine.csv", tmp_path / "ref.csv"
+    ens.to_csv(mine, header_note="n", max_paths=max_paths)
+    _savetxt_csv(ens, ref, header_note="n", max_paths=max_paths)
+    assert mine.read_bytes() == ref.read_bytes()
+
+
+def test_to_csv_accepts_numpy_integer_caps(tmp_path):
+    ens = _random_bits_ensemble(2, 9, seed=1)
+    ens.to_csv(tmp_path / "a.csv", max_paths=np.int64(4))
+    ens.to_csv(tmp_path / "b.csv", max_paths=4)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [-2, -1, 2.5, 3.0, "3", True, np.float64(2.0), [3]])
+def test_to_csv_rejects_bad_max_paths(tmp_path, bad):
+    path = tmp_path / "e.csv"
+    with pytest.raises(ValueError, match=r"^max_paths must be None or an integer >= 0"):
+        _random_bits_ensemble(2, 9, seed=1).to_csv(path, max_paths=bad)
+    assert not path.exists()

@@ -16,6 +16,7 @@ from scipy.special import ndtr
 from scipy.stats import ks_2samp, kstest
 
 from heiscouple import group as grp
+from heiscouple import simulate as sim
 from heiscouple import static as stc
 
 EPS = np.finfo(float).eps
@@ -648,3 +649,13 @@ def test_static_to_csv_file_golden(tmp_path, case):
     smp.to_csv(bare)
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == _CSV_GOLDEN[case]
     assert b"# golden note\n" + bare.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("block_rows", [2, 7])
+@pytest.mark.parametrize("case", sorted(_CSV_GOLDEN))
+def test_static_to_csv_golden_across_write_blocks(tmp_path, monkeypatch, case, block_rows):
+    # write blocks of 2 and 7 rows split the 3 and 700 samples unevenly
+    monkeypatch.setattr(sim, "_CSV_ROWS", block_rows)
+    path = tmp_path / "joint.csv"
+    _golden_sample(case, _CHUNK_PLANS).to_csv(path, header_note="golden note")
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == _CSV_GOLDEN[case]
