@@ -485,12 +485,16 @@ def parse_config(path, experiment=None):
 
 
 def _validate_params(section, params):
-    unknown = sorted(set(params) - set(_COMMON) - set(EXPERIMENTS[section][0]))
+    schema = {**_COMMON, **EXPERIMENTS[section][0]}
+    unknown = sorted(set(params) - set(schema))
     if unknown:
         raise ConfigError(f"section [{section}], key {unknown[0]!r}: unknown key")
     # experiments key Philox streams (uint64) with seed up to seed + 2
     if not 0 <= params["seed"] <= 2**64 - 3:
         raise ConfigError(f"section [{section}], key 'seed': must be in [0, 2**64 - 3]")
+    for key, (kind, _) in schema.items():
+        if kind in (float, _floats) and not np.all(np.isfinite(params[key])):
+            raise ConfigError(f"section [{section}], key {key!r}: must be finite")
     for key in ("horizon", "dt", "t", "kappa", "epsilon", "alpha", "success_dh", "r0"):
         if key in params and not params[key] > 0:
             raise ConfigError(f"section [{section}], key {key!r}: must be positive")
@@ -498,7 +502,7 @@ def _validate_params(section, params):
         if key in params and params[key] <= 0:
             raise ConfigError(f"section [{section}], key {key!r}: must be positive")
     for key in ("checkpoints", "offsets"):
-        if key in params and (not params[key] or any(v <= 0 for v in params[key])):
+        if key in params and (len(params[key]) == 0 or any(v <= 0 for v in params[key])):
             raise ConfigError(f"section [{section}], key {key!r}: needs positive entries")
 
 

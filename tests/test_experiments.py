@@ -199,3 +199,28 @@ def test_threads_flag_does_not_change_numbers(tmp_path):
         a = (tmp_path / "t1" / "scheme-consistency" / fname).read_text().splitlines()[1:]
         b = (tmp_path / "t3" / "scheme-consistency" / fname).read_text().splitlines()[1:]
         assert a == b
+
+
+@pytest.mark.parametrize("section,line,key", [
+    pytest.param("reflection-hitting", "r0 = inf", "r0", id="r0=inf"),
+    pytest.param("static-ratio", "offsets = nan", "offsets", id="offsets=nan"),
+    pytest.param("kendall-success", "z0 = nan", "z0", id="z0=nan"),
+    pytest.param("kendall-success", "checkpoints = 5, inf", "checkpoints", id="checkpoints=inf"),
+    pytest.param("blowup-perverse", "horizon = inf", "horizon", id="horizon=inf"),
+    pytest.param("scheme-consistency", "a = 0, 0, nan", "a", id="a=nan"),
+    pytest.param("static-baseline", "t = -inf", "t", id="t=-inf"),
+])
+def test_cli_non_finite_config_value_exits_two(tmp_path, capsys, section, line, key):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{line}\n")
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "art")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: section [{section}], key '{key}': must be finite\n"
+    assert not (tmp_path / "art").exists()
+
+
+def test_run_experiment_accepts_array_checkpoints(tmp_path):
+    params = {"checkpoints": np.array([5.0, 10.0]), "n_paths": 50}
+    exp.run_experiment("kendall-success", params, out=tmp_path)
+    assert (tmp_path / "kendall-success" / "report.jsonl").exists()
