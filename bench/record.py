@@ -1,6 +1,6 @@
-"""Record the benchmark's end-to-end metrics over several seeds.
+"""Record the benchmark's end-to-end metrics over several seeds, and one trace.
 
-    python3 bench/record.py --out BENCH_7.json --seeds 41 42 43 44 45 \\
+    python3 bench/record.py --out BENCH_8.json --seeds 41 42 43 44 45 \\
         --side parent=../parent-checkout --side change=.
 
 For every seed and each of the three workloads this runs
@@ -8,12 +8,16 @@ For every seed and each of the three workloads this runs
 side, in that side's own checkout, so each side is measured on its own
 sources with its own copy of the benchmark.  The order of the sides rotates
 from one seed to the next, so a drift of the host's speed falls on every side
-alike.
+alike.  After the timed runs, each side makes one ``--trace 1`` run per
+workload at the first seed, which gives the per-layer metrics (self times,
+counts, throughputs); a single traced run shows where time went, it does not
+back a claim.
 
 The output file, written fresh, holds per side: the commit of its checkout
 (when it is a git checkout), the ``# perfbench`` machine record of its first
 run (machine, versions and the ``src/heiscouple`` line count), every run's
-metrics by seed, and each metric's median, quartiles and IQR per workload.
+metrics by seed, each metric's median, quartiles and IQR per workload, and
+under "trace" the seed and per-layer metrics of its traced runs.
 Under "wins" it counts, for every side but the first ``--side`` (the "base"),
 per workload and metric, the seeds on which that side did better than the
 base, by the direction BENCHMARK.json gives.
@@ -34,10 +38,10 @@ DIRECTIONS = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 PREFIX = "# perfbench "
 
 
-def run_once(checkout, workload, seed):
-    """One ``--trace 0`` run; returns (machine record, result line)."""
+def run_once(checkout, workload, seed, trace=0):
+    """One ``perfbench/run.py`` run; returns (machine record, result line)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     res = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900,
                          check=False)
     if res.returncode != 0:
@@ -101,6 +105,15 @@ def main(argv=None):
                 }
                 print(f"{work} seed {seed} {name}: " + ", ".join(
                     f"{m}={v['value']:.4g}" for m, v in result["metrics"].items()), flush=True)
+    for name, checkout in sides:
+        traced = {work: run_once(checkout, work, args.seeds[0], trace=1)[1]["metrics"]
+                  for work in WORKLOADS}
+        out["sides"][name]["trace"] = {
+            "seed": args.seeds[0],
+            "metrics": {work: {m: v["value"] for m, v in res.items()}
+                        for work, res in traced.items()},
+        }
+        print(f"{name}: traced runs done", flush=True)
     for side in out["sides"].values():
         side["metrics"] = {
             work: {metric: summary([run["metrics"][metric] for run in by_seed.values()])
