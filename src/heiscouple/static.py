@@ -24,19 +24,21 @@ and undo the reduction.  The plans are:
   vertical moves by the full shift, so the cost scales like sqrt(rho) for
   small offsets -- what the two plans above are built to beat.
 
-The density and translation plans draw the left vertical from the exact
-conditional law, tabulated once per n (`_law_table`): by Levy's area formula
-the law of Z / sigma given the endpoint b depends only on (n, |b|^2 / t), so
-one table of densities and normal-score maps covers every endpoint and
-horizon, with no bridge discretization bias (the interpolation error is
-~1e-5 in Z / sigma).  The density plan's keep/reflect probability reads the
-same table.  The assignment plan draws its left vertical and its atoms from
-discrete Brownian bridges of m_steps steps, so that the drawn vertical and
-its atoms share one law.
+Every plan draws the left vertical from the exact conditional law,
+tabulated once per n (`_law_table`): by Levy's area formula the law of
+Z / sigma given the endpoint b depends only on (n, |b|^2 / t), so one table
+of densities and normal-score maps covers every endpoint and horizon, with no
+bridge discretization bias (the interpolation error is ~1e-5 in Z / sigma).
+The density plan's keep/reflect probability reads the same table, and the
+assignment plan's atoms are drawn from it too, one normal each.  No plan
+runs a Brownian bridge, so the `m_steps` argument is validated and otherwise
+unused.
 
-The bridge sampler streams through sample chunks sized for a core's L2 cache,
-so its working memory is O(chunk) beyond the O(n_samples) result arrays.
-Draws are sample-major, so the chunk size never changes a sample's bits.
+`sample_levy_area_given_endpoint`, the discrete-bridge area sampler, is kept
+as the independent oracle the tabulated law is tested against.  It streams
+through sample chunks sized for a core's L2 cache, so its working memory is
+O(chunk) beyond the O(n_samples) result arrays.  Draws are sample-major, so
+the chunk size never changes a sample's bits.
 """
 
 import functools
@@ -410,18 +412,18 @@ def _couple_vertical_density(z, shift, h_can, t, rng):
     return z_tilde, z_tilde - z
 
 
-def _couple_vertical_assignment(z, shift, h_can, t, rng, m_steps, m_bridge):
+def _couple_vertical_assignment(z, shift, h_can, t, rng, m_bridge):
     """Empirical plan: exact assignment between m_bridge atoms and their shift.
 
-    For each sample, draws m_bridge conditional verticals, solves the exact
-    sqrt-cost assignment against the same atoms shifted, and routes the drawn
-    vertical through its nearest atom.
+    For each sample, draws m_bridge conditional verticals from the tabulated
+    law (sample-major, one normal each), solves the exact sqrt-cost
+    assignment against the same atoms shifted, and routes the drawn vertical
+    through its nearest atom.
     """
     m = z.shape[0]
-    reps = np.repeat(h_can, m_bridge, axis=0)
-    atoms = sample_levy_area_given_endpoint(
-        reps, t=t, m_steps=m_steps, rng=rng
-    ).reshape(m, m_bridge)
+    at = _law_at(h_can, t)
+    atoms = at._replace(node=at.node[:, None], w=at.w[:, None], sigma=at.sigma[:, None]
+                        ).quantile(rng.standard_normal((m, m_bridge)))
     z_tilde = np.empty(m)
     for i in range(m):
         zi = atoms[i]
@@ -474,26 +476,22 @@ def _assemble(a, h_can, z_left, z_right, q_rot, delta_h):
 def _pinned_couple(a, aprime, t, n_samples, seed, m_steps, plan, vertical, m_bridge=None):
     """The pipeline behind every coupling here, for the plan `vertical`.
 
-    The left verticals are drawn given the canonical endpoints: from m_steps
-    bridges for plan "assignment", whose m_bridge atoms must share the drawn
-    vertical's law, and exactly from the tabulated law for the other plans.
+    The left verticals are drawn exactly from the tabulated law given the
+    canonical endpoints, one normal each through sigma T_s.  m_steps is
+    validated and otherwise unused (meta records None).
     `vertical(z, shift, h_can, t, rng)` gets the left verticals, their
     shifts rho * Y_1, the canonical endpoints and the stream after the left
     leg's draws, and returns the coupled verticals and the move from z.  It is
     not called at rho = 0, where the two conditional laws coincide.
     """
-    bridged = plan == "assignment"
     _check_bridge_args(t, m_steps)
     _check_count("n_samples", n_samples)
-    if bridged:
+    if plan == "assignment":
         _check_count("m_bridge", m_bridge)
     delta, q_rot, rho, dz, n = _reduce_offset(a, aprime)
     rng = philox_stream(seed, 0)
     h_can = math.sqrt(t) * rng.standard_normal((n_samples, 2 * n))
-    if bridged:
-        z = sample_levy_area_given_endpoint(h_can, t=t, m_steps=m_steps, rng=rng)
-    else:  # one normal per sample through sigma T_s
-        z = _law_at(h_can, t).quantile(rng.standard_normal(n_samples))
+    z = _law_at(h_can, t).quantile(rng.standard_normal(n_samples))
     shift = rho * h_can[:, n]  # offset times conjugate coordinate Y_1
     if rho == 0.0:
         z_tilde, move = z, np.zeros_like(z)
@@ -510,8 +508,8 @@ def _pinned_couple(a, aprime, t, n_samples, seed, m_steps, plan, vertical, m_bri
         "rho": rho,
         "delta_z": dz,
         "seed": seed,
-        "m_steps": m_steps if bridged else None,
-        "m_bridge": m_bridge if bridged else None,
+        "m_steps": None,
+        "m_bridge": m_bridge if plan == "assignment" else None,
         "n": n,
     }
     return StaticJointSample(left=left, right=right, cost=cost, meta=meta)
@@ -542,10 +540,9 @@ def static_couple(
             the density plan draws no atoms and ignores it.
         seed: stream seed, an integer in [0, 2**64).
         plan: "density" or "assignment".
-        m_steps: bridge discretization of the assignment plan, an integer
-            >= 1.  The density plan draws from the exact tabulated law and
-            runs no bridge, so m_steps is only validated there (meta records
-            None).
+        m_steps: an integer >= 1, validated and otherwise unused: every
+            plan draws from the exact tabulated law and runs no bridge
+            (meta records None).
 
     Returns:
         StaticJointSample.
@@ -553,8 +550,7 @@ def static_couple(
     if plan == "density":
         vertical = _couple_vertical_density
     elif plan == "assignment":
-        vertical = functools.partial(_couple_vertical_assignment, m_steps=m_steps,
-                                     m_bridge=m_bridge)
+        vertical = functools.partial(_couple_vertical_assignment, m_bridge=m_bridge)
     else:
         raise ValueError('plan must be "density" or "assignment"')
     return _pinned_couple(a, aprime, t, n_samples, seed, m_steps, plan, vertical, m_bridge)
@@ -565,8 +561,8 @@ def baseline_translation_couple(a, aprime, t=1.0, n_samples=1000, seed=0, m_step
 
     Same reduction, marginals and arguments as static_couple with the
     translation plan; its cost concentrates at sqrt(rho^2 + |rho Y_1 + dz|).
-    Its verticals come from the exact tabulated law, so m_steps, which drives
-    only the assignment plan's bridges, is validated and otherwise unused.
+    Its verticals come from the exact tabulated law and no bridge is run, so
+    m_steps is validated and otherwise unused.
     """
     return _pinned_couple(a, aprime, t, n_samples, seed, m_steps, "translation",
                           _translate_vertical)

@@ -378,7 +378,7 @@ def test_couplings_accept_numpy_integer_counts():
     ref = stc.static_couple(a, ap, n_samples=4, m_steps=8, m_bridge=3, plan="assignment",
                             seed=2)
     assert np.array_equal(smp.right, ref.right)
-    assert (smp.meta["m_steps"], smp.meta["m_bridge"]) == (8, 3)
+    assert (smp.meta["m_steps"], smp.meta["m_bridge"]) == (None, 3)
 
 
 def test_transport_cost_sqrt_1d_brute_force():
@@ -431,7 +431,8 @@ def test_static_joint_sample_csv(tmp_path):
 # couplings must leave every digest unchanged; a deliberate change to how the
 # streams are consumed or to the arithmetic must re-record them and say so.
 # The density and translation digests were re-recorded when their left
-# vertical moved from discrete bridges to the tabulated exact law.
+# vertical moved from discrete bridges to the tabulated exact law, and the
+# assignment digests when its left vertical and atoms did the same.
 
 # right-multiplied offsets a^{-1} a': rho = 0 with and without a central
 # part, a small and a unit horizontal offset, and a mixed one
@@ -474,16 +475,16 @@ def _static_digest(smp):
 
 
 _STATIC_GOLDEN = {
-    "assignment/central/n1": "479ec1bdc9f1a921",
-    "assignment/central/n2": "9e0088aa7b43545f",
-    "assignment/mixed/n1": "83a1bdb756a79d65",
-    "assignment/mixed/n2": "359795cb1218667a",
-    "assignment/same/n1": "62f29f3c7680db22",
-    "assignment/same/n2": "3cde47c87c3df05a",
-    "assignment/small/n1": "ec3b5041b8d9f2df",
-    "assignment/small/n2": "0dca545c97c02ee6",
-    "assignment/unit/n1": "f6beac1b4ed62087",
-    "assignment/unit/n2": "6117daaa9d47686e",
+    "assignment/central/n1": "08f354697c1089e8",
+    "assignment/central/n2": "c8f90285ae9bbdbd",
+    "assignment/mixed/n1": "6184875acbb26c2b",
+    "assignment/mixed/n2": "9a626b9f2a30d18a",
+    "assignment/same/n1": "1ca4481831ddf0d9",
+    "assignment/same/n2": "dec85f564ff79e7e",
+    "assignment/small/n1": "a2eba31efc4b5629",
+    "assignment/small/n2": "ea090e0d5cef7fbb",
+    "assignment/unit/n1": "37efae8c5e3431fa",
+    "assignment/unit/n2": "e41478de388a639d",
     "density/central/n1": "b1b26a37d0aea3cb",
     "density/central/n2": "ac2256be75430107",
     "density/mixed/n1": "01fb4aa0d35c48ec",
@@ -515,9 +516,9 @@ def test_static_golden_digests(case):
 # chunk-crossing goldens: inputs that spanned several sample chunks of the
 # bridge sampler and of the density plan when both were streamed in chunks.
 # Recorded the same way; draws are sample-major, so the chunk sizes must not
-# move a single bit.  Only the bridge sampler (the assignment cases) still
-# chunks; the density and translation cases were re-recorded with the
-# tabulated law.
+# move a single bit.  No coupling chunks or runs a bridge any more; every
+# case was re-recorded with the tabulated law, and the assignment cases keep
+# m_steps=1024, which is validated and unused.
 
 _CHUNK_PLANS = {
     "density": lambda a, ap: stc.static_couple(
@@ -532,8 +533,8 @@ _CHUNK_PLANS = {
 }
 
 _CHUNK_GOLDEN = {
-    "assignment/mixed/n1": "7f64671c4cd2b1cf",
-    "assignment/unit/n2": "65e24f53879e5563",
+    "assignment/mixed/n1": "17b5d88faa62c6b4",
+    "assignment/unit/n2": "467668795b778f7e",
     "density/mixed/n1": "c04e84d50837b602",
     "density/mixed/n2": "022b336f509a423c",
     "density/unit/n1": "f6e0ce79041d0529",
@@ -638,7 +639,7 @@ def test_density_coupling_memory_is_bounded():
 # artifact bytes: SHA-256 (first 16 hex digits) of the whole
 # StaticJointSample.to_csv file text, header note fixed; a change to the CSV
 # writer must leave both unchanged.  Without a note the comment line is left out.
-_CSV_GOLDEN = {"assignment/unit/n2": "afa2c90da89f6832", "density/mixed/n1": "3a13c48ff52ca812"}
+_CSV_GOLDEN = {"assignment/unit/n2": "a62ed3880db54b92", "density/mixed/n1": "3a13c48ff52ca812"}
 
 
 @pytest.mark.parametrize("case", sorted(_CSV_GOLDEN))
