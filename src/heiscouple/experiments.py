@@ -29,6 +29,7 @@ from heiscouple.constants import (
 )
 from heiscouple.simulate import (
     _check_threads,
+    _is_integer,
     kendall_success_times,
     philox_stream,
     simulate_ensemble,
@@ -484,11 +485,36 @@ def parse_config(path, experiment=None):
     return runs
 
 
+# string keys whose value must be one of a fixed set
+_CHOICES = {"plan": ("density", "assignment"), "scheme": ("reduced", "full")}
+
+
+def _is_number(x):
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+# what each schema type accepts from a programmatic caller, and its name
+_TYPES = {
+    int: (_is_integer, "an integer"),
+    float: (_is_number, "a number"),
+    str: (lambda x: isinstance(x, str), "a string"),
+    _floats: (lambda x: isinstance(x, (tuple, list, np.ndarray)) and np.ndim(x) == 1
+              and all(map(_is_number, x)), "a list of numbers"),
+}
+
+
 def _validate_params(section, params):
     schema = {**_COMMON, **EXPERIMENTS[section][0]}
     unknown = sorted(set(params) - set(schema))
     if unknown:
         raise ConfigError(f"section [{section}], key {unknown[0]!r}: unknown key")
+    for key, (kind, _) in schema.items():
+        accepts, name = _TYPES[kind]
+        if not accepts(params[key]):
+            raise ConfigError(f"section [{section}], key {key!r}: must be {name}")
+        if key in _CHOICES and params[key] not in _CHOICES[key]:
+            raise ConfigError(f"section [{section}], key {key!r}: must be one of "
+                              + ", ".join(map(repr, _CHOICES[key])))
     # experiments key Philox streams (uint64) with seed up to seed + 2
     if not 0 <= params["seed"] <= 2**64 - 3:
         raise ConfigError(f"section [{section}], key 'seed': must be in [0, 2**64 - 3]")

@@ -120,8 +120,38 @@ def quasinorm(a):
 
 
 def quasidistance(a, b):
-    """Left-invariant quasidistance d_H(a, b) = H(a^{-1} * b)."""
-    return quasinorm(mul(inverse(a), b))
+    """Left-invariant quasidistance d_H(a, b) = H(a^{-1} * b).
+
+    Works one coordinate column at a time in four arrays of the broadcast
+    shape, so an (m, 1, d) x (1, m, d) call allocates no (m, m, d)
+    temporary.  Each sum starts from +0.0 and adds its terms in order, as
+    numpy's last-axis sum does for fewer than 8 terms, so the result is
+    bit-identical to quasinorm(mul(inverse(a), b)) for n <= 3.  For n >= 4
+    numpy sums the 2n squares pairwise and the last bit may differ.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = npairs(a)
+    if b.shape[-1] != a.shape[-1]:
+        raise ValueError(f"point arrays differ in last axis: {a.shape} vs {b.shape}")
+    ia = inverse(a)  # at the size of a, not of the broadcast
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    hor2, sym_x, sym_y, col = np.zeros(shape), np.zeros(shape), np.zeros(shape), np.empty(shape)
+    for k in range(2 * n):
+        np.add(ia[..., k], b[..., k], out=col)
+        col *= col
+        hor2 += col
+    for k in range(n):
+        np.multiply(ia[..., k], b[..., n + k], out=col)
+        sym_x += col
+        np.multiply(ia[..., n + k], b[..., k], out=col)
+        sym_y += col
+    sym_x -= sym_y
+    sym_x *= 0.5
+    np.add(ia[..., -1], b[..., -1], out=col)
+    col += sym_x
+    hor2 += np.abs(col, out=col)
+    return np.sqrt(hor2, out=hor2)[()]
 
 
 def vertical_cc_distance(h):

@@ -224,3 +224,53 @@ def test_run_experiment_accepts_array_checkpoints(tmp_path):
     params = {"checkpoints": np.array([5.0, 10.0]), "n_paths": 50}
     exp.run_experiment("kendall-success", params, out=tmp_path)
     assert (tmp_path / "kendall-success" / "report.jsonl").exists()
+
+
+@pytest.mark.parametrize("name,params,key,why", [
+    pytest.param("reflection-hitting", {"r0": "2"}, "r0", "must be a number", id="r0='2'"),
+    pytest.param("reflection-hitting", {"r0": True}, "r0", "must be a number", id="r0=True"),
+    pytest.param("mg-lemma", {"n_paths": 2.5}, "n_paths", "must be an integer", id="n_paths=2.5"),
+    pytest.param("mg-lemma", {"seed": 1.0}, "seed", "must be an integer", id="seed=1.0"),
+    pytest.param("kendall-success", {"checkpoints": 5.0}, "checkpoints",
+                 "must be a list of numbers", id="checkpoints=5.0"),
+    pytest.param("kendall-success", {"checkpoints": "5, 10"}, "checkpoints",
+                 "must be a list of numbers", id="checkpoints=str"),
+    pytest.param("static-ratio", {"plan": "nope"}, "plan",
+                 "must be one of 'density', 'assignment'", id="plan=nope"),
+    pytest.param("blowup-perverse", {"scheme": 1}, "scheme", "must be a string", id="scheme=1"),
+])
+def test_run_experiment_rejects_wrong_types(tmp_path, name, params, key, why):
+    with pytest.raises(exp.ConfigError, match=rf"key '{key}': {why}$"):
+        exp.run_experiment(name, params, out=tmp_path)
+    assert not (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("section,line,key,why", [
+    pytest.param("static-ratio", "plan = nope", "plan",
+                 "must be one of 'density', 'assignment'", id="plan=nope"),
+    pytest.param("blowup-perverse", "scheme = nope", "scheme",
+                 "must be one of 'reduced', 'full'", id="scheme=nope"),
+])
+def test_cli_unknown_choice_exits_two(tmp_path, capsys, section, line, key, why):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{line}\n")
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "art")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: section [{section}], key '{key}': {why}\n"
+    assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize("section,line,key", [
+    pytest.param("reflection-hitting", "r0 = two", "r0", id="r0=two"),
+    pytest.param("mg-lemma", "n_paths = 2.5", "n_paths", id="n_paths=2.5"),
+    pytest.param("kendall-success", "checkpoints = 5, x", "checkpoints", id="checkpoints=x"),
+])
+def test_cli_unparsable_config_value_exits_two(tmp_path, capsys, section, line, key):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{line}\n")
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "art")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: section [{section}], key '{key}': bad value")
+    assert not (tmp_path / "art").exists()

@@ -153,3 +153,63 @@ def test_quasidistance_matches_quotient_quasinorm():
     direct = grp.quasidistance(a, b)
     quot = grp.quasinorm(grp.mul(grp.inverse(a), b))
     assert np.allclose(direct, quot, rtol=1e-12)
+
+
+def _quasidistance_oracle(a, b):
+    # the definition, composed from the group operations
+    return grp.quasinorm(grp.mul(grp.inverse(a), b))
+
+
+def _signed_zero_points(rng, m, n):
+    # points at mixed scales with +0.0 and -0.0 entries, and rows that
+    # coincide with or negate rows of the other batch
+    d = 2 * n + 1
+    x = rng.standard_normal((m, d)) * rng.choice([1e-8, 1.0, 1e8], size=(m, d))
+    y = rng.standard_normal((m, d))
+    x[rng.random((m, d)) < 0.25] = 0.0
+    x[rng.random((m, d)) < 0.25] = -0.0
+    y[rng.random((m, d)) < 0.25] = -0.0
+    y[rng.random((m, d)) < 0.25] = 0.0
+    y[:4] = x[:4]
+    y[4:8] = -x[4:8]
+    x[8] = -0.0
+    y[8] = 0.0
+    return x, y
+
+
+def _shape_cases(x, y):
+    yield "pairwise", x[:, None, :], y[None, :, :]
+    yield "elementwise", x, y
+    yield "single", x[3], y[9]
+    yield "point-batch", x[5], y
+    yield "strided", x[::2], y[1::2]
+    yield "transposed", np.asfortranarray(x)[:, None, :], np.asfortranarray(y)[None, :, :]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quasidistance_is_bit_identical_to_its_definition(n):
+    rng = np.random.default_rng(80 + n)
+    for _ in range(5):
+        x, y = _signed_zero_points(rng, 24, n)
+        for label, a, b in _shape_cases(x, y):
+            got, ref = grp.quasidistance(a, b), _quasidistance_oracle(a, b)
+            assert type(got) is type(ref) and np.shape(got) == np.shape(ref), label
+            # compare bits, so that -0.0 and +0.0 count as different
+            assert np.array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(ref).view(np.uint64)), label
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_quasidistance_agrees_with_its_definition_for_more_pairs(n):
+    # numpy sums 2n >= 8 squares pairwise, so only the last bit may differ
+    rng = np.random.default_rng(90 + n)
+    x, y = _signed_zero_points(rng, 24, n)
+    for label, a, b in _shape_cases(x, y):
+        got, ref = grp.quasidistance(a, b), _quasidistance_oracle(a, b)
+        assert np.shape(got) == np.shape(ref), label
+        assert np.allclose(got, ref, rtol=1e-15, atol=0.0), label
+
+
+def test_quasidistance_rejects_mismatched_points():
+    with pytest.raises(ValueError, match="last axis"):
+        grp.quasidistance(np.zeros(3), np.zeros(5))

@@ -381,6 +381,59 @@ def test_couplings_accept_numpy_integer_counts():
     assert (smp.meta["m_steps"], smp.meta["m_bridge"]) == (None, 3)
 
 
+# ---------------------------------------------------------------------------
+# one pipeline: every plan draws its left leg, and the assignment plan its
+# atoms, from the tabulated law; m_steps is validated and unused
+
+
+@pytest.mark.parametrize("offset", [([0.0], [0.0], 0.0), ([0.3], [-0.4], 0.2)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_plans_share_the_left_leg(n, offset):
+    a = grp.point([0.3, -1.1][:n], [0.7, 0.2][:n], -0.45)
+    x, y, z = offset
+    ap = grp.mul(a, grp.point(x + [0.0] * (n - 1), y + [0.0] * (n - 1), z))
+    kw = {"a": a, "aprime": ap, "t": 0.9, "n_samples": 50, "seed": 21}
+    density = stc.static_couple(plan="density", **kw).left
+    assignment = stc.static_couple(plan="assignment", m_bridge=8, **kw).left
+    translation = stc.baseline_translation_couple(**kw).left
+    assert density.tobytes() == assignment.tobytes() == translation.tobytes()
+
+
+def test_assignment_plan_ignores_m_steps():
+    a, ap = grp.point([0.1], [0.2], 0.0), grp.point([0.6], [-0.1], 0.3)
+    coarse, fine = (stc.static_couple(a, ap, t=0.7, n_samples=20, seed=22, plan="assignment",
+                                      m_bridge=16, m_steps=m_steps) for m_steps in (8, 1024))
+    for arr in ("left", "right", "cost"):
+        assert getattr(coarse, arr).tobytes() == getattr(fine, arr).tobytes()
+    assert coarse.meta == fine.meta and coarse.meta["m_steps"] is None
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_assignment_atoms_follow_the_conditional_density(n, monkeypatch):
+    # one sample with many atoms; the exact solve is stubbed out, since only
+    # the atoms it receives are under test
+    atoms = []
+
+    def record(x, shift):
+        atoms.append(x.copy())
+        return None, np.arange(x.size)
+
+    monkeypatch.setattr(stc, "_sqrt_shift_assignment", record)
+    a = grp.identity(n)
+    ap = grp.point([0.5] + [0.0] * (n - 1), [0.0] * n, 0.0)
+    t = 1.2
+    smp = stc.static_couple(a, ap, t=t, n_samples=1, seed=23 + n, plan="assignment",
+                            m_bridge=50_000)
+    (zs,) = atoms
+    b = grp.horizontal(smp.left[0])
+    sigma = math.sqrt((t / 12.0) * (n * t + b @ b))
+    grid = np.linspace(-14.0, 14.0, 28001)
+    pdf = stc.conditional_vertical_density(grid * sigma, b, t=t) * sigma
+    cdf = cumulative_trapezoid(pdf, grid, initial=0.0)
+    cdf /= cdf[-1]
+    assert kstest(zs / sigma, lambda u: np.interp(u, grid, cdf)).pvalue > 1e-3
+
+
 def test_transport_cost_sqrt_1d_brute_force():
     rng = np.random.default_rng(16)
     for _ in range(25):
@@ -622,9 +675,9 @@ def test_bridge_sampler_prefix_is_stable(n):
 
 
 def test_density_coupling_memory_is_bounded():
-    # 2048 samples x 1024 bridge steps: the streamed sampler and density plan
-    # hold O(chunk) working memory, not O(n_samples * m_steps) or
-    # O(n_samples * grid)
+    # 2048 samples at m_steps=1024: the density plan runs no bridge and reads
+    # the tabulated law, so it holds no O(n_samples * m_steps) or
+    # O(n_samples * grid) working memory
     a = grp.identity(1)
     ap = grp.point([0.05], [0.0], 0.0)
     tracemalloc.start()
