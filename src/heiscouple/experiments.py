@@ -51,8 +51,8 @@ def _check(quantity, value, ok, stderr=float("nan")):
 
 def _start_points(p):
     """Configured (a, aprime); default the origin and (1, 0, 0) on H^1."""
-    a = np.asarray(p["a"]) if p["a"] else grp.identity(1)
-    ap = np.asarray(p["aprime"]) if p["aprime"] else grp.point([1.0], [0.0], 0.0)
+    a = np.asarray(p["a"]) if len(p["a"]) else grp.identity(1)
+    ap = np.asarray(p["aprime"]) if len(p["aprime"]) else grp.point([1.0], [0.0], 0.0)
     return a, ap
 
 
@@ -530,6 +530,14 @@ def _validate_params(section, params):
     for key in ("checkpoints", "offsets"):
         if key in params and (len(params[key]) == 0 or any(v <= 0 for v in params[key])):
             raise ConfigError(f"section [{section}], key {key!r}: needs positive entries")
+    if "a" in params:  # start points on one H^n; empty means the default on H^1
+        dims = [len(params[key]) or 3 for key in ("a", "aprime")]
+        for key, d in zip(("a", "aprime"), dims):
+            if d < 3 or d % 2 == 0:
+                raise ConfigError(f"section [{section}], key {key!r}: must be a group point "
+                                  "of 2n + 1 >= 3 numbers")
+        if dims[0] != dims[1]:
+            raise ConfigError(f"section [{section}], key 'aprime': must be as long as 'a'")
 
 
 _ENSEMBLE_CAP = 20000  # paths written to ensemble.csv

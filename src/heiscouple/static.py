@@ -354,6 +354,10 @@ class _LawAt(NamedTuple):
     w: np.ndarray
     sigma: np.ndarray
 
+    def row(self, i):
+        """The law at endpoint i alone."""
+        return self._replace(node=self.node[i], w=self.w[i], sigma=self.sigma[i])
+
     def density(self, z):
         """Standardized density at z/sigma (0 past the tabulated 20 sigma)."""
         pos = np.abs(z / self.sigma) * (_M_GRID * _DV / (2.0 * math.pi))
@@ -416,17 +420,15 @@ def _couple_vertical_assignment(z, shift, h_can, t, rng, m_bridge):
     """Empirical plan: exact assignment between m_bridge atoms and their shift.
 
     For each sample, draws m_bridge conditional verticals from the tabulated
-    law (sample-major, one normal each), solves the exact sqrt-cost
-    assignment against the same atoms shifted, and routes the drawn vertical
-    through its nearest atom.
+    law (one normal each, sample by sample, so working memory is
+    O(m_bridge)), solves the exact sqrt-cost assignment against the same
+    atoms shifted, and routes the drawn vertical through its nearest atom.
     """
     m = z.shape[0]
     at = _law_at(h_can, t)
-    atoms = at._replace(node=at.node[:, None], w=at.w[:, None], sigma=at.sigma[:, None]
-                        ).quantile(rng.standard_normal((m, m_bridge)))
     z_tilde = np.empty(m)
     for i in range(m):
-        zi = atoms[i]
+        zi = at.row(i).quantile(rng.standard_normal(m_bridge))
         _, cols = _sqrt_shift_assignment(zi, shift[i])
         nearest = int(np.argmin(np.abs(zi - z[i])))
         z_tilde[i] = zi[cols[nearest]] + shift[i]

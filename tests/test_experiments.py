@@ -274,3 +274,34 @@ def test_cli_unparsable_config_value_exits_two(tmp_path, capsys, section, line, 
     assert code == 2
     assert err.startswith(f"config error: section [{section}], key '{key}': bad value")
     assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize("section,line,key,why", [
+    pytest.param("scheme-consistency", "a = 0, 0", "a",
+                 "must be a group point of 2n + 1 >= 3 numbers", id="a=even"),
+    pytest.param("blowup-reflection", "aprime = 1", "aprime",
+                 "must be a group point of 2n + 1 >= 3 numbers", id="aprime=short"),
+    pytest.param("scheme-consistency", "aprime = 1, 0, 0, 0, 0", "aprime",
+                 "must be as long as 'a'", id="aprime=H2"),
+])
+def test_cli_bad_start_point_exits_two(tmp_path, capsys, section, line, key, why):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{line}\n")
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "art")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: section [{section}], key '{key}': {why}\n"
+    assert not (tmp_path / "art").exists()
+
+
+def test_run_experiment_accepts_array_start_points(tmp_path):
+    small = {"n_paths": 64, "horizon": 0.05, "dt": 0.01}
+    a, ap = [0.1, 0.0, 0.2, 0.0, 0.0], [0.5, 0.0, 0.2, 0.3, 0.0]
+    exp.run_experiment("scheme-consistency", {**small, "a": a, "aprime": ap},
+                       out=tmp_path / "seq")
+    exp.run_experiment("scheme-consistency", {**small, "a": np.array(a), "aprime": np.array(ap)},
+                       out=tmp_path / "arr")
+    for fname in ("summary.csv", "report.jsonl"):
+        seq = (tmp_path / "seq" / "scheme-consistency" / fname).read_text()
+        arr = (tmp_path / "arr" / "scheme-consistency" / fname).read_text()
+        assert seq == arr

@@ -689,6 +689,22 @@ def test_density_coupling_memory_is_bounded():
     assert peak < 16 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
 
 
+def test_assignment_plan_memory_is_bounded(monkeypatch):
+    # atoms are drawn sample by sample, so no (n_samples, m_bridge) array is
+    # held; the exact solve is stubbed out, its cost matrix is O(m_bridge^2)
+    monkeypatch.setattr(stc, "_sqrt_shift_assignment",
+                        lambda x, shift: (None, np.arange(x.size)))
+    stc._law_table(1)
+    tracemalloc.start()
+    try:
+        stc.static_couple(grp.identity(1), grp.point([0.5], [0.0], 0.0), n_samples=2000,
+                          m_bridge=256, plan="assignment", seed=45)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
+
+
 # artifact bytes: SHA-256 (first 16 hex digits) of the whole
 # StaticJointSample.to_csv file text, header note fixed; a change to the CSV
 # writer must leave both unchanged.  Without a note the comment line is left out.
