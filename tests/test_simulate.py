@@ -250,7 +250,9 @@ def test_kendall_success_times_behaviour():
 # meta["clamps"] and meta["steps"], recorded with numpy 2.4.6 Philox streams
 # on x86-64.  A refactor of the engines must leave every digest unchanged; a
 # deliberate change to how the streams are consumed or to the arithmetic must
-# re-record them and say so.
+# re-record them and say so.  "skew" cases start with no zero horizontal
+# coordinate (the others start at (r0, 0, ...), so a frame component is +-0),
+# and the H^3 cases sum six terms, the most numpy's last-axis sum adds in order.
 
 _CUSTOM_K = np.array([[0.75, -0.2], [0.2, -0.2]])  # Jhat != 0, K21 != K12
 
@@ -279,6 +281,17 @@ def _digest(ens):
     return h.hexdigest()[:16]
 
 
+def _skew_start(n):
+    """Starts with R0^2 = 1 and Z0 = 0.3 whose horizontals and whose
+    difference have no zero coordinate, so no frame component starts at 0."""
+    b = np.linspace(0.3, -0.4, 2 * n)
+    d = np.linspace(1.0, 2.0, 2 * n) * (-1.0) ** np.arange(2 * n)
+    bp = b - d / np.sqrt((d**2).sum())
+    vert = 0.1
+    vert_p = vert + 0.5 * grp.symplectic(b, bp) - 0.3
+    return np.append(b, vert), np.append(bp, vert_p)
+
+
 def _golden_ensemble(case, threads, n_paths=1500):
     parts = case.split("/")
     if parts[0] == "exact":
@@ -291,6 +304,8 @@ def _golden_ensemble(case, threads, n_paths=1500):
     r0 = 0.05 if case.endswith("absorbing") else 1.0
     a = grp.identity(n)
     ap = grp.point([r0] + [0.0] * (n - 1), [0.0] * n, -0.3)
+    if case.endswith("skew"):
+        a, ap = _skew_start(n)
     return sim.simulate_ensemble(
         _POLICIES[policy](n), a, ap, T=0.3, n_paths=n_paths, dt=0.01, seed=23,
         scheme=scheme, threads=threads,
@@ -300,16 +315,29 @@ def _golden_ensemble(case, threads, n_paths=1500):
 _GOLDEN = {
     "exact/reflection": "eeb74a9afeaabd3a",
     "full/custom/n1": "bb679cfd214a1a41",
+    "full/custom/n1/skew": "71ba0334aa3d2ae8",
     "full/custom/n2": "8997f55121a50439",
+    "full/custom/n2/skew": "98f964c765119f92",
+    "full/custom/n3": "3f293abc6fdec440",
     "full/kendall/n1": "b52ba022d3c2c9d0",
+    "full/kendall/n1/skew": "96d2f0710c7c31ad",
     "full/kendall/n2": "419f2f357bb4f90f",
+    "full/kendall/n2/skew": "f02ff01c3c0408bc",
+    "full/kendall/n3": "d89b9aa827aaa9a6",
     "full/perverse/n1": "b3efbe833f983110",
+    "full/perverse/n1/skew": "cdf50c2c2b340e6d",
     "full/perverse/n2": "b3efbe833f983110",
+    "full/perverse/n2/skew": "11405549c40d7e0c",
     "full/reflection/n1": "500f2d7b8672f162",
     "full/reflection/n1/absorbing": "4f6b41432b43d83b",
+    "full/reflection/n1/skew": "f2ddb591c6eb3567",
     "full/reflection/n2": "6d35b2f0618347c7",
+    "full/reflection/n2/absorbing": "a380cb5e83fbadac",
+    "full/reflection/n2/skew": "607afa3576f7b0dc",
     "full/synchronous/n1": "5657d11ad1b1522b",
+    "full/synchronous/n1/skew": "a6225e22e09dd09e",
     "full/synchronous/n2": "8a516d0ee3373479",
+    "full/synchronous/n2/skew": "a73b09b772ab44a1",
     "reduced/custom/n1": "c8e51bea29840b4c",
     "reduced/custom/n2": "9fa0465cde755b63",
     "reduced/kendall/n1": "bb492c4d7bf6ddbf",
