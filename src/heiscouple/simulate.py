@@ -44,6 +44,14 @@ splits the blocks into one contiguous group per thread and steps each group
 as one array: every draw fills each block's rows from that block's own
 stream, and every engine operation acts path by path, so results are bitwise
 reproducible for a given (seed, n_paths) regardless of thread count.
+
+The full engine holds the horizontals as (2n, m) arrays, one contiguous row
+of m paths per coordinate, and sums 2n-term products row by row.  Each such
+sum (|D|^2, frame components, symplectic forms, the custom regime's frame
+products) goes through `_sum_terms` in the order numpy's last-axis `sum` or
+einsum adds the same terms for a path-major (m, 2n) array, so the engine's
+bits are those of the path-major form for n <= 3 (numpy sums 8 or more terms
+pairwise).  The increments are still drawn path-major, in (m, 2n) buffers.
 """
 
 import math
@@ -304,6 +312,13 @@ def _check(ok, name, val, what):
         raise ValueError(f"{name} must be {what}, got {val!r}")
 
 
+def _check_finite(name, x):
+    """Raise ValueError naming `name` unless every entry of the array x is finite."""
+    bad = x.size - np.count_nonzero(np.isfinite(x))
+    if bad:
+        raise ValueError(f"{name} must be finite, got {bad} non-finite of {x.size} values")
+
+
 def _is_integer(x):
     """A Python or numpy integer, not a bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
@@ -544,6 +559,54 @@ def _run_reduced_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps
     return rec.result(clamps)
 
 
+def _sum_terms(terms, lanes=1):
+    """t_0 + t_1 + ... over the first axis of `terms`, in one of numpy's orders.
+
+    The terms are dealt round robin into `lanes` partial sums, each starting
+    from +0.0 and adding its terms in turn; the partial sums are then added
+    in lane order.  For fewer than 8 terms, and bit for bit (signed zeros
+    included), lanes=1 is the order of numpy's last-axis `sum` and of an
+    einsum contraction over a strided axis, and lanes=2 that of an einsum
+    contraction whose operands are both contiguous along the summed axis.
+    From 8 terms on numpy sums pairwise and the last bit may differ.
+    """
+    parts = []
+    for lane in range(min(lanes, len(terms))):
+        acc = terms[lane] + 0.0
+        for t in terms[lane + lanes::lanes]:
+            acc += t
+        parts.append(acc)
+    for part in parts[1:]:
+        parts[0] += part
+    return parts[0]
+
+
+def _symplectic(u, v):
+    """grp.symplectic on (2n, m) columns, bit for bit for n < 8."""
+    n = len(u) // 2
+    return _sum_terms(u[:n] * v[n:]) - _sum_terms(u[n:] * v[:n])
+
+
+def _matvec(a_t, x, lanes=1):
+    """A x for (k, m) columns x, from a_t[j, i] = A[i, j], (k, k, 1) or (k, k, m).
+
+    Term j is A[:, j] x_j, summed by `_sum_terms` in `lanes`."""
+    return _sum_terms(a_t * x[:, None], lanes)
+
+
+def _mask(x):
+    """A path mask as True when every path is set, False when none is, else x.
+
+    np.where(x, new, old) is `new` bit for bit when x is all true, so the
+    engines skip the pass (and `new` itself when x is all false)."""
+    return True if x.all() else (x if x.any() else False)
+
+
+def _pick(mask, new, old):
+    """np.where(mask, new, old) for a `_mask` that is not False."""
+    return new if mask is True else np.where(mask, new, old)
+
+
 def _run_full_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, seed, spans):
     """Full-scheme engine.
 
@@ -559,93 +622,124 @@ def _run_full_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, s
       coordinate is rebuilt to keep Z at its starting value.
 
     Reflection and custom regimes are left genuinely stochastic.
+
+    Layout: the horizontals b, b' are (2n, m) arrays, one contiguous row of m
+    paths per coordinate, so every 2n-term reduction is a sum of whole rows.
+    The increments are drawn into (m, 2n) buffers, row by row per path as the
+    streams have always been consumed, and read through one scaled,
+    transposed copy per step.  Every sum runs through `_sum_terms` in the
+    order numpy gave the same reduction over a last axis of length 2n (its
+    `sum` for |D|^2, the frame components and the symplectic forms; einsum's
+    for the custom regime's frame products), so the output is bit for bit
+    that of a path-major (m, 2n) engine for n <= 3.
     """
     rng = _Streams(seed, spans)
     m = rng.m
     n = grp.npairs(a)
-    b = np.tile(a[:-1], (m, 1))
-    bp = np.tile(aprime[:-1], (m, 1))
+    b = np.repeat(a[:-1, None], m, axis=1)
+    bp = np.repeat(aprime[:-1, None], m, axis=1)
     vert = np.full(m, float(a[-1]))
     vert_p = np.full(m, float(aprime[-1]))
-    r2, z = relative_coordinates(b, bp, vert, vert_p)
+    r2 = _sum_terms((b - bp) ** 2)
+    z = vert - vert_p + 0.5 * _symplectic(b, bp)
     regime = policy.initial_regime(r2, z)
-    custom = cpl.REGIME_CUSTOM in policy.regimes
+    regimes = policy.regimes
+    custom = cpl.REGIME_CUSTOM in regimes
     if custom:
         K = policy.matrix_for_regime(cpl.REGIME_CUSTOM, n)
         Khat = cpl.complete_jhat(K)
         need_defect = float(np.abs(Khat).max()) > 0.0
+        K_t, Khat_t = K.T[..., None], Khat.T[..., None]
     sdt = math.sqrt(dt)
     rec = _Recorder(ck_steps, m)
     dw, dwt, u = np.empty((m, 2 * n)), np.empty((m, 2 * n)), np.empty(m)
+    dw_c, dwt_c = np.empty((2 * n, m)), np.empty((2 * n, m))
+
+    def regime_mask(code, extra=None):
+        if code not in regimes:
+            return False
+        mask = regime == code
+        return _mask(mask if extra is None else mask & extra)
 
     rec(0, r2, z)
     for k in range(1, n_steps + 1):
         regime = policy.next_regime(r2, z, regime)
         rng.normal(dw)
-        dw *= sdt
+        np.multiply(dw.T, sdt, out=dw_c)
         if custom:
             rng.normal(dwt)
-            dwt *= sdt
+            np.multiply(dwt.T, sdt, out=dwt_c)
         if absorbing:
             rng.uniform(u)
 
         d = b - bp
         r = np.sqrt(r2)
-        safe_r = np.where(r > 0.0, r, 1.0)
-        e1 = d / safe_r[..., None]
+        sync = regime_mask(cpl.REGIME_SYNC)
+        refl = regime_mask(cpl.REGIME_REFLECT, r > 0.0)
+        perv = regime_mask(cpl.REGIME_PERVERSE)
+        cust = regime_mask(cpl.REGIME_CUSTOM, r > 0.0)
+        if refl is not False or perv is not False or cust is not False:
+            e1 = d / np.where(r > 0.0, r, 1.0)
 
-        dbp = dw  # synchronous default
-        sync = regime == cpl.REGIME_SYNC
-        refl = (regime == cpl.REGIME_REFLECT) & (r > 0.0)
-        perv = regime == cpl.REGIME_PERVERSE
-        if np.any(refl):
-            comp = (e1 * dw).sum(axis=1)
-            dbp = np.where(refl[:, None], dw - 2.0 * comp[:, None] * e1, dbp)
-        if np.any(perv):
-            e2 = cpl.apply_complex_structure(e1)
-            comp2 = (e2 * dw).sum(axis=1)
-            dbp = np.where(perv[:, None], dw - 2.0 * comp2[:, None] * e2, dbp)
-        if custom:
-            cust = (regime == cpl.REGIME_CUSTOM) & (r > 0.0)
-            if np.any(cust):
-                Q = cpl._frame_from_unit(e1)
-                w = np.einsum("mij,mj->mi", np.swapaxes(Q, -1, -2), dw)
-                y = np.einsum("ij,mj->mi", K, w)
-                if need_defect:
-                    wt = np.einsum("mij,mj->mi", np.swapaxes(Q, -1, -2), dwt)
-                    y = y + np.einsum("ij,mj->mi", Khat, wt)
-                dbp = np.where(cust[:, None], np.einsum("mij,mj->mi", Q, y), dbp)
+        dbp = dw_c  # synchronous default
+        if refl is not False:
+            comp = _sum_terms(e1 * dw_c)
+            dbp = _pick(refl, dw_c - 2.0 * comp * e1, dbp)
+        if perv is not False:
+            e2 = np.concatenate([-e1[n:], e1[:n]])  # M e1
+            comp2 = _sum_terms(e2 * dw_c)
+            dbp = _pick(perv, dw_c - 2.0 * comp2 * e2, dbp)
+        if cust is not False:
+            # dbp = Q (K Q^T dw + Khat Q^T dwt); in the path-major (m, 2n, 2n)
+            # frame Q^T's rows are strided and Q's contiguous, hence the lanes
+            q_t = np.ascontiguousarray(
+                cpl._frame_from_unit(np.ascontiguousarray(e1.T)).transpose(1, 2, 0))
+            y = _matvec(K_t, _matvec(q_t, dw_c), lanes=2)
+            if need_defect:
+                y += _matvec(Khat_t, _matvec(q_t, dwt_c), lanes=2)
+            dbp = _pick(cust, _matvec(q_t.transpose(1, 0, 2), y, lanes=2), dbp)
 
         rec.accumulate(coef, regime, r2, dt)
 
-        vert = vert + 0.5 * grp.symplectic(b, dw)
-        vert_p = vert_p + 0.5 * grp.symplectic(bp, dbp)
-        b = b + dw
-        bp = bp + dbp
-
-        if np.any(sync):
+        vert = vert + 0.5 * _symplectic(b, dw_c)
+        vert_p = vert_p + 0.5 * _symplectic(bp, dbp)
+        b += dw_c
+        if sync is True:
             # keep D bitwise constant (same Euler map, rounding-stable form)
-            bp = np.where(sync[:, None], b - d, bp)
-        if np.any(perv):
+            bp = b - d
+        else:
+            bp = bp + dbp
+            if sync is not False:
+                bp = np.where(sync, b - d, bp)
+        if perv is not False:
             dtil = b - bp
-            nrm2 = (dtil**2).sum(axis=1)
+            nrm2 = _sum_terms(dtil**2)
             tgt = r2 + 4.0 * dt
             scale = np.sqrt(tgt / np.where(nrm2 > 0.0, nrm2, 1.0))
-            bp = np.where(perv[:, None], b - dtil * scale[:, None], bp)
-            vert_p = np.where(
-                perv, vert + 0.5 * grp.symplectic(b, bp) - z, vert_p
-            )
+            bp = _pick(perv, b - dtil * scale, bp)
+        omega = _symplectic(b, bp)
+        if perv is not False:
+            vert_p = _pick(perv, vert + 0.5 * omega - z, vert_p)
+        if perv is True:
+            r2 = tgt  # and Z stays as it is
+        else:
+            zz = vert - vert_p + 0.5 * omega
+            if sync is not True:
+                rr = _sum_terms((b - bp) ** 2)
+                r2 = rr if sync is False else np.where(sync, r2, rr)
+            if perv is not False:
+                r2 = np.where(perv, tgt, r2)
+                zz = np.where(perv, z, zz)
+            z = zz
 
-        rr, zz = relative_coordinates(b, bp, vert, vert_p)
-        r2 = np.where(perv, r2 + 4.0 * dt, np.where(sync, r2, rr))
-        z = np.where(perv, z, zz)
-
-        if absorbing and np.any(refl):
+        if absorbing and refl is not False:
             # radial walk is exactly linear under reflection; apply the
             # bridge-crossing absorption so R/2 is a true absorbed BM
-            hit = refl & _bridge_hit(r, r + 2.0 * comp, dt, u)
+            hit = _bridge_hit(r, r + 2.0 * comp, dt, u)
+            if refl is not True:
+                hit &= refl
             if np.any(hit):
-                bp = np.where(hit[:, None], b, bp)
+                bp = np.where(hit, b, bp)
                 vert_p = np.where(hit, vert - z, vert_p)
                 r2 = np.where(hit, 0.0, r2)
                 rec.absorbed_at[hit & np.isnan(rec.absorbed_at)] = (k - 0.5) * dt

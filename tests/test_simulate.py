@@ -474,6 +474,38 @@ def test_step_full_matches_full_engine(n):
         np.testing.assert_allclose(ens.z[k], [st.z for st in states], rtol=1e-12, atol=1e-12)
 
 
+def _signed_terms(rng, shape):
+    """Normals over 60 orders of magnitude, a third of them +0.0 or -0.0, so
+    a sum in the wrong grouping or with the wrong sign of zero shows."""
+    x = rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
+    zero = rng.random(shape) < 0.3
+    x[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    return x
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_sum_terms_matches_numpy_sum_and_einsum_bit_for_bit(k):
+    # the full engine sums rows of (2n, m) columns where a path-major engine
+    # summed a last axis: the two must round, and sign zeros, alike
+    rng = np.random.default_rng(k)
+    m = 1024
+    x = _signed_terms(rng, (m, k))
+    x[:8] = -0.0  # rows of negative zeros only
+    x[8:16, 0] = -0.0
+    bits = lambda v: np.ascontiguousarray(v).view(np.int64)  # noqa: E731
+    assert np.array_equal(bits(sim._sum_terms(x.T)), bits(x.sum(axis=-1)))
+    q = _signed_terms(rng, (m, k, k))
+    q_t = np.ascontiguousarray(q.transpose(1, 2, 0))  # q_t[j, i] = q[:, j, i]
+    # Q^T x reads Q along a strided axis, Q x and K x along a contiguous one
+    assert np.array_equal(bits(sim._matvec(q_t, x.T)),
+                          bits(np.einsum("mij,mj->mi", np.swapaxes(q, -1, -2), x).T))
+    assert np.array_equal(bits(sim._matvec(q_t.transpose(1, 0, 2), x.T, lanes=2)),
+                          bits(np.einsum("mij,mj->mi", q, x).T))
+    K = q[0]
+    assert np.array_equal(bits(sim._matvec(K.T[..., None], x.T, lanes=2)),
+                          bits(np.einsum("ij,mj->mi", K, x).T))
+
+
 # ---------------------------------------------------------------------------
 # input contract of the ensemble runners
 
