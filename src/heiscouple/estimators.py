@@ -14,7 +14,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import ndtr, ndtri
 
 from heiscouple import group as grp
-from heiscouple.simulate import philox_stream
+from heiscouple.simulate import _check, _check_finite, philox_stream
 
 
 @dataclass
@@ -157,9 +157,10 @@ def empirical_wasserstein(samples1, samples2, p=1.0, metric=None, max_n=512):
     including the concave range p < 1 where sorted matching is not optimal.
 
     Args:
-        samples1, samples2: arrays (m,) of reals, or (m, 2n+1) of group
-            points (then d is the group quasidistance unless `metric` given).
-        p: cost exponent, p > 0.
+        samples1, samples2: finite arrays (m,) of reals, or (m, 2n+1) of
+            group points (then d is the group quasidistance unless `metric`
+            given).
+        p: cost exponent, positive and finite.
         metric: optional callable metric(x_block, y_block) -> (m, m) costs.
 
     Returns:
@@ -172,8 +173,9 @@ def empirical_wasserstein(samples1, samples2, p=1.0, metric=None, max_n=512):
     m = x.shape[0]
     if m > max_n:
         raise ValueError(f"exact assignment limited to {max_n} samples, got {m}")
-    if p <= 0:
-        raise ValueError("p must be positive")
+    _check(0.0 < p < math.inf, "p", p, "positive and finite")
+    _check_finite("samples1", x)
+    _check_finite("samples2", y)
     if metric is not None:
         dmat = metric(x, y)
     elif x.ndim == 1:

@@ -53,7 +53,8 @@ from scipy.special import ndtri
 from heiscouple import group as grp
 from heiscouple.coupling import _frame_from_unit
 from heiscouple.simulate import (
-    _check, _check_starts, _csv_rows, _is_integer, _write_csv_rows, philox_stream,
+    _check, _check_finite, _check_starts, _csv_rows, _is_integer, _write_csv_rows,
+    philox_stream,
 )
 
 # Standardized Fourier grid for conditional vertical densities: frequencies
@@ -279,8 +280,9 @@ def conditional_vertical_density(z, b, t=1.0):
         Densities with the shape of z.
     """
     b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.size % 2:
-        raise ValueError("b must be a single horizontal endpoint (2n,)")
+    if b.ndim != 1 or b.size == 0 or b.size % 2:
+        raise ValueError(f"b must be a single horizontal endpoint (2n,) with n >= 1, "
+                         f"got shape {b.shape}")
     _check(np.all(np.isfinite(b)), "b", b, "finite")
     _check_horizon(t)
     z = np.asarray(z, dtype=float)
@@ -575,7 +577,7 @@ def transport_cost_sqrt_1d(samples, shift, max_n=512):
 
     Solves the assignment between {x_i} and {x_i + shift} for the concave
     cost sqrt|dx| (sorted matching is not optimal for concave costs) and
-    returns the mean matched cost.
+    returns the mean matched cost.  `samples` and `shift` must be finite.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
@@ -584,5 +586,7 @@ def transport_cost_sqrt_1d(samples, shift, max_n=512):
         raise ValueError(f"exact assignment limited to {max_n} samples")
     if x.size == 0:
         raise ValueError("empty sample")
+    _check_finite("samples", x)
+    _check(np.all(np.isfinite(shift)), "shift", shift, "finite")
     matched, _ = _sqrt_shift_assignment(x, shift)
     return float(matched.mean())

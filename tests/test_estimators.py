@@ -119,6 +119,14 @@ def test_empirical_wasserstein_guards():
         est.empirical_wasserstein(np.zeros(600), np.zeros(600))
     with pytest.raises(ValueError):
         est.empirical_wasserstein(np.zeros(3), np.zeros(4))
+    for p in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^p must be positive and finite"):
+            est.empirical_wasserstein(np.zeros(3), np.ones(3), p=p)
+    nan_points = np.full((3, 3), np.nan)
+    with pytest.raises(ValueError, match="^samples1 must be finite"):
+        est.empirical_wasserstein(nan_points, np.zeros((3, 3)), p=0.5)
+    with pytest.raises(ValueError, match="^samples2 must be finite"):
+        est.empirical_wasserstein(np.zeros(3), np.array([0.0, np.inf, 1.0]))
 
 
 def test_a_p_constant_against_quadrature():

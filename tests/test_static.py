@@ -152,6 +152,7 @@ def test_law_table_retains_little_and_is_built_lazily():
     pytest.param("t", {"t": -1.0}, id="t=-1"),
     pytest.param("t", {"t": 0.0}, id="t=0"),
     pytest.param("b", {"b": np.array([np.nan, 0.3])}, id="b=nan"),
+    pytest.param("b", {"b": np.zeros(0)}, id="b=empty"),
 ])
 def test_conditional_density_rejects_bad_input(arg, kw):
     kw = {"z": np.zeros(2), "b": np.array([0.5, 0.3]), **kw}
@@ -451,6 +452,11 @@ def test_transport_cost_sqrt_1d_brute_force():
         stc.transport_cost_sqrt_1d(np.zeros(600), 0.1)
     with pytest.raises(ValueError, match="empty"):
         stc.transport_cost_sqrt_1d(np.zeros(0), 0.1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^samples must be finite"):
+            stc.transport_cost_sqrt_1d(np.array([bad, 1.0]), 0.1)
+        with pytest.raises(ValueError, match="^shift must be finite"):
+            stc.transport_cost_sqrt_1d(np.array([0.0, 1.0]), bad)
 
 
 def test_sorted_matching_suboptimal_for_sqrt_cost():
