@@ -483,6 +483,10 @@ def _signed_terms(rng, shape):
     return x
 
 
+def _bits(v):
+    return np.ascontiguousarray(v).view(np.int64)
+
+
 @pytest.mark.parametrize("k", range(1, 8))
 def test_sum_terms_matches_numpy_sum_and_einsum_bit_for_bit(k):
     # the full engine sums rows of (2n, m) columns where a path-major engine
@@ -492,18 +496,17 @@ def test_sum_terms_matches_numpy_sum_and_einsum_bit_for_bit(k):
     x = _signed_terms(rng, (m, k))
     x[:8] = -0.0  # rows of negative zeros only
     x[8:16, 0] = -0.0
-    bits = lambda v: np.ascontiguousarray(v).view(np.int64)  # noqa: E731
-    assert np.array_equal(bits(sim._sum_terms(x.T)), bits(x.sum(axis=-1)))
+    assert np.array_equal(_bits(sim._sum_terms(x.T)), _bits(x.sum(axis=-1)))
     q = _signed_terms(rng, (m, k, k))
     q_t = np.ascontiguousarray(q.transpose(1, 2, 0))  # q_t[j, i] = q[:, j, i]
     # Q^T x reads Q along a strided axis, Q x and K x along a contiguous one
-    assert np.array_equal(bits(sim._matvec(q_t, x.T)),
-                          bits(np.einsum("mij,mj->mi", np.swapaxes(q, -1, -2), x).T))
-    assert np.array_equal(bits(sim._matvec(q_t.transpose(1, 0, 2), x.T, lanes=2)),
-                          bits(np.einsum("mij,mj->mi", q, x).T))
+    assert np.array_equal(_bits(sim._matvec(q_t, x.T)),
+                          _bits(np.einsum("mij,mj->mi", np.swapaxes(q, -1, -2), x).T))
+    assert np.array_equal(_bits(sim._matvec(q_t.transpose(1, 0, 2), x.T, lanes=2)),
+                          _bits(np.einsum("mij,mj->mi", q, x).T))
     K = q[0]
-    assert np.array_equal(bits(sim._matvec(K.T[..., None], x.T, lanes=2)),
-                          bits(np.einsum("ij,mj->mi", K, x).T))
+    assert np.array_equal(_bits(sim._matvec(K.T[..., None], x.T, lanes=2)),
+                          _bits(np.einsum("ij,mj->mi", K, x).T))
 
 
 # ---------------------------------------------------------------------------
