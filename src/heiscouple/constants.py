@@ -4,6 +4,8 @@ Tightening or loosening a gate should be a one-line diff that reviewers can
 see, not a hunt through call sites.
 """
 
+import math
+
 # algebraic identities (group ops are exact arithmetic up to roundoff)
 ALGEBRA_TOL = 1e-12
 
@@ -37,3 +39,11 @@ KENDALL_SUCCESS_DH = 1e-3
 # contiguous group of whole blocks as one array, each block's rows drawn from
 # its own stream, so output is independent of thread count
 RNG_BLOCK = 1024
+
+# exact reflection runner: a step of R/2 from r/2 to rn/2 > 0 over dt crossed 0
+# with probability exp(-x), x = r rn / (2 dt).  Past x = 53 ln 2 that is below
+# 2**-53, the smallest nonzero gap of a 53-bit uniform u in [0, 1), so the rule
+# "hit iff u < exp(-x)" can then only fire on u == 0.0.  The runner draws no u
+# there and calls the step a miss, changing the law by at most 2**-53 per
+# step.  Derived from the uniform's resolution, not a tuning knob.
+CROSSING_CUT = 53.0 * math.log(2.0)

@@ -65,6 +65,7 @@ from heiscouple import coupling as cpl
 from heiscouple import group as grp
 from heiscouple.constants import (
     CLAMP_TOL,
+    CROSSING_CUT,
     DEFAULT_DT,
     KENDALL_SUCCESS_DH,
     RNG_BLOCK,
@@ -425,8 +426,8 @@ class _Recorder:
                              ("drift_int", self.drift_int)):
                 self.out[key][i] = val
 
-    def result(self, clamps=0):
-        return dict(self.out, absorbed_at=self.absorbed_at, clamps=clamps)
+    def result(self, clamps=0, **counts):
+        return dict(self.out, absorbed_at=self.absorbed_at, clamps=clamps, **counts)
 
 
 class _Streams:
@@ -443,6 +444,7 @@ class _Streams:
         self.rows = [(philox_stream(seed, block), lo - base, hi - base)
                      for block, lo, hi in spans]
         self.m = spans[-1][2] - base
+        self.bounds = np.array([lo for _, lo, _ in self.rows] + [self.m])
 
     def normal(self, out):
         for rng, lo, hi in self.rows:
@@ -451,6 +453,14 @@ class _Streams:
     def uniform(self, out):
         for rng, lo, hi in self.rows:
             rng.random(out[lo:hi].shape, out=out[lo:hi])
+
+    def uniform_at(self, idx, out):
+        """One uniform per row of the ascending row indices `idx`, into
+        out[:len(idx)]: each block draws for its own rows, in row order."""
+        cuts = np.searchsorted(idx, self.bounds)
+        for (rng, _, _), a, b in zip(self.rows, cuts[:-1], cuts[1:]):
+            if b > a:
+                rng.random(b - a, out=out[a:b])
 
 
 def _check_threads(threads):
@@ -466,9 +476,9 @@ def _run_groups(run, n_paths, threads):
     numpy rounds a one-element complex product (the full engine's frame on
     H^1) unlike the same product inside a wider array, and alone that path
     gets the same bits at every thread count.  `run` returns per-path arrays
-    (path axis last) and an int "clamps".  The arrays are joined in block
-    order and the clamps summed, so the result does not depend on `threads`.
-    Returns (arrays, clamps).
+    (path axis last) and int counts ("clamps" and any others).  The arrays
+    are joined in block order and each count summed, so the result does not
+    depend on `threads`.  Returns (arrays, counts).
     """
     spans = list(_blocks(n_paths))
     lone = len(spans) > 1 and spans[-1][2] - spans[-1][1] == 1
@@ -478,17 +488,19 @@ def _run_groups(run, n_paths, threads):
     if lone:
         groups.append(spans[-1:])
     if len(groups) == 1:
-        arrays = run(spans)
-        return arrays, arrays.pop("clamps")
-    if threads > 1:
+        results = [run(spans)]
+    elif threads > 1:
         with ThreadPoolExecutor(max_workers=min(threads, len(groups))) as ex:
             results = list(ex.map(run, groups))
     else:
         results = [run(group) for group in groups]
-    clamps = sum(res.pop("clamps") for res in results)
+    counts = {key: sum(res.pop(key) for res in results)
+              for key, val in list(results[0].items()) if isinstance(val, int)}
+    if len(results) == 1:
+        return results[0], counts
     arrays = {key: np.concatenate([res[key] for res in results], axis=-1)
               for key in results[0]}
-    return arrays, clamps
+    return arrays, counts
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +812,8 @@ def simulate_ensemble(
     absorbing = policy.kind == "reflection"  # absorbed at R = 0, then latched
     run = partial(engine, policy, _coefficient_tables(policy, n), absorbing,
                   a, aprime, n_steps, dt, ck_steps, seed)
-    arrays, clamps = _run_groups(run, n_paths, threads)
+    arrays, counts = _run_groups(run, n_paths, threads)
+    clamps = counts["clamps"]
     steps = n_steps * n_paths
     return PathEnsemble(
         times=ck_steps * dt,
@@ -832,19 +845,38 @@ def simulate_reflection_exact(
 ):
     """Reflection coupling without Euler bias in the radial part.
 
-    Under reflection, R/2 is a standard BM absorbed at 0, so R is sampled
-    exactly on a geometrically refined grid (relative spacing `delta`) with
-    bridge-crossing absorption; the crossing time is recorded mid-step.  The
-    vertical part integrates dZ = R dCt with a trapezoid rule for the
-    conditional variance int R^2 ds over each cell.  Checkpoints must be
-    finite and >= 0; those past T are recorded at T.  `r0` and `T` must be
-    finite and >= 0, `z0` finite, `delta` and `t_first` finite and > 0.
-    `threads` must be an integer >= 1; each thread steps one contiguous group
-    of RNG blocks as one array, and the output does not depend on their
-    number.
+    Under reflection, R/2 is a standard BM absorbed at 0 and dZ = R dCt with
+    Ct a BM independent of R.  The reflection matrix has the same reduced
+    coefficients on every H^n (var_r = var_z = drift_r = 4, the others 0),
+    so the (R^2, Z) law sampled here is the reflection coupling's on every
+    H^n.  R is sampled exactly on a geometrically refined grid (first cell
+    `t_first`, then relative spacing `delta`, every checkpoint a grid point).
+    Each RNG block draws from its own stream, for its own rows, per cell:
 
-    Returns a PathEnsemble whose absorbed_at carries the hitting times
-    (NaN when R survives past T).
+    * radial: one normal g per path, absorbed paths included, and
+      rn = r + 2 sqrt(dt) g; absorbed paths stay at 0;
+    * crossing: an alive path with rn <= 0 hits 0.  One with rn > 0 crossed
+      with the Brownian-bridge probability exp(-x), x = r rn / (2 dt): it
+      draws one uniform u, in path order, and hits iff u < exp(-x), but only
+      while r rn < 2 dt CROSSING_CUT.  Past that cut exp(-x) < 2**-53, which
+      a 53-bit uniform undercuts only at u == 0.0, so the path misses
+      without a draw.  A hit is recorded mid-cell;
+    * vertical: given the R path the cell increments of Z are independent
+      centred normals of variance (r^2 + rn^2)/2 dt (the trapezoid rule for
+      int R^2 ds).  Their sum over a checkpoint interval is drawn at the
+      checkpoint as one normal per path, scaled by the root of the summed
+      variance, and qv gains that sum.
+
+    Checkpoints must be finite and >= 0; those past T are recorded at T.
+    `r0` and `T` must be finite and >= 0, `z0` finite, `delta` and `t_first`
+    finite and > 0.  `threads` must be an integer >= 1; each thread steps
+    one contiguous group of RNG blocks as one array, and the output does not
+    depend on their number.
+
+    Returns a PathEnsemble whose absorbed_at carries the hitting times (NaN
+    when R survives past T).  Its meta counts the path-cells stepped
+    ("cells"), the uniforms drawn ("crossing_draws") and the absorbed paths
+    ("absorbed").
     """
     _check_threads(threads)
     _check_run_args(n_paths, checkpoints)
@@ -862,35 +894,59 @@ def simulate_reflection_exact(
     grid = np.array(sorted(set(grid) | set(checkpoints)))
     grid = grid[grid <= T]
     ck_idx = np.searchsorted(grid, np.asarray(checkpoints, dtype=float))
+    draw_z = set(ck_idx.tolist()) - {0}
     dts = np.diff(grid)
 
     def run(spans):
         rng = _Streams(seed, spans)
         m = rng.m
-        r = np.full(m, float(r0))
-        r2 = r**2
+        r, rn = np.full(m, float(r0)), np.empty(m)
+        r2, rn2 = r * r, np.empty(m)
         z = np.full(m, float(z0))
         rec = _Recorder(ck_idx, m)
-        g, u, gz = np.empty(m), np.empty(m), np.empty(m)
+        alive, live = np.ones(m), np.ones(m, dtype=bool)  # 1.0 / True until R hits 0
+        g, u, x, near = np.empty(m), np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+        var = np.zeros(m)  # variance of Z's increment since the last checkpoint
+        draws = 0
         rec(0, r2, z)
         for j, dtj in enumerate(dts):
             rng.normal(g)
-            rng.uniform(u)
-            rng.normal(gz)
-            alive = np.isnan(rec.absorbed_at)
-            rn = r + 2.0 * math.sqrt(dtj) * g
-            hit = alive & _bridge_hit(r, rn, dtj, u)
-            rn = np.where(alive, np.where(hit, 0.0, rn), 0.0)
-            rn2 = rn**2
-            var_z = (r2 + rn2) / 2.0 * dtj
-            z = z + np.sqrt(var_z) * gz
-            rec.qv += var_z
-            rec.absorbed_at[hit] = grid[j] + dtj / 2.0
-            r, r2 = rn, rn2
+            np.multiply(g, 2.0 * math.sqrt(dtj), out=rn)
+            rn *= alive
+            rn += r
+            np.multiply(r, rn, out=x)
+            np.less(x, 2.0 * dtj * CROSSING_CUT, out=near)
+            near &= live
+            idx = np.flatnonzero(near)
+            if idx.size:
+                up = rn[idx] > 0.0
+                hit, drawn = idx[~up], idx[up]
+                if drawn.size:
+                    c = drawn.size
+                    rng.uniform_at(drawn, u)
+                    draws += c
+                    crossed = u[:c] < np.exp(-x[drawn] / (2.0 * dtj))
+                    hit = np.concatenate([hit, drawn[crossed]])
+                rn[hit] = 0.0
+                alive[hit] = 0.0
+                live[hit] = False
+                rec.absorbed_at[hit] = grid[j] + dtj / 2.0
+            np.multiply(rn, rn, out=rn2)
+            np.add(r2, rn2, out=x)
+            x *= dtj / 2.0
+            var += x
+            r, rn, r2, rn2 = rn, r, rn2, r2
+            if j + 1 in draw_z:
+                rng.normal(g)
+                np.sqrt(var, out=x)
+                x *= g
+                z += x
+                rec.qv += var
+                var[:] = 0.0
             rec(j + 1, r2, z)
-        return rec.result()
+        return rec.result(crossing_draws=draws)
 
-    arrays, clamps = _run_groups(run, n_paths, threads)
+    arrays, counts = _run_groups(run, n_paths, threads)
     return PathEnsemble(
         times=grid[ck_idx],
         **arrays,
@@ -898,10 +954,12 @@ def simulate_reflection_exact(
             "policy": "reflection",
             "scheme": "exact-radial",
             "seed": seed,
-            "n": 1,
             "n_paths": n_paths,
             "delta": delta,
-            "clamps": clamps,
+            "cells": n_paths * len(dts),
+            "crossing_draws": counts["crossing_draws"],
+            "absorbed": int(np.isfinite(arrays["absorbed_at"]).sum()),
+            "clamps": counts["clamps"],
             "clamp_fraction": 0.0,
         },
     )

@@ -313,7 +313,7 @@ def _golden_ensemble(case, threads, n_paths=1500):
 
 
 _GOLDEN = {
-    "exact/reflection": "eeb74a9afeaabd3a",
+    "exact/reflection": "59bb9625dea94917",
     "full/custom/n1": "bb679cfd214a1a41",
     "full/custom/n1/skew": "71ba0334aa3d2ae8",
     "full/custom/n2": "8997f55121a50439",
@@ -362,7 +362,7 @@ def test_golden_digests(case, threads):
 # into uneven groups of 1, 2 and 2 blocks
 _WIDE_PATHS = 4500
 _WIDE_GOLDEN = {
-    "exact/reflection": "dc128b23d6349bdf",
+    "exact/reflection": "404dccadf7bd8529",
     "full/custom/n1": "e303ec01ba8ae83a",
     "full/kendall/n1": "1cd8d16cdccdcfe5",
     "full/reflection/n1/absorbing": "5a09d7296ac3f444",
@@ -422,10 +422,23 @@ def test_block_streams_are_keyed_once_and_draw_their_own_rows(monkeypatch, case)
     per_block = {block: [] for block, _, _ in spans}
     for block, method, rows, out_rows in log:
         per_block[block].append((method, rows, out_rows))
-    first = [draw[0] for draw in per_block[0]]
-    for block, lo, hi in spans:
-        assert [draw[0] for draw in per_block[block]] == first
-        assert {draw[1:] for draw in per_block[block]} == {(hi - lo, hi - lo)}
+    if case.startswith("exact"):
+        # normals fill the whole block; a uniform is drawn only for the
+        # block's paths near 0, so each draw takes between 1 and all its rows
+        n_normals = sum(draw[0] == "standard_normal" for draw in per_block[0])
+        for block, lo, hi in spans:
+            normals = [draw[1:] for draw in per_block[block] if draw[0] == "standard_normal"]
+            uniforms = [draw[1:] for draw in per_block[block] if draw[0] == "random"]
+            assert len(normals) == n_normals and set(normals) == {(hi - lo, hi - lo)}
+            assert all(rows == out_rows and 1 <= rows <= hi - lo for rows, out_rows in uniforms)
+            assert len(normals) + len(uniforms) == len(per_block[block])
+        drawn = sum(rows for _, method, rows, _ in log if method == "random")
+        assert 0 < drawn == ens.meta["crossing_draws"]
+    else:
+        first = [draw[0] for draw in per_block[0]]
+        for block, lo, hi in spans:
+            assert [draw[0] for draw in per_block[block]] == first
+            assert {draw[1:] for draw in per_block[block]} == {(hi - lo, hi - lo)}
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +687,9 @@ def _csv_ensemble(case):
 
 _CSV_GOLDEN = {
     "exact/0": "f898184347fb2edc",
-    "exact/1": "19c5a28eaf28f039",
-    "exact/5": "2a4d2a0a6d547948",
-    "exact/all": "9ead184b97f6cd42",
+    "exact/1": "ce84241d91f9e05f",
+    "exact/5": "69a3037e682e99bf",
+    "exact/all": "df15e6d087d17011",
     "full-kendall/0": "f898184347fb2edc",
     "full-kendall/1": "27fae285ec2a01a2",
     "full-kendall/5": "9702e98ae4db5e61",
