@@ -262,9 +262,11 @@ def _run_reflection_hitting(p, threads):
     hit = np.isfinite(tau)
     # KS of absorbed times against the hitting law conditioned on tau <= T
     ft = est.hitting_cdf(p["horizon"], p["r0"])
-    res = kstest(tau[hit], lambda u: est.hitting_cdf(u, p["r0"]) / ft)
+    # with no absorbed path there is no law to test: a failed, NaN check
+    ks = (kstest(tau[hit], lambda u: est.hitting_cdf(u, p["r0"]) / ft).statistic
+          if hit.any() else float("nan"))
     checks = [
-        _check("tau_ks_statistic", res.statistic, res.statistic < 0.01),
+        _check("tau_ks_statistic", ks, ks < 0.01),
         _check("absorbed_fraction_vs_cdf",
                float(hit.mean()),
                abs(hit.mean() - ft) <= 3 * math.sqrt(ft * (1 - ft) / p["n_paths"]),
@@ -273,7 +275,7 @@ def _run_reflection_hitting(p, threads):
     rows = [
         (p["horizon"], "absorbed_fraction", float(hit.mean()),
          math.sqrt(ft * (1 - ft) / p["n_paths"]), p["n_paths"]),
-        (float("nan"), "tau_ks_statistic", float(res.statistic), float("nan"), int(hit.sum())),
+        (float("nan"), "tau_ks_statistic", float(ks), float("nan"), int(hit.sum())),
     ]
     return checks, rows, ens
 
@@ -530,6 +532,9 @@ def _validate_params(section, params):
     for key in ("checkpoints", "offsets"):
         if key in params and (len(params[key]) == 0 or any(v <= 0 for v in params[key])):
             raise ConfigError(f"section [{section}], key {key!r}: needs positive entries")
+    if section == "reflection-exponents" and len(set(params["checkpoints"])) < 3:
+        raise ConfigError(f"section [{section}], key 'checkpoints': needs at least 3 distinct "
+                          "times for the power-law fit")
     if "a" in params:  # start points on one H^n; empty means the default on H^1
         dims = [len(params[key]) or 3 for key in ("a", "aprime")]
         for key, d in zip(("a", "aprime"), dims):

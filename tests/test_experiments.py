@@ -1,6 +1,7 @@
 """Experiment registry, config parsing, artifacts, and the CLI."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -305,3 +306,31 @@ def test_run_experiment_accepts_array_start_points(tmp_path):
         seq = (tmp_path / "seq" / "scheme-consistency" / fname).read_text()
         arr = (tmp_path / "arr" / "scheme-consistency" / fname).read_text()
         assert seq == arr
+
+
+@pytest.mark.parametrize("line", ["checkpoints = 0.5, 1", "checkpoints = 1, 2, 1, 2"])
+def test_reflection_exponents_needs_three_distinct_checkpoints(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[reflection-exponents]\nn_paths = 64\n{line}\n")
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "art")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("config error: section [reflection-exponents], key 'checkpoints': "
+                   "needs at least 3 distinct times for the power-law fit\n")
+    assert not (tmp_path / "art").exists()
+    with pytest.raises(exp.ConfigError, match="'checkpoints'"):
+        exp.run_experiment("reflection-exponents", {"n_paths": 64, "checkpoints": (0.5, 1.0)},
+                           out=tmp_path / "api")
+
+
+def test_reflection_hitting_with_no_absorbed_path_fails_its_ks_check(tmp_path):
+    params = {"r0": 10.0, "horizon": 0.01, "n_paths": 10}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok, checks = exp.run_experiment("reflection-hitting", params, out=tmp_path)
+    by_name = {c.quantity: c for c in checks}
+    ks = by_name["tau_ks_statistic"]
+    assert not ok and not ks.ok and np.isnan(ks.value)
+    assert by_name["absorbed_fraction_vs_cdf"].value == 0.0
+    report = (tmp_path / "reflection-hitting" / "report.jsonl").read_text().splitlines()
+    assert json.loads(report[0])["value"] is None
