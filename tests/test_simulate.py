@@ -7,12 +7,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import kstest
 
 from heiscouple import coupling as cpl
 from heiscouple import estimators as est
 from heiscouple import group as grp
 from heiscouple import simulate as sim
+from heiscouple.constants import CROSSING_CUT
 
 
 def test_philox_stream_keying():
@@ -205,6 +207,38 @@ def test_exact_reflection_threads_and_z0():
     assert np.array_equal(one.r2, four.r2)
     # Z is a centred perturbation of its start
     assert abs(one.z[-1].mean() - 0.7) < 3 * one.z[-1].std(ddof=1) / math.sqrt(1500)
+    # the run's counts are summed over groups
+    counts = ("cells", "crossing_draws", "absorbed")
+    assert [one.meta[k] for k in counts] == [four.meta[k] for k in counts]
+    assert one.meta["absorbed"] == np.isfinite(one.absorbed_at).sum() > 0
+
+
+def test_exact_reflection_vertical_is_gaussian_given_r():
+    # given the R path, Z - z0 is a centred normal of variance qv, the
+    # summed trapezoid variance: E[(Z - z0)^2] = E[qv], and (Z - z0)/sqrt(qv)
+    # is a standard normal whatever R did.  qv itself estimates int R^2 ds,
+    # whose mean is r0^2 t + 4 int_0^t (t - u) P(tau > u) du, as
+    # E[R_s^2] = r0^2 + 4 E[s ^ tau] for R/2 a Brownian motion absorbed at 0
+    z0, n = 0.3, 20000
+    ens = sim.simulate_reflection_exact(
+        r0=1.0, T=4.0, n_paths=n, z0=z0, seed=21, checkpoints=[0.01, 0.25, 1.0, 4.0],
+    )
+    for t, z, qv in zip(ens.times, ens.z, ens.qv):
+        d = (z - z0) ** 2 - qv
+        assert abs(d.mean()) < 3 * d.std(ddof=1) / math.sqrt(n)
+        assert kstest((z - z0) / np.sqrt(qv), "norm").pvalue > 1e-3
+        mean = t + 4.0 * quad(lambda u: (t - u) * (1.0 - est.hitting_cdf(u, 1.0)), 0.0, t)[0]
+        assert abs(qv.mean() - mean) < 3 * qv.std(ddof=1) / math.sqrt(n)
+
+
+def test_reflection_reduced_coefficients_do_not_depend_on_n():
+    # the exact runner samples (R^2, Z) with no n: it stands for every H^n
+    # because the reflection matrix's reduced coefficients are n-free
+    pol = cpl.reflection_policy()
+    co = [{key: float(val) for key, val in cpl.reduced_coefficients(
+        pol.matrix_for_regime(cpl.REGIME_REFLECT, n)).items()} for n in (1, 2, 3)]
+    assert co[0] == co[1] == co[2]
+    assert co[0] == {"var_r": 4.0, "var_z": 4.0, "rho": 0.0, "drift_r": 4.0, "drift_z": 0.0}
 
 
 def test_to_csv_deterministic_and_capped(tmp_path):
@@ -439,6 +473,45 @@ def test_block_streams_are_keyed_once_and_draw_their_own_rows(monkeypatch, case)
         for block, lo, hi in spans:
             assert [draw[0] for draw in per_block[block]] == first
             assert {draw[1:] for draw in per_block[block]} == {(hi - lo, hi - lo)}
+
+
+def test_exact_reflection_draws_no_uniform_past_the_crossing_cut(monkeypatch):
+    # every grid time is a checkpoint, so a cell draws its radial normal, the
+    # uniforms of its paths near 0 and its vertical normal, and R is seen at
+    # both ends of every cell; r0 = 2 keeps the first cells far past the cut
+    t_first, delta, T, m = 1e-4, 1.0 / 64.0, 1.0, 1000
+    grid = [0.0, t_first]
+    while grid[-1] < T:
+        grid.append(min(grid[-1] * (1.0 + delta), T))
+    log, real = [], sim.philox_stream
+    monkeypatch.setattr(sim, "philox_stream",
+                        lambda seed, block: _CountingStream(real(seed, block), block, log))
+    ens = sim.simulate_reflection_exact(r0=2.0, T=T, n_paths=m, seed=4, delta=delta,
+                                        t_first=t_first, checkpoints=grid)
+    assert np.array_equal(ens.times, grid)
+    draws, pos = [], 0
+    for _ in range(len(grid) - 1):
+        assert log[pos][1:] == ("standard_normal", m, m)
+        k = log[pos + 1][2] if log[pos + 1][1] == "random" else 0
+        pos += 2 if k else 1
+        assert log[pos][1:] == ("standard_normal", m, m)
+        pos += 1
+        draws.append(k)
+    assert pos == len(log) and sum(draws) == ens.meta["crossing_draws"]
+
+    r, tau, dts = np.sqrt(ens.r2), ens.absorbed_at, np.diff(grid)
+    quiet, cut = 0, CROSSING_CUT
+    for j, k in enumerate(draws):
+        alive = ~(tau < grid[j])
+        hit = alive & (tau < grid[j + 1])
+        x = (r[j] * r[j + 1] / (2.0 * dts[j]))[alive & ~hit]
+        # a path that survived drew iff x < cut; one that hit may have drawn
+        below = int((x < cut * (1 - 1e-12)).sum())
+        assert below <= k <= int((x < cut * (1 + 1e-12)).sum()) + int(hit.sum())
+        if not hit.any() and x.min() >= cut * (1 + 1e-12):
+            assert k == 0
+            quiet += 1
+    assert quiet > 100 and draws[0] == 0 and sum(draws) > 0
 
 
 # ---------------------------------------------------------------------------
