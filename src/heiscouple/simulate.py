@@ -38,6 +38,14 @@ schemes:
   hysteresis later re-enters the synchronous region the regime switch does
   the freezing.
 
+The exact reflection runner (`simulate_reflection_exact`) has no Euler step:
+R/2 is a Brownian motion absorbed at 0, stepped exactly on a geometric grid,
+one normal per path and cell.  Only a path whose crossing exponent
+r rn / (2 dt) is below CROSSING_CUT = 53 ln 2 draws a uniform for the bridge
+crossing; past it the crossing probability is below 2**-53, under a 53-bit
+uniform's resolution.  Z is Gaussian given the R path, so it is drawn once
+per checkpoint from the summed trapezoid variance.
+
 Paths are carved into RNG blocks of RNG_BLOCK paths, block j drawing from the
 counter-based stream keyed (seed, j) in a fixed per-step order.  A runner
 splits the blocks into one contiguous group per thread and steps each group
@@ -904,7 +912,7 @@ def simulate_reflection_exact(
         r2, rn2 = r * r, np.empty(m)
         z = np.full(m, float(z0))
         rec = _Recorder(ck_idx, m)
-        alive, live = np.ones(m), np.ones(m, dtype=bool)  # 1.0 / True until R hits 0
+        alive = np.ones(m, dtype=bool)  # R has not hit 0
         g, u, x, near = np.empty(m), np.empty(m), np.empty(m), np.empty(m, dtype=bool)
         var = np.zeros(m)  # variance of Z's increment since the last checkpoint
         draws = 0
@@ -916,7 +924,7 @@ def simulate_reflection_exact(
             rn += r
             np.multiply(r, rn, out=x)
             np.less(x, 2.0 * dtj * CROSSING_CUT, out=near)
-            near &= live
+            near &= alive
             idx = np.flatnonzero(near)
             if idx.size:
                 up = rn[idx] > 0.0
@@ -928,8 +936,7 @@ def simulate_reflection_exact(
                     crossed = u[:c] < np.exp(-x[drawn] / (2.0 * dtj))
                     hit = np.concatenate([hit, drawn[crossed]])
                 rn[hit] = 0.0
-                alive[hit] = 0.0
-                live[hit] = False
+                alive[hit] = False
                 rec.absorbed_at[hit] = grid[j] + dtj / 2.0
             np.multiply(rn, rn, out=rn2)
             np.add(r2, rn2, out=x)
