@@ -42,7 +42,7 @@ RNG_BLOCK = 1024
 
 # exact reflection runner: a step of R/2 from r/2 to rn/2 > 0 over dt crossed 0
 # with probability exp(-x), x = r rn / (2 dt).  Past x = 53 ln 2 that is below
-# 2**-53, the smallest nonzero gap of a 53-bit uniform u in [0, 1), so the rule
+# 2**-53, the smallest nonzero value of a 53-bit uniform u in [0, 1), so the rule
 # "hit iff u < exp(-x)" can then only fire on u == 0.0.  The runner draws no u
 # there and calls the step a miss, changing the law by at most 2**-53 per
 # step.  Derived from the uniform's resolution, not a tuning knob.
