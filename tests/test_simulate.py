@@ -519,10 +519,18 @@ def test_exact_reflection_draws_no_uniform_past_the_crossing_cut(monkeypatch):
 # in the engine's order, must give the same paths
 
 
-def _oracle_setup(n):
+def _general_k(n):
+    """A contraction of norm 0.9 with no zero entry and no block structure:
+    unlike _custom_k, it mixes every frame column, so the full engine's step
+    depends on how the frame completes (e1, e2), not just on e1."""
+    g = np.random.default_rng(n).standard_normal((2 * n, 2 * n))
+    return 0.9 * g / np.linalg.svd(g, compute_uv=False)[0]
+
+
+def _oracle_setup(n, K=None):
     a = grp.identity(n)
     ap = grp.point([1.0] + [0.0] * (n - 1), [0.0] * n, -0.3)
-    K = _custom_k(n)
+    K = _custom_k(n) if K is None else K
     m, dt, n_steps, seed = 48, 0.01, 25, 5
     kw = dict(T=n_steps * dt, n_paths=m, dt=dt, seed=seed,
               checkpoints=dt * np.arange(1, n_steps + 1))
@@ -545,7 +553,16 @@ def test_step_reduced_matches_reduced_engine(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_step_full_matches_full_engine(n):
-    a, ap, K, m, dt, n_steps, rng, kw = _oracle_setup(n)
+    _check_step_full(*_oracle_setup(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_step_full_matches_full_engine_for_a_general_k(n):
+    _check_step_full(*_oracle_setup(n, _general_k(n)))
+
+
+def _check_step_full(a, ap, K, m, dt, n_steps, rng, kw):
+    n = grp.npairs(a)
     ens = sim.simulate_ensemble(cpl.custom_policy(K), a, ap, scheme="full", **kw)
     Khat = cpl.complete_jhat(K)
     assert np.abs(Khat).max() > 0.1
