@@ -55,11 +55,15 @@ reproducible for a given (seed, n_paths) regardless of thread count.
 
 The full engine holds the horizontals as (2n, m) arrays, one contiguous row
 of m paths per coordinate, and sums 2n-term products row by row.  Each such
-sum (|D|^2, frame components, symplectic forms, the custom regime's frame
-products) goes through `_sum_terms` in the order numpy's last-axis `sum` or
-einsum adds the same terms for a path-major (m, 2n) array, so the engine's
-bits are those of the path-major form for n <= 3 (numpy sums 8 or more terms
-pairwise).  The increments are still drawn path-major, in (m, 2n) buffers.
+sum (|D|^2, frame components, symplectic forms) goes through `_sum_terms` in
+the order numpy's last-axis `sum` adds the same terms for a path-major
+(m, 2n) array, so the engine's bits are those of the path-major form for
+n <= 3 (numpy sums 8 or more terms pairwise).  The custom regime applies the
+frame of `coupling.frame` as its complex Householder reflector in real
+arithmetic (`_frame_apply`), O(n) per path, without building the matrix.
+Every operation acts on each path's own entries, so a path gets the same bits
+in a group of one path as in a wide one.  The increments are still drawn
+path-major, in (m, 2n) buffers.
 """
 
 import math
@@ -478,30 +482,22 @@ def _check_threads(threads):
 def _run_groups(run, n_paths, threads):
     """Run `run(spans)` once per group of RNG blocks and join the groups' outputs.
 
-    The blocks of `_blocks(n_paths)` split into min(threads, n_blocks)
-    contiguous groups of whole blocks, each stepped as one array on its own
-    worker.  A trailing block of one path always forms a group of its own:
-    numpy rounds a one-element complex product (the full engine's frame on
-    H^1) unlike the same product inside a wider array, and alone that path
-    gets the same bits at every thread count.  `run` returns per-path arrays
-    (path axis last) and int counts ("clamps" and any others).  The arrays
-    are joined in block order and each count summed, so the result does not
-    depend on `threads`.  Returns (arrays, counts).
+    The blocks of `_blocks(n_paths)` split into k = min(threads, n_blocks)
+    contiguous groups of whole blocks, as even as whole blocks allow, each
+    stepped as one array on its own worker.  The engines act path by path,
+    so a path's bits do not depend on its group's width.  `run` returns
+    per-path arrays (path axis last) and int counts ("clamps" and any
+    others).  The arrays are joined in block order and each count summed, so
+    the result does not depend on `threads`.  Returns (arrays, counts).
     """
     spans = list(_blocks(n_paths))
-    lone = len(spans) > 1 and spans[-1][2] - spans[-1][1] == 1
-    wide = spans[:-1] if lone else spans
-    k = min(threads, len(wide))
-    groups = [wide[i * len(wide) // k:(i + 1) * len(wide) // k] for i in range(k)]
-    if lone:
-        groups.append(spans[-1:])
-    if len(groups) == 1:
+    k = min(threads, len(spans))
+    if k == 1:
         results = [run(spans)]
-    elif threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(groups))) as ex:
-            results = list(ex.map(run, groups))
     else:
-        results = [run(group) for group in groups]
+        groups = [spans[i * len(spans) // k:(i + 1) * len(spans) // k] for i in range(k)]
+        with ThreadPoolExecutor(max_workers=k) as ex:
+            results = list(ex.map(run, groups))
     counts = {key: sum(res.pop(key) for res in results)
               for key, val in list(results[0].items()) if isinstance(val, int)}
     if len(results) == 1:
@@ -579,27 +575,18 @@ def _run_reduced_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps
     return rec.result(clamps)
 
 
-def _sum_terms(terms, lanes=1):
-    """t_0 + t_1 + ... over the first axis of `terms`, in one of numpy's orders.
+def _sum_terms(terms):
+    """t_0 + t_1 + ... over the first axis of `terms`, in numpy's order.
 
-    The terms are dealt round robin into `lanes` partial sums, each starting
-    from +0.0 and adding its terms in turn; the partial sums are then added
-    in lane order.  For fewer than 8 terms, and bit for bit (signed zeros
-    included), lanes=1 is the order of numpy's last-axis `sum` and of an
-    einsum contraction over a strided axis, and lanes=2 that of an einsum
-    contraction whose operands are both contiguous along the summed axis
-    (its SIMD kernel, two float64 lanes on x86-64).  From 8 terms on numpy
-    sums pairwise and the last bit may differ.
+    Starting from +0.0, each term is added in turn.  For fewer than 8 terms
+    this is, bit for bit (signed zeros included), the order of numpy's
+    last-axis `sum`; from 8 terms on numpy sums pairwise and the last bit may
+    differ.
     """
-    parts = []
-    for lane in range(min(lanes, len(terms))):
-        acc = terms[lane] + 0.0
-        for t in terms[lane + lanes::lanes]:
-            acc += t
-        parts.append(acc)
-    for part in parts[1:]:
-        parts[0] += part
-    return parts[0]
+    acc = terms[0] + 0.0
+    for t in terms[1:]:
+        acc += t
+    return acc
 
 
 def _symplectic(u, v):
@@ -608,11 +595,61 @@ def _symplectic(u, v):
     return _sum_terms(u[:n] * v[n:]) - _sum_terms(u[n:] * v[:n])
 
 
-def _matvec(a_t, x, lanes=1):
-    """A x for (k, m) columns x, from a_t[j, i] = A[i, j], (k, k, 1) or (k, k, m).
+def _matvec(a_t, x):
+    """A x for (k, m) columns x, from a_t = A.T[..., None]: sum_j A[:, j] x_j."""
+    return _sum_terms(a_t * x[:, None])
 
-    Term j is A[:, j] x_j, summed by `_sum_terms` in `lanes`."""
-    return _sum_terms(a_t * x[:, None], lanes)
+
+def _frame_axis(e1):
+    """The reflector of `coupling.frame` at the unit (2n, m) columns e1.
+
+    That frame is the real form of the unitary U = P D on C^n, where w is e1
+    as a complex vector, alpha = w_0 / |w_0| (1 where w_0 = 0), P the
+    Householder reflector of the axis u = w + alpha e_0, and D multiplies
+    coordinate 0 by -alpha.  Returns what `_frame_apply` needs:
+    (u, M u, f u, f M u, -Re alpha, Im alpha) with f = 2 / |u|^2.
+    """
+    n = len(e1) // 2
+    a0 = np.sqrt(e1[0] * e1[0] + e1[n] * e1[n])
+    pos = a0 > 0.0
+    a0 = np.where(pos, a0, 1.0)
+    ar = np.where(pos, e1[0] / a0, 1.0)
+    ai = e1[n] / a0  # +-0 where w_0 = 0
+    u = e1.copy()
+    u[0] += ar
+    u[n] += ai
+    mu = np.concatenate([-u[n:], u[:n]])
+    f = 2.0 / _sum_terms(u * u)
+    return u, mu, f * u, f * mu, -ar, ai
+
+
+def _turn(x, cr, ci):
+    """Multiply the pair (x_0, x_n) of x, read as x_0 + i x_n, by cr + i ci, in place."""
+    n = len(x) // 2
+    x0 = cr * x[0] - ci * x[n]
+    x[n] *= cr
+    x[n] += ci * x[0]
+    x[0] = x0
+
+
+def _frame_apply(axis, x, transpose=False):
+    """Q x, or Q^T x with transpose, for the frame Q of `_frame_axis` and (2n, m) x.
+
+    On C^n, u^H x = u . x + i omega(u, x) with omega(u, x) = (M u) . x, so in
+    real arithmetic the reflector is P x = x - f ((u . x) u + ((M u) . x) M u).
+    Q x = P (D x) and Q^T x = D^H (P x), where D multiplies the pair (x_0, x_n)
+    by -alpha and D^H by -conj(alpha).  Every operation acts on each path's
+    own entries, so a path gets the same bits in a call of any width.
+    """
+    u, mu, fu, fmu, nar, ai = axis
+    if not transpose:
+        x = x.copy()
+        _turn(x, nar, -ai)
+    y = x - _sum_terms(u * x) * fu
+    y -= _sum_terms(mu * x) * fmu
+    if transpose:
+        _turn(y, nar, ai)
+    return y
 
 
 def _mask(x):
@@ -648,11 +685,12 @@ def _run_full_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, s
     paths per coordinate, so every 2n-term reduction is a sum of whole rows.
     The increments are drawn into (m, 2n) buffers, row by row per path as the
     streams have always been consumed, and read through one scaled,
-    transposed copy per step.  Every sum runs through `_sum_terms` in the
-    order numpy gave the same reduction over a last axis of length 2n (its
-    `sum` for |D|^2, the frame components and the symplectic forms; einsum's
-    for the custom regime's frame products), so the output is bit for bit
-    that of a path-major (m, 2n) engine for n <= 3.
+    transposed copy per step.  |D|^2, the frame components and the
+    symplectic forms are summed by `_sum_terms` in the order of numpy's `sum`
+    over a last axis of length 2n, so they are bit for bit those of a
+    path-major (m, 2n) engine for n <= 3.  The custom regime's dbp =
+    Q (K Q^T dw + Khat Q^T dwt) applies the frame Q of `coupling.frame` as a
+    reflector (`_frame_apply`) and never builds it.
     """
     rng = _Streams(seed, spans)
     m = rng.m
@@ -711,14 +749,12 @@ def _run_full_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, s
             comp2 = _sum_terms(e2 * dw_c)
             dbp = _pick(perv, dw_c - 2.0 * comp2 * e2, dbp)
         if cust is not False:
-            # dbp = Q (K Q^T dw + Khat Q^T dwt); in the path-major (m, 2n, 2n)
-            # frame Q^T's rows are strided and Q's contiguous, hence the lanes
-            q_t = np.ascontiguousarray(
-                cpl._frame_from_unit(np.ascontiguousarray(e1.T)).transpose(1, 2, 0))
-            y = _matvec(K_t, _matvec(q_t, dw_c), lanes=2)
+            # dbp = Q (K Q^T dw + Khat Q^T dwt)
+            axis = _frame_axis(e1)
+            y = _matvec(K_t, _frame_apply(axis, dw_c, transpose=True))
             if need_defect:
-                y += _matvec(Khat_t, _matvec(q_t, dwt_c), lanes=2)
-            dbp = _pick(cust, _matvec(q_t.transpose(1, 0, 2), y, lanes=2), dbp)
+                y += _matvec(Khat_t, _frame_apply(axis, dwt_c, transpose=True))
+            dbp = _pick(cust, _frame_apply(axis, y), dbp)
 
         rec.accumulate(coef, regime, r2, dt)
 

@@ -414,8 +414,8 @@ def test_golden_digests_across_groups(case, threads):
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_golden_digest_with_a_one_path_block(threads):
-    # 2049 paths end in a block of one path; on H^1 the full engine's frame
-    # rounds a one-element complex product unlike a wider one
+    # 2049 paths end in a block of one path, which at threads=3 is a group of
+    # its own: the full engine must round it as it does inside a wide group
     assert _digest(_golden_ensemble("full/custom/n1", threads, 2049)) == "d071707f1ae35abb"
 
 
@@ -600,16 +600,50 @@ def test_sum_terms_matches_numpy_sum_and_einsum_bit_for_bit(k):
     x[:8] = -0.0  # rows of negative zeros only
     x[8:16, 0] = -0.0
     assert np.array_equal(_bits(sim._sum_terms(x.T)), _bits(x.sum(axis=-1)))
-    q = _signed_terms(rng, (m, k, k))
-    q_t = np.ascontiguousarray(q.transpose(1, 2, 0))  # q_t[j, i] = q[:, j, i]
-    # Q^T x reads Q along a strided axis, Q x and K x along a contiguous one
-    assert np.array_equal(_bits(sim._matvec(q_t, x.T)),
-                          _bits(np.einsum("mij,mj->mi", np.swapaxes(q, -1, -2), x).T))
-    assert np.array_equal(_bits(sim._matvec(q_t.transpose(1, 0, 2), x.T, lanes=2)),
-                          _bits(np.einsum("mij,mj->mi", q, x).T))
-    K = q[0]
-    assert np.array_equal(_bits(sim._matvec(K.T[..., None], x.T, lanes=2)),
-                          _bits(np.einsum("ij,mj->mi", K, x).T))
+
+
+def _frame_columns(n, m, seed):
+    """m unit columns (2n, m) on H^n: random ones, then e1 = +-e_0 and e_n,
+    and on n >= 2 one with w_0 = 0 (a zero (0, n) pair)."""
+    e1 = np.random.default_rng(seed).standard_normal((2 * n, m))
+    e1 /= np.sqrt((e1**2).sum(axis=0))
+    special = [np.eye(2 * n)[0], -np.eye(2 * n)[0], np.eye(2 * n)[n]]
+    if n >= 2:
+        special.append(np.eye(2 * n)[1])
+    e1[:, :len(special)] = np.array(special).T
+    return e1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_frame_apply_matches_the_frame_matrix(n):
+    e1 = _frame_columns(n, 256, n)
+    x = np.random.default_rng(10 + n).standard_normal((2 * n, 256))
+    axis = sim._frame_axis(e1)
+    q = cpl.frame(e1.T, np.zeros_like(e1.T))
+    np.testing.assert_allclose(sim._frame_apply(axis, x), np.einsum("mij,jm->im", q, x),
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(sim._frame_apply(axis, x, transpose=True),
+                               np.einsum("mji,jm->im", q, x), rtol=0, atol=1e-14)
+    # the first column is e1 itself, and Q^T Q = I
+    e0 = np.zeros_like(x)
+    e0[0] = 1.0
+    np.testing.assert_allclose(sim._frame_apply(axis, e0), e1, rtol=0, atol=1e-15)
+    back = sim._frame_apply(axis, sim._frame_apply(axis, x), transpose=True)
+    np.testing.assert_allclose(back, x, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_frame_apply_gives_a_column_the_same_bits_alone(n):
+    # a path must not round differently in a group of one path
+    m = 1024
+    e1 = _frame_columns(n, m, 20 + n)
+    x = np.random.default_rng(30 + n).standard_normal((2 * n, m))
+    for transpose in (False, True):
+        wide = sim._frame_apply(sim._frame_axis(e1), x, transpose)
+        alone = np.concatenate([sim._frame_apply(sim._frame_axis(e1[:, i:i + 1]),
+                                                 x[:, i:i + 1], transpose)
+                                for i in range(m)], axis=1)
+        assert np.array_equal(_bits(alone), _bits(wide))
 
 
 # ---------------------------------------------------------------------------
