@@ -348,11 +348,11 @@ def _golden_ensemble(case, threads, n_paths=1500):
 
 _GOLDEN = {
     "exact/reflection": "59bb9625dea94917",
-    "full/custom/n1": "bb679cfd214a1a41",
-    "full/custom/n1/skew": "71ba0334aa3d2ae8",
-    "full/custom/n2": "8997f55121a50439",
-    "full/custom/n2/skew": "98f964c765119f92",
-    "full/custom/n3": "3f293abc6fdec440",
+    "full/custom/n1": "2ba56dec6bf8318b",
+    "full/custom/n1/skew": "5815e5474902930e",
+    "full/custom/n2": "94d9f9afba49a060",
+    "full/custom/n2/skew": "dc8e19b39b49fda4",
+    "full/custom/n3": "0ac81a3cd5739ad9",
     "full/kendall/n1": "b52ba022d3c2c9d0",
     "full/kendall/n1/skew": "96d2f0710c7c31ad",
     "full/kendall/n2": "419f2f357bb4f90f",
@@ -397,7 +397,7 @@ def test_golden_digests(case, threads):
 _WIDE_PATHS = 4500
 _WIDE_GOLDEN = {
     "exact/reflection": "404dccadf7bd8529",
-    "full/custom/n1": "e303ec01ba8ae83a",
+    "full/custom/n1": "61d7f643461276e7",
     "full/kendall/n1": "1cd8d16cdccdcfe5",
     "full/reflection/n1/absorbing": "5a09d7296ac3f444",
     "reduced/custom/n1": "54e7b23289562cfe",
@@ -416,7 +416,7 @@ def test_golden_digests_across_groups(case, threads):
 def test_golden_digest_with_a_one_path_block(threads):
     # 2049 paths end in a block of one path, which at threads=3 is a group of
     # its own: the full engine must round it as it does inside a wide group
-    assert _digest(_golden_ensemble("full/custom/n1", threads, 2049)) == "d071707f1ae35abb"
+    assert _digest(_golden_ensemble("full/custom/n1", threads, 2049)) == "49064db8bb004ef4"
 
 
 class _CountingStream:
