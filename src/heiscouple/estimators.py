@@ -14,7 +14,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import ndtr, ndtri
 
 from heiscouple import group as grp
-from heiscouple.simulate import _check, _check_finite, philox_stream
+from heiscouple.simulate import _check, _check_finite, _is_integer, philox_stream
 
 
 @dataclass
@@ -231,10 +231,11 @@ def excursion_moment(p, n_samples=4096, m_steps=2048, seed=0):
     independent scalar Brownian bridges.  The integral uses the midpoint of
     left/right endpoint sums (trapezoid in X^2).
 
-    Returns a MomentEstimate (time field is the unit horizon).
+    `p` must be positive and finite, `n_samples` an integer >= 1 and
+    `m_steps` an integer >= 2.  Returns a MomentEstimate (time field is the
+    unit horizon).
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    _check_excursion_args(p, n_samples, m_steps)
     rng = philox_stream(seed, 0)
     vals = np.empty(n_samples)
     chunk = max(1, int(2**22 // m_steps))
@@ -260,33 +261,40 @@ def excursion_moment(p, n_samples=4096, m_steps=2048, seed=0):
     )
 
 
-def excursion_moment_rejection(p, n_samples=2048, m_steps=256, seed=0):
-    """Oracle for excursion_moment: rejection-sample positive bridges.
+def _check_excursion_args(p, n_samples, m_steps):
+    _check(0.0 < p < math.inf, "p", p, "positive and finite")
+    _check(_is_integer(n_samples) and n_samples >= 1, "n_samples", n_samples, "an integer >= 1")
+    _check(_is_integer(m_steps) and m_steps >= 2, "m_steps", m_steps, "an integer >= 2")
 
-    A scalar Brownian bridge conditioned to stay positive at the interior
-    grid points is (discretely) a Brownian excursion.  By the cycle lemma the
-    acceptance probability is exactly 1/m_steps per proposal, so proposals
-    are batched m_steps at a time.  Same discretization bias class as the
+
+def excursion_moment_rejection(p, n_samples=2048, m_steps=256, seed=0):
+    """Oracle for excursion_moment: positive bridges by cyclic shift.
+
+    A Gaussian random-walk bridge B of m_steps steps (B_0 = B_m = 0), turned
+    cyclically to start at its minimum, has the law of the bridge conditioned
+    to stay positive at the interior grid points: a discrete Brownian
+    excursion (the cycle lemma; Vervaat 1979).  That is the law rejection
+    sampling of positive bridges gives, without rejecting m_steps - 1 of
+    every m_steps proposals.  The turn only reorders the values, so each
+    sample is sum_{j=1..m} (B_j - min B)^2 / m directly, drawn in chunks of
+    at most 2**22 normals.  Same discretization bias class as the
     Bessel-bridge route only if compared at the same m_steps -- callers
-    should match them.
+    should match them.  Inputs are checked as in excursion_moment.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    _check_excursion_args(p, n_samples, m_steps)
     rng = philox_stream(seed, 1)
-    s = np.arange(1, m_steps) / m_steps
+    s = np.arange(1, m_steps + 1) / m_steps
     out = np.empty(n_samples)
-    got = 0
-    while got < n_samples:
-        k = 4 * m_steps * max(1, (n_samples - got) // 4 + 1)
-        k = min(k, 2**22 // m_steps + m_steps)
-        dw = rng.standard_normal((k, m_steps)) / math.sqrt(m_steps)
-        w = np.cumsum(dw, axis=-1)
-        br = w[:, :-1] - s * w[:, -1:]
-        keep = np.all(br > 0.0, axis=-1)
-        x2 = br[keep] ** 2
-        take = min(x2.shape[0], n_samples - got)
-        out[got : got + take] = x2[:take].sum(axis=-1) / m_steps
-        got += take
+    chunk = max(1, 2**22 // m_steps)
+    for lo in range(0, n_samples, chunk):
+        k = min(chunk, n_samples - lo)
+        w = rng.standard_normal((k, m_steps))
+        w *= 1.0 / math.sqrt(m_steps)
+        np.cumsum(w, axis=-1, out=w)
+        w -= s * w[:, -1:]  # the bridge B_1..B_m, B_m = 0
+        w -= w.min(axis=-1, keepdims=True)
+        np.square(w, out=w)
+        out[lo:lo + k] = w.sum(axis=-1) / m_steps
     v = out ** (p / 2.0)
     return MomentEstimate(
         time=1.0,

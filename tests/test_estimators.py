@@ -180,10 +180,10 @@ def test_excursion_moment_grid_refinement_small():
 
 
 def test_excursion_rejection_route_extrapolates_to_bessel():
-    # the rejection sampler's positivity conditioning is only grid-exact
-    # (bias ~ c/sqrt(m)), so compare after Richardson extrapolation across a
-    # 4x step ratio; the gate carries the next-order O(1/m) discretization
-    # allowance on top of the MC term
+    # the oracle's positivity conditioning (a bridge turned at its minimum)
+    # is only grid-exact (bias ~ c/sqrt(m)), so compare after Richardson
+    # extrapolation across a 4x step ratio; the gate carries the next-order
+    # O(1/m) discretization allowance on top of the MC term
     lo = est.excursion_moment_rejection(2.0, n_samples=2048, m_steps=64, seed=1)
     hi = est.excursion_moment_rejection(2.0, n_samples=2048, m_steps=256, seed=2)
     extrap = 2 * hi.estimate - lo.estimate
@@ -191,6 +191,33 @@ def test_excursion_rejection_route_extrapolates_to_bessel():
     assert abs(extrap - 0.5) < 3 * se + 2.0 / 64
     direct = est.excursion_moment(2.0, n_samples=4096, m_steps=1024, seed=3)
     assert abs(extrap - direct.estimate) < 3 * math.hypot(se, direct.stderr) + 2.0 / 64
+
+
+@pytest.mark.parametrize("arg,bad", [
+    pytest.param("n_samples", {"n_samples": 0}, id="n_samples=0"),
+    pytest.param("n_samples", {"n_samples": 2.5}, id="n_samples=2.5"),
+    pytest.param("n_samples", {"n_samples": True}, id="n_samples=True"),
+    pytest.param("m_steps", {"m_steps": 1}, id="m_steps=1"),
+    pytest.param("m_steps", {"m_steps": 2.5}, id="m_steps=2.5"),
+    pytest.param("p", {"p": float("nan")}, id="p=nan"),
+    pytest.param("p", {"p": float("inf")}, id="p=inf"),
+    pytest.param("p", {"p": 0.0}, id="p=0"),
+])
+@pytest.mark.parametrize("route", ["bessel", "shift"])
+def test_excursion_moments_reject_bad_input(route, arg, bad):
+    # n_samples=0 gave NaN with RuntimeWarnings, m_steps=1 a silent 0.0 and
+    # p=nan passed the p <= 0 check
+    fn = est.excursion_moment if route == "bessel" else est.excursion_moment_rejection
+    kw = {"p": 2.0, "n_samples": 8, "m_steps": 16, **bad}
+    with pytest.raises(ValueError, match=rf"^{arg} must"):
+        fn(**kw)
+
+
+def test_excursion_shift_oracle_takes_the_smallest_grid():
+    # with m_steps = 2 the bridge is (B_1, 0), and the turn at the minimum
+    # leaves |B_1|: the sample is B_1^2 / 2 with B_1 ~ N(0, 1/4)
+    out = est.excursion_moment_rejection(2.0, n_samples=20000, m_steps=2, seed=5)
+    assert abs(out.estimate - 0.125) < 4 * out.stderr
 
 
 def test_martingale_lower_bound_check_cases():
