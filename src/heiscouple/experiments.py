@@ -235,19 +235,25 @@ def _run_reflection_exponents(p, threads):
     for pw in (1.0, 0.5, 0.25):
         every = est.estimate_moment(ens, p=pw, metric="abs_z")
         moms = [every[i] for i in idx]
-        fit = est.fit_power_law(moms, window=(min(cks), max(cks)))
-        fits[pw] = (moms, fit)
+        # a sample whose Z never moved (every path absorbed at once) has no
+        # power law to fit: a NaN exponent fails its check
+        slope = (est.fit_power_law(moms, window=(min(cks), max(cks))).exponent
+                 if all(m.estimate > 0 for m in moms) else float("nan"))
+        fits[pw] = (moms, slope)
         rows += [(m.time, f"abs_z_p{pw}", m.estimate, m.stderr, m.n_paths) for m in moms]
-        rows.append((float("nan"), f"exponent_p{pw}", fit.exponent, float("nan"), p["n_paths"]))
-    checks.append(_check("exponent_p1", fits[1.0][1].exponent, 0.40 <= fits[1.0][1].exponent <= 0.60))
-    checks.append(_check("exponent_p025", fits[0.25][1].exponent, -0.07 <= fits[0.25][1].exponent <= 0.07))
-    cmp = est.compare_log_vs_power(
-        [m.time for m in fits[0.5][0]], [m.estimate for m in fits[0.5][0]]
-    )
-    checks.append(_check("p05_log_beats_power", float(cmp["prefer_log"]), cmp["prefer_log"]))
+        rows.append((float("nan"), f"exponent_p{pw}", slope, float("nan"), p["n_paths"]))
+    checks.append(_check("exponent_p1", fits[1.0][1], 0.40 <= fits[1.0][1] <= 0.60))
+    checks.append(_check("exponent_p025", fits[0.25][1], -0.07 <= fits[0.25][1] <= 0.07))
+    moms = fits[0.5][0]
+    prefer = (float(est.compare_log_vs_power([m.time for m in moms], [m.estimate for m in moms])
+                    ["prefer_log"]) if math.isfinite(fits[0.5][1]) else float("nan"))
+    checks.append(_check("p05_log_beats_power", prefer, prefer == 1.0))
     every = est.estimate_moment(ens, p=1, metric="r")
     r_moms = [every[i] for i in idx]
-    worst = max(abs(m.estimate - p["r0"]) / m.stderr for m in r_moms)
+    # with no spread at a checkpoint (every path absorbed) there is no sigma
+    # to count the deviation in: a failed, NaN check
+    worst = (max(abs(m.estimate - p["r0"]) / m.stderr for m in r_moms)
+             if all(m.stderr > 0 for m in r_moms) else float("nan"))
     checks.append(_check("radial_martingale_max_sigma", worst, worst <= 3.0))
     rows += [(m.time, "mean_r", m.estimate, m.stderr, m.n_paths) for m in r_moms]
     return checks, rows, ens
@@ -535,6 +541,10 @@ def _validate_params(section, params):
     if section == "reflection-exponents" and len(set(params["checkpoints"])) < 3:
         raise ConfigError(f"section [{section}], key 'checkpoints': needs at least 3 distinct "
                           "times for the power-law fit")
+    if section == "excursion-moments":  # the oracle runs at n_samples // 2
+        for key in ("n_samples", "m_steps"):
+            if params[key] < 2:
+                raise ConfigError(f"section [{section}], key {key!r}: must be at least 2")
     if "a" in params:  # start points on one H^n; empty means the default on H^1
         dims = [len(params[key]) or 3 for key in ("a", "aprime")]
         for key, d in zip(("a", "aprime"), dims):

@@ -312,7 +312,7 @@ def _checkpoint_steps(checkpoints, dt, n_steps):
 
 
 def _check_run_args(n_paths, checkpoints):
-    _check(n_paths >= 1, "n_paths", n_paths, "at least 1")
+    _check(_is_integer(n_paths) and n_paths >= 1, "n_paths", n_paths, "an integer >= 1")
     if checkpoints is not None:
         cks = np.asarray(checkpoints, dtype=float)
         if not np.all(np.isfinite(cks)) or np.any(cks < 0.0):
@@ -823,7 +823,7 @@ def simulate_ensemble(
         policy: CouplingPolicy; a custom K must be 2n x 2n.
         a, aprime: finite starting group points, arrays of length 2n + 1.
         T: horizon, finite and >= 0.
-        n_paths: ensemble size, at least 1.
+        n_paths: ensemble size, an integer >= 1.
         dt: Euler step, positive and finite.
         seed: base seed, an integer in [0, 2**64); path block j uses the
             stream keyed (seed, j).
@@ -912,10 +912,10 @@ def simulate_reflection_exact(
       variance, and qv gains that sum.
 
     Checkpoints must be finite and >= 0; those past T are recorded at T.
-    `r0` and `T` must be finite and >= 0, `z0` finite, `delta` and `t_first`
-    finite and > 0.  `threads` must be an integer >= 1; each thread steps
-    one contiguous group of RNG blocks as one array, and the output does not
-    depend on their number.
+    `n_paths` must be an integer >= 1, `r0` and `T` finite and >= 0, `z0`
+    finite, `delta` and `t_first` finite and > 0.  `threads` must be an
+    integer >= 1; each thread steps one contiguous group of RNG blocks as one
+    array, and the output does not depend on their number.
 
     Returns a PathEnsemble whose absorbed_at carries the hitting times (NaN
     when R survives past T).  Its meta counts the path-cells stepped
@@ -1035,8 +1035,8 @@ def kendall_success_times(
     policy memory itself only tracks its regime.  Runs single-threaded on one
     noise stream: thread counts never affect the output.
 
-    `r2_0` and `t_max` must be finite and >= 0, `z_0` finite, `n_paths` at
-    least 1, and `alpha`, `dt_cap` and `success_dh` positive and finite.
+    `r2_0` and `t_max` must be finite and >= 0, `z_0` finite, `n_paths` an
+    integer >= 1, and `alpha`, `dt_cap` and `success_dh` positive and finite.
 
     Returns an array of success times (NaN for paths still apart at t_max).
     """

@@ -334,3 +334,39 @@ def test_reflection_hitting_with_no_absorbed_path_fails_its_ks_check(tmp_path):
     assert by_name["absorbed_fraction_vs_cdf"].value == 0.0
     report = (tmp_path / "reflection-hitting" / "report.jsonl").read_text().splitlines()
     assert json.loads(report[0])["value"] is None
+
+
+@pytest.mark.parametrize("r0", ["0.001", "1e-200"])
+def test_reflection_exponents_on_a_degenerate_sample_fails_its_checks(tmp_path, capsys, r0):
+    # r0 = 0.001: every path is absorbed before the first checkpoint, so mean_r
+    # has no spread (this was a ZeroDivisionError); r0 = 1e-200: every path is
+    # absorbed in the first cell and Z never moves, so |Z| has no power law
+    # to fit (this was "nonpositive estimates in the fit window")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[reflection-exponents]\nr0 = {r0}\nn_paths = 16\n"
+                   "checkpoints = 100, 200, 400\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "art")])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    report = (tmp_path / "art" / "reflection-exponents" / "report.jsonl").read_text()
+    rows = {r["quantity"]: r for r in map(json.loads, report.splitlines())}
+    nan_checks = ["radial_martingale_max_sigma"]
+    if r0 == "1e-200":
+        nan_checks += ["exponent_p1", "exponent_p025", "p05_log_beats_power"]
+    for name in nan_checks:
+        assert rows[name]["value"] is None and rows[name]["pass"] is False
+
+
+@pytest.mark.parametrize("key", ["n_samples", "m_steps"])
+def test_excursion_moments_needs_two_samples_and_two_steps(tmp_path, capsys, key):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[excursion-moments]\n{key} = 1\n")
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "art")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: section [excursion-moments], key '{key}': must be at least 2\n"
+    assert not (tmp_path / "art").exists()
+    with pytest.raises(exp.ConfigError, match=f"'{key}': must be at least 2$"):
+        exp.run_experiment("excursion-moments", {key: 1}, out=tmp_path / "api")

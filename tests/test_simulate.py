@@ -660,8 +660,9 @@ def test_runners_reject_bad_checkpoints(bad):
         sim.simulate_reflection_exact(r0=1.0, T=0.1, n_paths=4, checkpoints=bad)
 
 
-@pytest.mark.parametrize("n_paths", [0, -3])
+@pytest.mark.parametrize("n_paths", [0, -3, 2.5, True])
 def test_runners_reject_empty_ensembles(n_paths):
+    # and counts that are no integer: 2.5 was numpy's TypeError, True one path
     with pytest.raises(ValueError, match="n_paths"):
         sim.simulate_ensemble(cpl.synchronous_policy(), grp.identity(1),
                               grp.point([1.0], [0.0], 0.0), T=0.1, n_paths=n_paths, dt=0.01)
@@ -741,6 +742,8 @@ def test_simulate_reflection_exact_rejects_bad_input(arg, bad):
     pytest.param("t_max", {"t_max": -1.0}, id="t_max<0"),
     pytest.param("t_max", {"t_max": _INF}, id="t_max=inf"),
     pytest.param("n_paths", {"n_paths": 0}, id="n_paths=0"),
+    pytest.param("n_paths", {"n_paths": 2.5}, id="n_paths=2.5"),
+    pytest.param("n_paths", {"n_paths": True}, id="n_paths=True"),
     pytest.param("alpha", {"alpha": _NAN}, id="alpha=nan"),
     pytest.param("dt_cap", {"dt_cap": _NAN}, id="dt_cap=nan"),
     pytest.param("success_dh", {"success_dh": _NAN}, id="success_dh=nan"),
