@@ -15,9 +15,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtri
-from scipy.stats import ks_2samp, kstest
 
 from heiscouple import coupling as cpl
 from heiscouple import estimators as est
@@ -147,6 +144,8 @@ def _scheme_pair(policy_name, p, threads):
 
 
 def _run_scheme_consistency(p, threads):
+    from scipy.stats import ks_2samp
+
     checks, rows = [], []
     keep = None
     a, ap = _start_points(p)
@@ -230,15 +229,16 @@ def _run_reflection_exponents(p, threads):
         checkpoints=cks, threads=threads,
     )
     idx = [int(np.argmin(np.abs(ens.times - t))) for t in cks]
+    # Z is frozen once R hits 0: with no path alive at the start of the fit
+    # window there is no growth law to fit, and a NaN exponent fails its check
+    alive = bool((ens.r2[min(idx)] > 0).any())
     checks, rows = [], []
     fits = {}
     for pw in (1.0, 0.5, 0.25):
         every = est.estimate_moment(ens, p=pw, metric="abs_z")
         moms = [every[i] for i in idx]
-        # a sample whose Z never moved (every path absorbed at once) has no
-        # power law to fit: a NaN exponent fails its check
         slope = (est.fit_power_law(moms, window=(min(cks), max(cks))).exponent
-                 if all(m.estimate > 0 for m in moms) else float("nan"))
+                 if alive and all(m.estimate > 0 for m in moms) else float("nan"))
         fits[pw] = (moms, slope)
         rows += [(m.time, f"abs_z_p{pw}", m.estimate, m.stderr, m.n_paths) for m in moms]
         rows.append((float("nan"), f"exponent_p{pw}", slope, float("nan"), p["n_paths"]))
@@ -260,6 +260,8 @@ def _run_reflection_exponents(p, threads):
 
 
 def _run_reflection_hitting(p, threads):
+    from scipy.stats import kstest
+
     ens = simulate_reflection_exact(
         r0=p["r0"], T=p["horizon"], n_paths=p["n_paths"], seed=p["seed"],
         checkpoints=[p["horizon"]], threads=threads,
@@ -330,6 +332,9 @@ def _run_static_baseline(p, threads):
 
 
 def _run_mg_lemma(p, threads):
+    from scipy.integrate import quad
+    from scipy.special import ndtri
+
     checks, rows = [], []
     worst = 0.0
     for pp in np.arange(0.1, 0.95, 0.1):

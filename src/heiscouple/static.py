@@ -47,11 +47,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import ndtri
 
 from heiscouple import group as grp
 from heiscouple.coupling import _frame_from_unit
+# bound here too, so perfbench's tracer times static's solves under this module
+from heiscouple.estimators import linear_sum_assignment
 from heiscouple.simulate import (
     _check, _check_finite, _check_starts, _csv_rows, _is_integer, _write_csv_rows,
     philox_stream,
@@ -317,6 +317,8 @@ def _law_table(n):
     score; at s = 1 it is the identity to within 1e-5, the effect of
     rounding in the far tail of S.
     """
+    from scipy.special import ndtri
+
     nodes = np.linspace(0.0, 1.0, _LAW_CELLS + 1)
     v = np.arange(1, _M_GRID) * _DV
     z = np.arange(_M_GRID // 2 + 1) * (2.0 * math.pi / (_M_GRID * _DV))

@@ -148,6 +148,33 @@ def test_law_table_retains_little_and_is_built_lazily():
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
+def test_scipy_loads_only_where_it_is_used():
+    # the Euler engines, the exact reflection runner and `--list` need numpy
+    # alone; the assignment plan and the Hungarian estimator load scipy then
+    code = """
+import contextlib, io, sys
+import numpy as np
+import heiscouple
+from heiscouple import cli, coupling, estimators, simulate, static
+subs = ("scipy.special", "scipy.optimize", "scipy.stats", "scipy.integrate")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["--list"]) == 0
+a, ap = np.zeros(3), np.array([1.0, 0.0, 0.5])
+for scheme in ("reduced", "full"):
+    simulate.simulate_ensemble(coupling.reflection_policy(), a, ap, T=0.1, n_paths=8,
+                               dt=0.01, scheme=scheme)
+simulate.simulate_reflection_exact(r0=1.0, T=0.1, n_paths=8)
+loaded = [m for m in subs if m in sys.modules]
+assert not loaded, f"loaded {loaded}"
+smp = static.static_couple(a, ap, n_samples=4, m_bridge=4, plan="assignment")
+assert smp.n_samples == 4
+x = np.arange(4.0)
+assert estimators.empirical_wasserstein(x, x + 1.0, p=1.0) == 1.0
+"""
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
 @pytest.mark.parametrize("arg,kw", [
     pytest.param("t", {"t": -1.0}, id="t=-1"),
     pytest.param("t", {"t": 0.0}, id="t=0"),
