@@ -64,14 +64,13 @@ def estimate_moment(ensemble, p, metric="d_h"):
 
     Args:
         ensemble: PathEnsemble with checkpoint arrays.
-        p: moment order, p > 0 (p = 0 returns exact 1s).
+        p: moment order, 0 <= p < inf (p = 0 returns exact 1s).
         metric: "r" (horizontal separation R), "abs_z" (|Z|), or "d_h".
 
     Returns:
         list of MomentEstimate, one per checkpoint time.
     """
-    if p < 0:
-        raise ValueError("moment order must be >= 0")
+    _check(0.0 <= p < math.inf, "moment order p", p, ">= 0 and finite")
     if metric not in _METRICS:
         raise ValueError(f"metric must be one of {_METRICS}")
     if ensemble.n_paths == 0:
@@ -180,6 +179,8 @@ def empirical_wasserstein(samples1, samples2, p=1.0, metric=None, max_n=512):
     if x.shape != y.shape:
         raise ValueError("sample arrays must have identical shapes")
     m = x.shape[0]
+    if m == 0:
+        raise ValueError("samples1 and samples2 must not be empty")
     if m > max_n:
         raise ValueError(f"exact assignment limited to {max_n} samples, got {m}")
     _check(0.0 < p < math.inf, "p", p, "positive and finite")
@@ -225,12 +226,18 @@ def hitting_density(u, r0):
 
 
 def hitting_cdf(t, r0):
-    """P(tau <= t) = 2 (1 - Phi(r0 / (2 sqrt(t)))); vectorised in t."""
+    """P(tau <= t) = 2 (1 - Phi(r0 / (2 sqrt(t)))); vectorised in t.
+
+    `r0` must be positive and finite and `t` hold no NaN; t <= 0 gives 0
+    and t = +inf gives 1.
+    """
     from scipy.special import ndtr
 
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
+    _check(0.0 < r0 < math.inf, "r0", r0, "positive and finite")
     t = np.asarray(t, dtype=float)
+    if np.isnan(t).any():
+        raise ValueError(f"t must not be NaN, got {np.count_nonzero(np.isnan(t))} NaN "
+                         f"of {t.size} values")
     out = np.zeros_like(t, dtype=float)
     pos = t > 0
     out[pos] = 2.0 * (1.0 - ndtr(r0 / (2.0 * np.sqrt(t[pos]))))

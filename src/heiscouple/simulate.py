@@ -249,47 +249,55 @@ class PathEnsemble:
         checkpoint and path, checkpoint-major, every float as `%.17g`, which
         round-trips every float64 through `float()`; path_id is the bare
         integer.  Rows are written in blocks of one checkpoint's paths, at
-        most _CSV_ROWS at a time (`_write_csv_rows`), so neither the file's
-        text nor its whole table is ever held.
+        most _CSV_ROWS at a time (`_write_csv_block`), so neither the file's
+        text nor its whole table is ever held.  A column that is bitwise
+        constant over a write block (a merged or frozen quantity, a drift
+        that never moves) has its cell formatted once for the block.
         """
         _check(max_paths is None or (_is_integer(max_paths) and max_paths >= 0),
                "max_paths", max_paths, "None or an integer >= 0")
         nt, m = self.r2.shape
         if max_paths is not None:
             m = min(m, int(max_paths))
-        rows = _csv_rows(m, 4)
+        ids = list(map(str, range(m)))
         with open(path, "w") as fh:
             fh.write(f"# {header_note}\n")
             fh.write("checkpoint_time,path_id,R2,Z,V,QV\n")
             for k, t in enumerate(self.times.tolist()):
                 block = np.stack([self.r2[k, :m], self.z[k, :m], self.v[k, :m],
                                   self.qv[k, :m]], axis=1)
-                _write_csv_rows(fh, rows, block, lead="%.17g," % t)
+                _write_csv_block(fh, ids, block, lead="%.17g," % t)
 
 
-# rows per write of _write_csv_rows: bounds the text held, not the file's size
+# rows per write of _write_csv_block: bounds the text held, not the file's size
 _CSV_ROWS = 8192
 
 
-def _csv_rows(m, k):
-    """Row templates `<i>,%.17g,...,%.17g\\n` (k cells) for row ids i < m."""
-    cells = ",%.17g" * k + "\n"
-    return [f"{i}{cells}" for i in range(m)]
+def _write_csv_block(fh, ids, values, lead=""):
+    """Write the rows `lead + ids[i] + ",%.17g" % v + ... + "\\n"`, v over values[i].
 
-
-def _write_csv_rows(fh, rows, values, lead=""):
-    """Write `lead + rows[i] % values[i]` for every row, in blocks of _CSV_ROWS.
-
-    `values` is (len(rows), k) to match `_csv_rows(len(rows), k)`; `lead`
-    must hold no `%`.  Each block is one `%` over its values as Python
-    floats, which formats every value exactly as `"%.17g" % value`, and the
-    row ids are the integer text that `%.17g` gives an integer-valued float
-    below 2**53.  So the bytes are those of formatting every cell of the
-    (id, values) table row by row with `%.17g`, without the per-row cost.
+    `values` is (len(ids), k); neither `lead` nor any id may hold a `%`.
+    Rows go out in chunks of at most _CSV_ROWS, each as one `%` over one
+    chunk template.  A column whose float64 bits are equal in every row of
+    the chunk is formatted once, straight into the template; only the other
+    columns keep a `%.17g` field.  Bits, not values, decide, so 0.0 never
+    stands in for -0.0 and NaNs fold only with the same payload.  Every
+    cell is `"%.17g" % value` of the Python float either way, so the bytes
+    are those of formatting the table cell by cell, without the per-cell
+    cost.  With ids `str(i)`, they are also those of `%.17g` over the
+    (row number, values) table, since that is the integer text `%.17g`
+    gives an integer-valued float below 2**53.
     """
-    for lo in range(0, len(rows), _CSV_ROWS):
+    values = np.asarray(values, dtype=float)
+    for lo in range(0, len(ids), _CSV_ROWS):
         hi = lo + _CSV_ROWS
-        fh.write((lead + lead.join(rows[lo:hi])) % tuple(values[lo:hi].ravel().tolist()))
+        chunk = values[lo:hi]
+        bits = chunk.view(np.uint64)
+        const = (bits == bits[0]).all(axis=0)
+        cells = "".join("," + ("%.17g" % v if c else "%.17g")
+                        for v, c in zip(chunk[0].tolist(), const.tolist())) + "\n"
+        text = lead + (cells + lead).join(ids[lo:hi]) + cells
+        fh.write(text % tuple(chunk[:, ~const].ravel().tolist()))
 
 
 def default_checkpoints(T, dt):

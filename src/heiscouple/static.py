@@ -53,7 +53,7 @@ from heiscouple.coupling import _frame_from_unit
 # bound here too, so perfbench's tracer times static's solves under this module
 from heiscouple.estimators import linear_sum_assignment
 from heiscouple.simulate import (
-    _check, _check_finite, _check_starts, _csv_rows, _is_integer, _write_csv_rows,
+    _check, _check_finite, _check_starts, _is_integer, _write_csv_block,
     philox_stream,
 )
 
@@ -111,7 +111,8 @@ class StaticJointSample:
         A `# header_note` line comes first when the note is not empty.
         Byte contract: every float is written as `%.17g`, which round-trips
         every float64 through `float()`; sample_id is the bare integer.  Rows
-        are written in blocks (`simulate._write_csv_rows`).
+        are written in blocks (`simulate._write_csv_block`), and a column
+        that is bitwise constant over a block has its cell formatted once.
         """
         m, dim = self.left.shape
         n = (dim - 1) // 2
@@ -127,7 +128,7 @@ class StaticJointSample:
             if header_note:
                 fh.write(f"# {header_note}\n")
             fh.write(",".join(cols) + "\n")
-            _write_csv_rows(fh, _csv_rows(m, 2 * dim + 1), body)
+            _write_csv_block(fh, list(map(str, range(m))), body)
 
 
 def _check_horizon(t):

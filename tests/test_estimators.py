@@ -47,8 +47,9 @@ def test_estimate_moment_validation():
     ens = _toy_ensemble()
     with pytest.raises(ValueError, match="metric"):
         est.estimate_moment(ens, p=1, metric="bogus")
-    with pytest.raises(ValueError, match="moment order"):
-        est.estimate_moment(ens, p=-1)
+    for p in (-1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="moment order"):
+            est.estimate_moment(ens, p=p)
 
 
 def test_fit_power_law_recovers_exact_exponent():
@@ -120,6 +121,8 @@ def test_empirical_wasserstein_guards():
         est.empirical_wasserstein(np.zeros(600), np.zeros(600))
     with pytest.raises(ValueError):
         est.empirical_wasserstein(np.zeros(3), np.zeros(4))
+    with pytest.raises(ValueError, match="^samples1 and samples2 must not be empty"):
+        est.empirical_wasserstein(np.zeros(0), np.zeros(0))
     for p in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="^p must be positive and finite"):
             est.empirical_wasserstein(np.zeros(3), np.ones(3), p=p)
@@ -165,6 +168,14 @@ def test_hitting_cdf_shape():
     assert c[0] == 0.0
     assert np.all(np.diff(c) > 0)
     assert c[-1] > 0.999
+    assert est.hitting_cdf(np.inf, 1.0) == 1.0
+    assert est.hitting_cdf(-np.inf, 1.0) == 0.0
+    for r0 in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^r0 must be positive and finite"):
+            est.hitting_cdf(1.0, r0)
+    for bad_t in (math.nan, np.array([0.5, np.nan])):
+        with pytest.raises(ValueError, match="^t must not be NaN"):
+            est.hitting_cdf(bad_t, 1.0)
 
 
 def test_excursion_moment_second_moment():

@@ -14,6 +14,7 @@ from heiscouple import coupling as cpl
 from heiscouple import estimators as est
 from heiscouple import group as grp
 from heiscouple import simulate as sim
+from heiscouple import static
 from heiscouple.constants import CROSSING_CUT
 
 
@@ -876,14 +877,55 @@ def _random_bits_ensemble(nt, m, seed):
                             v=bits(), qv=bits(), drift_int=bits(), absorbed_at=np.full(m, np.nan))
 
 
-@pytest.mark.parametrize("max_paths", [None, 0, 7, 8, 22, 10**6])
-def test_to_csv_blocks_match_savetxt(tmp_path, monkeypatch, max_paths):
-    # 7-row write blocks split each checkpoint's 23 paths unevenly
+def _plant(case, cols):
+    """Give the (..., rows) arrays `cols` a column pattern 7-row write blocks may fold."""
+    if case == "split":  # constant over the first write block, not the next
+        cols[0][..., :7] = cols[0][..., :1]
+    elif case == "signed-zero":  # all 0.0 but one -0.0, in the second write block
+        cols[1][...] = 0.0
+        cols[1][..., 9] = -0.0
+    elif case == "nan":
+        cols[2][...] = np.nan
+    elif case == "nan-payloads":  # quiet NaNs with payloads 1, 2, ...
+        rows = cols[3].shape[-1]
+        cols[3][...] = (np.uint64(0x7FF8000000000001)
+                        + np.arange(rows, dtype=np.uint64)).view(np.float64)
+    elif case == "all-constant":  # no `%` field is left in any write block
+        for col in cols:
+            col[...] = col[..., :1]
+
+
+def _savetxt_static_csv(smp, path):
+    """Reference writer for an n = 1 StaticJointSample: np.savetxt over the table."""
+    body = np.column_stack([np.arange(smp.n_samples), smp.left, smp.right, smp.cost])
+    with open(path, "w") as fh:
+        fh.write("# n\nsample_id,Lx1,Ly1,Lz,Rx1,Ry1,Rz,cost\n")
+        np.savetxt(fh, body, fmt="%.17g", delimiter=",")
+
+
+_FOLD_CASES = ("split", "signed-zero", "nan", "nan-payloads", "all-constant")
+
+
+@pytest.mark.parametrize("max_paths, fold",
+                         [pytest.param(mp, None, id=str(mp)) for mp in (None, 0, 7, 8, 22, 10**6)]
+                         + [pytest.param(None, case, id=case) for case in _FOLD_CASES])
+def test_to_csv_blocks_match_savetxt(tmp_path, monkeypatch, max_paths, fold):
+    # 7-row write blocks split each checkpoint's 23 paths (and 23 samples)
+    # unevenly; a `fold` case plants a column the writer may format once
     monkeypatch.setattr(sim, "_CSV_ROWS", 7)
     ens = _random_bits_ensemble(5, 23, seed=max_paths or 0)
+    _plant(fold, [ens.r2, ens.z, ens.v, ens.qv])
     mine, ref = tmp_path / "mine.csv", tmp_path / "ref.csv"
     ens.to_csv(mine, header_note="n", max_paths=max_paths)
     _savetxt_csv(ens, ref, header_note="n", max_paths=max_paths)
+    assert mine.read_bytes() == ref.read_bytes()
+
+    smp = static.StaticJointSample(left=ens.r2[:3].T.copy(), right=ens.v[:3].T.copy(),
+                                   cost=ens.qv[0].copy())
+    _plant(fold, [smp.left[:, 0], smp.left[:, 1], smp.left[:, 2], smp.right[:, 0],
+                  smp.right[:, 1], smp.right[:, 2], smp.cost])
+    smp.to_csv(mine, header_note="n")
+    _savetxt_static_csv(smp, ref)
     assert mine.read_bytes() == ref.read_bytes()
 
 
