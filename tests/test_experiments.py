@@ -1,5 +1,6 @@
 """Experiment registry, config parsing, artifacts, and the CLI."""
 
+import hashlib
 import json
 import warnings
 
@@ -369,3 +370,51 @@ def test_excursion_moments_needs_two_samples_and_two_steps(tmp_path, capsys, key
     assert not (tmp_path / "art").exists()
     with pytest.raises(exp.ConfigError, match=f"'{key}': must be at least 2$"):
         exp.run_experiment("excursion-moments", {key: 1}, out=tmp_path / "api")
+
+
+# artifact bodies: SHA-256 (first 16 hex digits) of ensemble.csv without its
+# `#` line, summary.csv and report.jsonl, for every experiment at a small
+# seeded config (stamp fixed), recorded with numpy 2.4.6 and scipy 1.17.1 on
+# x86-64.  A refactor must leave every digest unchanged; a deliberate change
+# to an experiment's numbers re-records its row and says so.
+_ARTIFACT_CASES = {
+    "algebra-suite": {"n_cases": 200},
+    "matrix-lemmas": {"n_cases": 100},
+    "scheme-consistency": {"n_paths": 300, "horizon": 0.05, "dt": 0.01},
+    "blowup-synchronous": {"n_paths": 200, "horizon": 2.0, "dt": 0.05},
+    "blowup-reflection": {"n_paths": 200, "horizon": 2.0, "dt": 0.05, "scheme": "full"},
+    "blowup-perverse": {"n_paths": 200, "horizon": 2.0, "dt": 0.05},
+    "kendall-success": {"n_paths": 50, "checkpoints": (0.5, 1.0, 2.0)},
+    "reflection-exponents": {"n_paths": 500, "checkpoints": (0.25, 0.5, 1.0)},
+    "reflection-hitting": {"n_paths": 500, "horizon": 0.25},
+    "static-ratio": {"n_samples": 40},
+    "static-baseline": {"n_samples": 40},
+    "mg-lemma": {"n_paths": 2000},
+    "excursion-moments": {"n_samples": 8, "m_steps": 64},
+}
+_EMPTY_ENSEMBLE = "e81eb7066f3d56a4"  # the header line alone
+_ARTIFACT_GOLDEN = {
+    "algebra-suite": (_EMPTY_ENSEMBLE, "3db50bce0d3f15c8", "48b61e6fc7d7bc5b"),
+    "matrix-lemmas": (_EMPTY_ENSEMBLE, "d84b1fbcf1421234", "31e71db452590051"),
+    "scheme-consistency": ("0bc7b8dee49746d3", "47474149ee8e8cc2", "3e97867248da7f19"),
+    "blowup-synchronous": ("aea7e102e6bf692e", "98da8c81201b036e", "e8bfd89a4c887d9b"),
+    "blowup-reflection": ("bb16703f1dd0dbf6", "cc814128d0d7c005", "2b1cae0435d1fe23"),
+    "blowup-perverse": ("8d9def53a90c6459", "565b48be78a0a76e", "baaff204b3bc641a"),
+    "kendall-success": (_EMPTY_ENSEMBLE, "b05d62851bfe691e", "4f255a183c7ef8c3"),
+    "reflection-exponents": ("e8ecaf337f6e32c8", "3de3f6f6650d9680", "7ed800c3bda74f10"),
+    "reflection-hitting": ("987eed546a1b2783", "437aacc5402d8c18", "3821c85f81ef26ef"),
+    "static-ratio": (_EMPTY_ENSEMBLE, "40db01ac71cd89c5", "f77b570aff072fed"),
+    "static-baseline": (_EMPTY_ENSEMBLE, "cecef4a1ecaa2dec", "525a420adfa29989"),
+    "mg-lemma": (_EMPTY_ENSEMBLE, "b7dca7bd090dc6a8", "2a8414a5fcec821e"),
+    "excursion-moments": (_EMPTY_ENSEMBLE, "74d8276efc1f8c32", "42a894ed975cbff2"),
+}
+
+
+@pytest.mark.parametrize("name", list(exp.EXPERIMENTS))
+def test_artifact_digests(tmp_path, name):
+    exp.run_experiment(name, {**_ARTIFACT_CASES[name], "seed": 7}, out=tmp_path, stamp="golden")
+    d = tmp_path / name
+    ensemble = (d / "ensemble.csv").read_bytes().split(b"\n", 1)[1]
+    got = tuple(hashlib.sha256(body).hexdigest()[:16] for body in
+                (ensemble, (d / "summary.csv").read_bytes(), (d / "report.jsonl").read_bytes()))
+    assert got == _ARTIFACT_GOLDEN[name]
