@@ -19,7 +19,6 @@ from heiscouple.group import (
     rotate,
     quasinorm,
     quasidistance,
-    vertical_cc_distance,
     identity,
     point,
 )
@@ -51,7 +50,6 @@ from heiscouple.static import (
     conditional_vertical_density,
     sample_levy_area_given_endpoint,
     static_couple,
-    transport_cost_sqrt_1d,
 )
 from heiscouple.experiments import EXPERIMENTS, ConfigError, run_experiment
 

@@ -31,8 +31,11 @@ KS_PVALUE_MIN = 1e-3
 KENDALL_KAPPA = 1.0
 KENDALL_EPSILON = 0.5
 
-# success threshold for the adaptive contraction experiment
+# adaptive contraction runner (simulate.kendall_success_times): success
+# threshold, cap on the reflection-phase step, and guard on phase updates
 KENDALL_SUCCESS_DH = 1e-3
+KENDALL_DT_CAP = 0.05
+KENDALL_MAX_ITERS = 20_000_000
 
 # RNG blocking: paths are carved into blocks of this size, each with its own
 # counter-based stream keyed (seed, block index).  A thread steps one

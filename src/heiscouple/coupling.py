@@ -58,13 +58,6 @@ _REGIMES = {
 }
 
 
-def apply_complex_structure(v):
-    """Apply M: (x, y) -> (-y, x) blockwise, i.e. multiply by i on C^n."""
-    v = np.asarray(v, dtype=float)
-    n = v.shape[-1] // 2
-    return np.concatenate([-v[..., n:], v[..., :n]], axis=-1)
-
-
 def synchronous_matrix(n=1):
     """K = I: both marginals consume the same increments."""
     return np.eye(2 * n)
@@ -84,16 +77,16 @@ def perverse_matrix(n=1):
     return K
 
 
-def validate_coupling_matrix(J, tol=MATRIX_TOL):
+def validate_coupling_matrix(J):
     """True iff J is a square, even-dimensional, finite matrix with
-    spectral norm <= 1 + tol."""
+    spectral norm <= 1 + MATRIX_TOL."""
     J = np.asarray(J, dtype=float)
     if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 2 != 0:
         return False
     if not np.all(np.isfinite(J)):
         return False
     smax = np.linalg.svd(J, compute_uv=False)[0]
-    return bool(smax <= 1.0 + tol)
+    return bool(smax <= 1.0 + MATRIX_TOL)
 
 
 def complete_jhat(J):
@@ -317,22 +310,3 @@ def kendall_policy(kappa=KENDALL_KAPPA, epsilon=KENDALL_EPSILON):
 
 def custom_policy(K):
     return CouplingPolicy(kind="custom", matrix=K)
-
-
-def policy_step(policy, r2, z, memory, n=1):
-    """One single-path policy evaluation.
-
-    Args:
-        policy: a CouplingPolicy.
-        r2, z: current squared horizontal separation and vertical coordinate.
-        memory: regime code from the previous step (or
-            policy.initial_regime(r2, z) at t = 0).
-        n: number of horizontal pairs.
-
-    Returns:
-        (K, memory'): the frame-basis coupling matrix to apply over the next
-        step, and the updated memory.
-    """
-    mem = policy.next_regime(np.float64(r2), np.float64(z), np.int8(memory))
-    code = int(np.asarray(mem).reshape(()))
-    return policy.matrix_for_regime(code, n=n), np.int8(code)

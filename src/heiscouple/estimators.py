@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from heiscouple import group as grp
-from heiscouple.simulate import _check, _check_finite, _is_integer, philox_stream
+from heiscouple.simulate import _check, _check_count, _check_finite, philox_stream
 
 
 def _linear_sum_assignment(cost):
@@ -24,6 +24,9 @@ def _linear_sum_assignment(cost):
 
 # a public module name, so perfbench's tracer times the solve apart from its caller
 linear_sum_assignment = _linear_sum_assignment
+
+# largest sample `empirical_wasserstein` solves exactly (an m x m assignment)
+_MAX_N = 512
 
 
 @dataclass
@@ -54,6 +57,24 @@ def jackknife_stderr(values):
     if n < 2:
         return float("nan")
     return float(np.sqrt(((x - x.mean()) ** 2).sum() / (n * (n - 1))))
+
+
+def _check_log_axes(t_name, t, y_name, y):
+    """Raise ValueError unless t and y are 1-d of one length, finite and positive."""
+    if t.ndim != 1 or t.shape != y.shape:
+        raise ValueError(f"{t_name} and {y_name} must be 1-d of equal length, "
+                         f"got shapes {t.shape} and {y.shape}")
+    for name, x in ((t_name, t), (y_name, y)):
+        bad = x.size - np.count_nonzero(np.isfinite(x) & (x > 0))
+        if bad:
+            raise ValueError(f"{name} must be finite and positive, got {bad} bad of {x.size} values")
+
+
+def _check_not_nan(name, x):
+    """Raise ValueError naming `name` if the array x holds a NaN."""
+    bad = np.count_nonzero(np.isnan(x))
+    if bad:
+        raise ValueError(f"{name} must not be NaN, got {bad} NaN of {x.size} values")
 
 
 _METRICS = ("r", "abs_z", "d_h")
@@ -104,20 +125,15 @@ def fit_power_law(estimates, window=None):
         window: optional (t_lo, t_hi) inclusive time window.
 
     Returns:
-        PowerLawFit.  Raises if fewer than 3 usable points or nonpositive
-        estimates inside the window.
+        PowerLawFit.  Raises ValueError if fewer than 3 points fall in the
+        window, or if a time or estimate there is not finite and positive.
     """
-    pts = [
-        (e.time, e.estimate)
-        for e in estimates
-        if e.time > 0 and (window is None or window[0] <= e.time <= window[1])
-    ]
+    pts = [(e.time, e.estimate) for e in estimates
+           if window is None or window[0] <= e.time <= window[1]]
     if len(pts) < 3:
         raise ValueError("need at least 3 checkpoints in the fit window")
-    t = np.array([q[0] for q in pts])
-    y = np.array([q[1] for q in pts])
-    if np.any(y <= 0):
-        raise ValueError("nonpositive estimates in the fit window")
+    t, y = np.array(pts).T
+    _check_log_axes("times", t, "estimates", y)
     lx, ly = np.log(t), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (intercept + slope * lx)
@@ -139,10 +155,12 @@ def compare_log_vs_power(times, values):
     Both models are fitted by least squares (the power law on log-log axes)
     and compared by residual sum of squares in the original y space.  Used to
     recognise the logarithmic growth regime, where a fitted tiny power looks
-    deceptively fine on log-log axes.
+    deceptively fine on log-log axes.  `times` and `values` must be 1-d of
+    equal length, finite and positive.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
+    _check_log_axes("times", t, "values", y)
     lx = np.log(t)
     b, a = np.polyfit(lx, y, 1)
     rss_log = float(((y - (a + b * lx)) ** 2).sum())
@@ -157,38 +175,39 @@ def compare_log_vs_power(times, values):
     }
 
 
-def empirical_wasserstein(samples1, samples2, p=1.0, metric=None, max_n=512):
+def empirical_wasserstein(samples1, samples2, p=1.0):
     """Exact p-Wasserstein between two equal-size empirical measures.
 
-    Cost (sum_i d(x_i, y_sigma(i))^p / n)^(1/p) minimised over permutations
+    Cost (sum_i d(x_i, y_sigma(i))^p / m)^(1/p) minimised over permutations
     sigma by the Hungarian assignment solver; exact for every p > 0,
     including the concave range p < 1 where sorted matching is not optimal.
+    So sqrt(empirical_wasserstein(x, x + s, p=0.5)) is the exact mean
+    sqrt|dx| transport cost between an empirical measure and its shift.
 
     Args:
-        samples1, samples2: finite arrays (m,) of reals, or (m, 2n+1) of
-            group points (then d is the group quasidistance unless `metric`
-            given).
+        samples1, samples2: finite arrays of one shape, (m,) of reals (d is
+            |x - y|) or (m, 2n+1) of group points (d is the quasidistance),
+            with 1 <= m <= 512.
         p: cost exponent, positive and finite.
-        metric: optional callable metric(x_block, y_block) -> (m, m) costs.
 
     Returns:
         Nonnegative float.
     """
     x = np.asarray(samples1, dtype=float)
     y = np.asarray(samples2, dtype=float)
+    if not (x.ndim == 1 or (x.ndim == 2 and x.shape[1] >= 3 and x.shape[1] % 2)):
+        raise ValueError(f"samples must be (m,) reals or (m, 2n+1) points, got shape {x.shape}")
     if x.shape != y.shape:
         raise ValueError("sample arrays must have identical shapes")
     m = x.shape[0]
     if m == 0:
         raise ValueError("samples1 and samples2 must not be empty")
-    if m > max_n:
-        raise ValueError(f"exact assignment limited to {max_n} samples, got {m}")
+    if m > _MAX_N:
+        raise ValueError(f"exact assignment limited to {_MAX_N} samples, got {m}")
     _check(0.0 < p < math.inf, "p", p, "positive and finite")
     _check_finite("samples1", x)
     _check_finite("samples2", y)
-    if metric is not None:
-        dmat = metric(x, y)
-    elif x.ndim == 1:
+    if x.ndim == 1:
         dmat = np.abs(x[:, None] - y[None, :])
     else:
         dmat = grp.quasidistance(x[:, None, :], y[None, :, :])
@@ -215,14 +234,18 @@ def hitting_density(u, r0):
     """Density of the time reflection coupling merges the horizontal parts.
 
     R/2 is a standard BM started at r0/2 and absorbed at 0, so tau follows
-    the level-hitting law (r0/2) / sqrt(2 pi u^3) exp(-r0^2 / (8u)).
+    the level-hitting law (r0/2) / sqrt(2 pi u^3) exp(-r0^2 / (8u)), taken
+    as one exp of its log so that tiny and infinite u give 0, not NaN.  `r0`
+    must be positive and finite and `u` hold no NaN.
     """
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
+    _check(0.0 < r0 < math.inf, "r0", r0, "positive and finite")
     u = np.asarray(u, dtype=float)
+    _check_not_nan("u", u)
     if np.any(u <= 0):
         raise ValueError("density evaluated at nonpositive times")
-    return (r0 / 2.0) / np.sqrt(2.0 * np.pi * u**3) * np.exp(-(r0**2) / (8.0 * u))
+    with np.errstate(over="ignore"):  # r0^2 / (8u) -> inf for subnormal u
+        return np.exp(math.log(r0 / 2.0) - 0.5 * math.log(2.0 * math.pi) - 1.5 * np.log(u)
+                      - r0 * r0 / (8.0 * u))
 
 
 def hitting_cdf(t, r0):
@@ -235,9 +258,7 @@ def hitting_cdf(t, r0):
 
     _check(0.0 < r0 < math.inf, "r0", r0, "positive and finite")
     t = np.asarray(t, dtype=float)
-    if np.isnan(t).any():
-        raise ValueError(f"t must not be NaN, got {np.count_nonzero(np.isnan(t))} NaN "
-                         f"of {t.size} values")
+    _check_not_nan("t", t)
     out = np.zeros_like(t, dtype=float)
     pos = t > 0
     out[pos] = 2.0 * (1.0 - ndtr(r0 / (2.0 * np.sqrt(t[pos]))))
@@ -283,8 +304,8 @@ def excursion_moment(p, n_samples=4096, m_steps=2048, seed=0):
 
 def _check_excursion_args(p, n_samples, m_steps):
     _check(0.0 < p < math.inf, "p", p, "positive and finite")
-    _check(_is_integer(n_samples) and n_samples >= 1, "n_samples", n_samples, "an integer >= 1")
-    _check(_is_integer(m_steps) and m_steps >= 2, "m_steps", m_steps, "an integer >= 2")
+    _check_count("n_samples", n_samples)
+    _check_count("m_steps", m_steps, 2)
 
 
 def excursion_moment_rejection(p, n_samples=2048, m_steps=256, seed=0):

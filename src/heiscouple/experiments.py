@@ -25,7 +25,7 @@ from heiscouple.constants import (
     KS_PVALUE_MIN, MATRIX_TOL, MAX_CLAMP_FRACTION,
 )
 from heiscouple.simulate import (
-    _check_threads,
+    _check_count,
     _is_integer,
     kendall_success_times,
     philox_stream,
@@ -177,7 +177,7 @@ def _run_scheme_consistency(p, threads):
 
 def _run_blowup(strategy):
     def run(p, threads):
-        pol = cpl.CouplingPolicy(strategy, p["kappa"], p["epsilon"])
+        pol = cpl.CouplingPolicy(strategy)
         a, ap = _start_points(p)
         cks = sorted({1.0, p["horizon"]} | {p["horizon"] * 2.0**-k for k in range(7)})
         ens = simulate_ensemble(
@@ -403,21 +403,20 @@ _ENSEMBLE = {
     "horizon": (float, 1.0),
     "dt": (float, 1e-3),
     "n_paths": (int, 10000),
-    "kappa": (float, KENDALL_KAPPA),
-    "epsilon": (float, KENDALL_EPSILON),
 }
+# the hysteresis thresholds, read only by the kendall policy
+_KENDALL = {"kappa": (float, KENDALL_KAPPA), "epsilon": (float, KENDALL_EPSILON)}
 _BLOWUP = {**_ENSEMBLE, "horizon": (float, 100.0), "dt": (float, 0.01),
            "scheme": (str, "reduced")}
 
 EXPERIMENTS = {
     "algebra-suite": ({"n_cases": (int, 10000)}, _run_algebra_suite),
     "matrix-lemmas": ({"n_cases": (int, 10000)}, _run_matrix_lemmas),
-    "scheme-consistency": (dict(_ENSEMBLE), _run_scheme_consistency),
+    "scheme-consistency": ({**_ENSEMBLE, **_KENDALL}, _run_scheme_consistency),
     **{f"blowup-{kind}": (_BLOWUP, _run_blowup(kind))
        for kind in ("synchronous", "reflection", "perverse")},
     "kendall-success": (
-        {"kappa": (float, KENDALL_KAPPA), "epsilon": (float, KENDALL_EPSILON),
-         "r0": (float, 1.0), "z0": (float, 0.0), "alpha": (float, 1e-3),
+        {**_KENDALL, "r0": (float, 1.0), "z0": (float, 0.0), "alpha": (float, 1e-3),
          "success_dh": (float, KENDALL_SUCCESS_DH),
          "n_paths": (int, 10000), "checkpoints": (_floats, (10.0, 40.0, 160.0))},
         _run_kendall_success,
@@ -597,7 +596,7 @@ def run_experiment(name, params=None, out=".", threads=1, stamp=""):
     """
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}")
-    _check_threads(threads)
+    _check_count("threads", threads)
     merged = default_params(name)
     if params:
         merged.update(params)

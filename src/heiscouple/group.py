@@ -152,8 +152,3 @@ def quasidistance(a, b):
     col += sym_x
     hor2 += np.abs(col, out=col)
     return np.sqrt(hor2, out=hor2)[()]
-
-
-def vertical_cc_distance(h):
-    """Carnot-Caratheodory distance from the identity to (0, 0, h): 2 sqrt(pi |h|)."""
-    return 2.0 * np.sqrt(np.pi * np.abs(h))

@@ -79,6 +79,8 @@ from heiscouple.constants import (
     CLAMP_TOL,
     CROSSING_CUT,
     DEFAULT_DT,
+    KENDALL_DT_CAP,
+    KENDALL_MAX_ITERS,
     KENDALL_SUCCESS_DH,
     RNG_BLOCK,
 )
@@ -139,11 +141,6 @@ class CouplingState:
             t=float(t),
         )
 
-    def points(self):
-        left = np.concatenate([self.b, [self.vert]])
-        right = np.concatenate([self.bprime, [self.vert_p]])
-        return left, right
-
     @property
     def r2(self):
         return float(((self.b - self.bprime) ** 2).sum())
@@ -151,10 +148,6 @@ class CouplingState:
     @property
     def z(self):
         return float(relative_coordinates(self.b, self.bprime, self.vert, self.vert_p)[1])
-
-    @property
-    def d_h(self):
-        return math.sqrt(self.r2 + abs(self.z))
 
 
 def step_full(state, J, dt, dw, dwt=None, jhat=None):
@@ -254,8 +247,7 @@ class PathEnsemble:
         constant over a write block (a merged or frozen quantity, a drift
         that never moves) has its cell formatted once for the block.
         """
-        _check(max_paths is None or (_is_integer(max_paths) and max_paths >= 0),
-               "max_paths", max_paths, "None or an integer >= 0")
+        _check_count("max_paths", max_paths, 0, optional=True)
         nt, m = self.r2.shape
         if max_paths is not None:
             m = min(m, int(max_paths))
@@ -273,7 +265,7 @@ class PathEnsemble:
 _CSV_ROWS = 8192
 
 
-def _write_csv_block(fh, ids, values, lead=""):
+def _write_csv_block(fh, ids, values, lead):
     """Write the rows `lead + ids[i] + ",%.17g" % v + ... + "\\n"`, v over values[i].
 
     `values` is (len(ids), k); neither `lead` nor any id may hold a `%`.
@@ -320,7 +312,7 @@ def _checkpoint_steps(checkpoints, dt, n_steps):
 
 
 def _check_run_args(n_paths, checkpoints):
-    _check(_is_integer(n_paths) and n_paths >= 1, "n_paths", n_paths, "an integer >= 1")
+    _check_count("n_paths", n_paths)
     if checkpoints is not None:
         cks = np.asarray(checkpoints, dtype=float)
         if not np.all(np.isfinite(cks)) or np.any(cks < 0.0):
@@ -343,6 +335,14 @@ def _check_finite(name, x):
 def _is_integer(x):
     """A Python or numpy integer, not a bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_count(name, val, least=1, optional=False):
+    """Raise ValueError "<name> must be an integer >= <least>" unless val is one.
+
+    With `optional`, None is accepted too and the message says so."""
+    ok = (optional and val is None) or (_is_integer(val) and val >= least)
+    _check(ok, name, val, ("None or " if optional else "") + f"an integer >= {least}")
 
 
 def _check_starts(a, aprime):
@@ -481,10 +481,6 @@ class _Streams:
         for (rng, _, _), a, b in zip(self.rows, cuts[:-1], cuts[1:]):
             if b > a:
                 rng.random(b - a, out=out[a:b])
-
-
-def _check_threads(threads):
-    _check(_is_integer(threads) and threads >= 1, "threads", threads, "an integer >= 1")
 
 
 def _run_groups(run, n_paths, threads):
@@ -847,7 +843,7 @@ def simulate_ensemble(
     """
     if scheme not in ("full", "reduced"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    _check_threads(threads)
+    _check_count("threads", threads)
     _check_run_args(n_paths, checkpoints)
     a, aprime = _check_starts(a, aprime)
     n = grp.npairs(a)
@@ -930,7 +926,7 @@ def simulate_reflection_exact(
     ("cells"), the uniforms drawn ("crossing_draws") and the absorbed paths
     ("absorbed").
     """
-    _check_threads(threads)
+    _check_count("threads", threads)
     _check_run_args(n_paths, checkpoints)
     _check(0.0 <= r0 < math.inf, "r0", r0, "finite and >= 0")
     _check(0.0 <= T < math.inf, "T", T, "finite and >= 0")
@@ -1023,10 +1019,8 @@ def kendall_success_times(
     t_max,
     n_paths,
     alpha=0.015,
-    dt_cap=0.05,
     success_dh=KENDALL_SUCCESS_DH,
     seed=0,
-    max_iters=20_000_000,
 ):
     """First times the kendall-coupled pair contracts below a quasidistance.
 
@@ -1037,14 +1031,15 @@ def kendall_success_times(
     to whichever level comes first -- the re-entry band |Z| = (kappa-eps)R^2/v8
     or the success set R^2 + |Z| = success_dh^2.  The reflection regime has no
     closed form and is stepped with dilation-adapted increments
-    dt = min(alpha (R^2+|Z|), dt_cap), reflecting radial boundary.
+    dt = min(alpha (R^2+|Z|), KENDALL_DT_CAP), reflecting radial boundary.
 
     Success (R^2 + |Z| < success_dh^2) is absorbing at experiment level; the
     policy memory itself only tracks its regime.  Runs single-threaded on one
     noise stream: thread counts never affect the output.
 
     `r2_0` and `t_max` must be finite and >= 0, `z_0` finite, `n_paths` an
-    integer >= 1, and `alpha`, `dt_cap` and `success_dh` positive and finite.
+    integer >= 1, and `alpha` and `success_dh` positive and finite.  A run
+    that takes more than KENDALL_MAX_ITERS phase updates raises RuntimeError.
 
     Returns an array of success times (NaN for paths still apart at t_max).
     """
@@ -1054,7 +1049,7 @@ def kendall_success_times(
     _check(0.0 <= r2_0 < math.inf, "r2_0", r2_0, "finite and >= 0")
     _check(0.0 <= t_max < math.inf, "t_max", t_max, "finite and >= 0")
     _check(math.isfinite(z_0), "z_0", z_0, "finite")
-    for name, val in (("alpha", alpha), ("dt_cap", dt_cap), ("success_dh", success_dh)):
+    for name, val in (("alpha", alpha), ("success_dh", success_dh)):
         _check(0.0 < val < math.inf, name, val, "positive and finite")
     tol2 = float(success_dh) ** 2
     band_in = (policy.kappa - policy.epsilon) / math.sqrt(8.0)
@@ -1073,8 +1068,8 @@ def kendall_success_times(
     iters = 0
     while np.any(active):
         iters += 1
-        if iters > max_iters:
-            raise RuntimeError("adaptive contraction run exceeded max_iters")
+        if iters > KENDALL_MAX_ITERS:
+            raise RuntimeError("adaptive contraction run exceeded KENDALL_MAX_ITERS")
         act = idx[active]
         reg = regime[act]
 
@@ -1099,7 +1094,7 @@ def kendall_success_times(
         if rf.size:
             r2r, zr, tr = r2[rf], z[rf], t[rf]
             remaining = np.maximum(t_max - tr, 0.0)
-            dt = np.minimum(alpha * (r2r + np.abs(zr)), dt_cap)
+            dt = np.minimum(alpha * (r2r + np.abs(zr)), KENDALL_DT_CAP)
             dt = np.minimum(dt, remaining / substeps)
             sdt = np.sqrt(dt)
             g = rng.standard_normal((rf.size, substeps, 2))

@@ -52,10 +52,7 @@ from heiscouple import group as grp
 from heiscouple.coupling import _frame_from_unit
 # bound here too, so perfbench's tracer times static's solves under this module
 from heiscouple.estimators import linear_sum_assignment
-from heiscouple.simulate import (
-    _check, _check_finite, _check_starts, _is_integer, _write_csv_block,
-    philox_stream,
-)
+from heiscouple.simulate import _check, _check_count, _check_starts, philox_stream
 
 # Standardized Fourier grid for conditional vertical densities: frequencies
 # j * _DV for j < _M_GRID cover the slowest characteristic-function decay
@@ -105,38 +102,9 @@ class StaticJointSample:
         """Per-sample right.horizontal - left.horizontal, shape (m, 2n)."""
         return grp.horizontal(self.right) - grp.horizontal(self.left)
 
-    def to_csv(self, path, header_note=""):
-        """Write one row per sample: sample_id, left, right, cost.
-
-        A `# header_note` line comes first when the note is not empty.
-        Byte contract: every float is written as `%.17g`, which round-trips
-        every float64 through `float()`; sample_id is the bare integer.  Rows
-        are written in blocks (`simulate._write_csv_block`), and a column
-        that is bitwise constant over a block has its cell formatted once.
-        """
-        m, dim = self.left.shape
-        n = (dim - 1) // 2
-        cols = (
-            ["sample_id"]
-            + [f"L{c}{i+1}" for c in ("x", "y") for i in range(n)]
-            + ["Lz"]
-            + [f"R{c}{i+1}" for c in ("x", "y") for i in range(n)]
-            + ["Rz", "cost"]
-        )
-        body = np.column_stack([self.left, self.right, self.cost])
-        with open(path, "w") as fh:
-            if header_note:
-                fh.write(f"# {header_note}\n")
-            fh.write(",".join(cols) + "\n")
-            _write_csv_block(fh, list(map(str, range(m))), body)
-
 
 def _check_horizon(t):
     _check(0.0 < t < math.inf, "t", t, "positive and finite")
-
-
-def _check_count(name, count):
-    _check(_is_integer(count) and count >= 1, name, count, "an integer >= 1")
 
 
 def _check_bridge_args(t, m_steps):
@@ -144,7 +112,7 @@ def _check_bridge_args(t, m_steps):
     _check_count("m_steps", m_steps)
 
 
-def sample_levy_area_given_endpoint(b, t=1.0, m_steps=1024, rng=None, seed=0):
+def sample_levy_area_given_endpoint(b, t=1.0, m_steps=1024, seed=0):
     """Vertical coordinate of a horizontal Brownian bridge 0 -> b on [0, t].
 
     Builds the bridge from scaled increments and accumulates the left-endpoint
@@ -159,8 +127,7 @@ def sample_levy_area_given_endpoint(b, t=1.0, m_steps=1024, rng=None, seed=0):
         b: (..., 2n) horizontal endpoints; one area per leading index.
         t: horizon, positive and finite.
         m_steps: bridge discretization, an integer >= 1.
-        rng: optional Generator (a fresh Philox stream from `seed`, an
-            integer in [0, 2**64), otherwise).
+        seed: Philox stream seed, an integer in [0, 2**64).
 
     Returns:
         Array of areas with shape b.shape[:-1].
@@ -169,8 +136,7 @@ def sample_levy_area_given_endpoint(b, t=1.0, m_steps=1024, rng=None, seed=0):
     if b.ndim < 1 or b.shape[-1] < 2 or b.shape[-1] % 2:
         raise ValueError("endpoints must have even horizontal dimension 2n")
     _check_bridge_args(t, m_steps)
-    if rng is None:
-        rng = philox_stream(seed, 0)
+    rng = philox_stream(seed, 0)
     lead = b.shape[:-1]
     flat = b.reshape(-1, b.shape[-1])
     m, d = flat.shape
@@ -573,23 +539,3 @@ def baseline_translation_couple(a, aprime, t=1.0, n_samples=1000, seed=0, m_step
     """
     return _pinned_couple(a, aprime, t, n_samples, seed, m_steps, "translation",
                           _translate_vertical)
-
-
-def transport_cost_sqrt_1d(samples, shift, max_n=512):
-    """Exact sqrt-cost transport between an empirical measure and its shift.
-
-    Solves the assignment between {x_i} and {x_i + shift} for the concave
-    cost sqrt|dx| (sorted matching is not optimal for concave costs) and
-    returns the mean matched cost.  `samples` and `shift` must be finite.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("samples must be one-dimensional")
-    if x.size > max_n:
-        raise ValueError(f"exact assignment limited to {max_n} samples")
-    if x.size == 0:
-        raise ValueError("empty sample")
-    _check_finite("samples", x)
-    _check(np.all(np.isfinite(shift)), "shift", shift, "finite")
-    matched, _ = _sqrt_shift_assignment(x, shift)
-    return float(matched.mean())

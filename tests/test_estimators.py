@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,30 @@ def test_fit_power_law_recovers_exact_exponent():
         est.fit_power_law(ests[:2])
 
 
+def _estimates(times, values):
+    return [est.MomentEstimate(t, 1.0, y, 0.0, 100) for t, y in zip(times, values)]
+
+
+@pytest.mark.parametrize("times,values,arg", [
+    pytest.param([1.0, 2.0, 4.0], [1.0, math.nan, 2.0], "estimates", id="estimate=nan"),
+    pytest.param([1.0, 2.0, 4.0], [1.0, math.inf, 2.0], "estimates", id="estimate=inf"),
+    pytest.param([1.0, 2.0, 4.0], [1.0, 0.0, 2.0], "estimates", id="estimate=0"),
+    pytest.param([0.0, 1.0, 2.0, 4.0], [1.0] * 4, "times", id="time=0"),
+    pytest.param([1.0, 2.0, math.inf], [1.0] * 3, "times", id="time=inf"),
+])
+def test_fit_power_law_rejects_bad_points(times, values, arg):
+    # a NaN estimate gave exponent nan with r_squared 1.0, and an infinite
+    # one a RuntimeWarning; a time of 0 was dropped without a word
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{arg} must be finite and positive"):
+            est.fit_power_law(_estimates(times, values))
+    # points outside the window are not read
+    fit = est.fit_power_law(_estimates([1e-3, 1.0, 2.0, 4.0], [-1.0, 1.0, 2.0, 4.0]),
+                            window=(1.0, 4.0))
+    assert math.isclose(fit.exponent, 1.0, rel_tol=1e-12)
+
+
 def test_compare_log_vs_power_prefers_right_model():
     t = np.geomspace(10, 1000, 12)
     log_data = 2.0 + 0.5 * np.log(t)
@@ -76,6 +101,24 @@ def test_compare_log_vs_power_prefers_right_model():
     out2 = est.compare_log_vs_power(t, pow_data)
     assert not out2["prefer_log"] and out2["rss_power"] < out2["rss_log"]
     assert math.isclose(out2["power_exponent"], 0.4, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("times,values,arg", [
+    pytest.param([1.0, 2.0, 4.0], [1.0, math.nan, 2.0], "values", id="value=nan"),
+    pytest.param([1.0, 2.0, 4.0], [1.0, 0.0, 2.0], "values", id="value=0"),
+    pytest.param([1.0, 2.0, 4.0], [1.0, -1.0, 2.0], "values", id="value<0"),
+    pytest.param([1.0, math.nan, 4.0], [1.0, 2.0, 3.0], "times", id="time=nan"),
+    pytest.param([0.0, 2.0, 4.0], [1.0, 2.0, 3.0], "times", id="time=0"),
+    pytest.param([1.0, 2.0, 4.0], [1.0, 2.0], "times and values", id="lengths"),
+    pytest.param(2.0, 3.0, "times and values", id="scalars"),
+])
+def test_compare_log_vs_power_rejects_bad_input(times, values, arg):
+    # a NaN value gave prefer_log False, a zero one a divide-by-zero warning,
+    # and unequal lengths numpy's TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{arg} must be"):
+            est.compare_log_vs_power(times, values)
 
 
 def _brute_force_wp(x, y, p):
@@ -96,6 +139,15 @@ def test_empirical_wasserstein_against_brute_force_1d():
             mine = est.empirical_wasserstein(x, y, p=p)
             ref = _brute_force_wp(x, y, p)
             assert math.isclose(mine, ref, rel_tol=1e-10)
+    # a sample against its shift, the sqrt|dx| transport cost of the static
+    # couplings' vertical: sqrt(W_1/2) is the mean matched sqrt cost
+    for _ in range(25):
+        x = rng.standard_normal(6)
+        s = rng.uniform(-2, 2)
+        mine = math.sqrt(est.empirical_wasserstein(x, x + s, p=0.5))
+        best = min(np.mean([math.sqrt(abs(x[i] - x[j] - s)) for i, j in enumerate(perm)])
+                   for perm in itertools.permutations(range(6)))
+        assert math.isclose(mine, best, rel_tol=1e-10)
 
 
 def test_empirical_wasserstein_group_metric():
@@ -108,12 +160,6 @@ def test_empirical_wasserstein_group_metric():
         for perm in itertools.permutations(range(5))
     )
     assert math.isclose(mine, best, rel_tol=1e-10)
-    # custom callable metric
-    same = est.empirical_wasserstein(
-        x, y, p=1.0,
-        metric=lambda a, b: grp.quasidistance(a[:, None, :], b[None, :, :]),
-    )
-    assert math.isclose(mine, same, rel_tol=1e-12)
 
 
 def test_empirical_wasserstein_guards():
@@ -131,6 +177,11 @@ def test_empirical_wasserstein_guards():
         est.empirical_wasserstein(nan_points, np.zeros((3, 3)), p=0.5)
     with pytest.raises(ValueError, match="^samples2 must be finite"):
         est.empirical_wasserstein(np.zeros(3), np.array([0.0, np.inf, 1.0]))
+    # scalars raised a bare IndexError
+    shape = r"^samples must be \(m,\) reals or \(m, 2n\+1\) points"
+    for bad in (1.0, np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((2, 2, 3))):
+        with pytest.raises(ValueError, match=shape):
+            est.empirical_wasserstein(bad, bad)
 
 
 def test_a_p_constant_against_quadrature():
@@ -160,6 +211,24 @@ def test_hitting_density_normalization_and_scaling():
         est.hitting_density(1.0, 0.0)
     with pytest.raises(ValueError):
         est.hitting_density(-1.0, 1.0)
+
+
+def test_hitting_density_rejects_nan_and_infinite_input():
+    # a NaN r0 or u returned NaN, r0 = inf a RuntimeWarning, and a tiny u
+    # (u^3 underflowing to 0) a divide-by-zero warning and NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r0 in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match="^r0 must be positive and finite"):
+                est.hitting_density(1.0, r0)
+        for u in (math.nan, np.array([0.5, np.nan])):
+            with pytest.raises(ValueError, match="^u must not be NaN"):
+                est.hitting_density(u, 1.0)
+        assert np.array_equal(est.hitting_density(np.array([1e-320, 1e-300, np.inf]), 1.0),
+                              np.zeros(3))
+        u = np.array([0.3, 1.0, 4.0])
+        direct = 1.0 / np.sqrt(2.0 * np.pi * u**3) * np.exp(-0.5 / u)
+        np.testing.assert_allclose(est.hitting_density(u, 2.0), direct, rtol=1e-14)
 
 
 def test_hitting_cdf_shape():

@@ -134,18 +134,6 @@ def test_vertical_component_of_commutator():
     assert np.allclose(comm[:, -1], ref, atol=1e-12)
 
 
-def test_vertical_cc_distance_formula():
-    assert math.isclose(
-        grp.vertical_cc_distance(1.0), 2.0 * math.sqrt(math.pi), rel_tol=1e-15
-    )
-    h = np.array([0.25, 4.0])
-    assert np.allclose(grp.vertical_cc_distance(h), 2 * np.sqrt(np.pi * h))
-    # scales like the dilation: z -> lam^2 z gives distance lam * d
-    assert math.isclose(
-        grp.vertical_cc_distance(9.0), 3.0 * grp.vertical_cc_distance(1.0)
-    )
-
-
 def test_quasidistance_matches_quotient_quasinorm():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((128, 7))

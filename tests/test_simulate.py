@@ -14,7 +14,6 @@ from heiscouple import coupling as cpl
 from heiscouple import estimators as est
 from heiscouple import group as grp
 from heiscouple import simulate as sim
-from heiscouple import static
 from heiscouple.constants import CROSSING_CUT
 
 
@@ -49,12 +48,11 @@ def test_coupling_state_roundtrip():
     a = grp.point([1.0], [2.0], 3.0)
     ap = grp.point([0.0], [1.0], -1.0)
     st = sim.CouplingState.from_points(a, ap)
-    left, right = st.points()
-    assert np.array_equal(left, a) and np.array_equal(right, ap)
+    assert np.array_equal(st.b, a[:-1]) and st.vert == a[-1]
+    assert np.array_equal(st.bprime, ap[:-1]) and st.vert_p == ap[-1]
     assert st.r2 == 2.0
     # Z = A - A' + 0.5 omega(B, B') = 3 - (-1) + 0.5 (1*1 - 2*0) = 4.5
     assert st.z == 4.5
-    assert st.d_h == math.sqrt(2.0 + 4.5)
 
 
 def test_step_full_synchronous_keeps_difference():
@@ -746,7 +744,6 @@ def test_simulate_reflection_exact_rejects_bad_input(arg, bad):
     pytest.param("n_paths", {"n_paths": 2.5}, id="n_paths=2.5"),
     pytest.param("n_paths", {"n_paths": True}, id="n_paths=True"),
     pytest.param("alpha", {"alpha": _NAN}, id="alpha=nan"),
-    pytest.param("dt_cap", {"dt_cap": _NAN}, id="dt_cap=nan"),
     pytest.param("success_dh", {"success_dh": _NAN}, id="success_dh=nan"),
 ])
 def test_kendall_success_times_rejects_bad_input(arg, bad):
@@ -895,12 +892,6 @@ def _plant(case, cols):
             col[...] = col[..., :1]
 
 
-def _savetxt_static_csv(smp, path):
-    """Reference writer for an n = 1 StaticJointSample: np.savetxt over the table."""
-    body = np.column_stack([np.arange(smp.n_samples), smp.left, smp.right, smp.cost])
-    with open(path, "w") as fh:
-        fh.write("# n\nsample_id,Lx1,Ly1,Lz,Rx1,Ry1,Rz,cost\n")
-        np.savetxt(fh, body, fmt="%.17g", delimiter=",")
 
 
 _FOLD_CASES = ("split", "signed-zero", "nan", "nan-payloads", "all-constant")
@@ -910,8 +901,8 @@ _FOLD_CASES = ("split", "signed-zero", "nan", "nan-payloads", "all-constant")
                          [pytest.param(mp, None, id=str(mp)) for mp in (None, 0, 7, 8, 22, 10**6)]
                          + [pytest.param(None, case, id=case) for case in _FOLD_CASES])
 def test_to_csv_blocks_match_savetxt(tmp_path, monkeypatch, max_paths, fold):
-    # 7-row write blocks split each checkpoint's 23 paths (and 23 samples)
-    # unevenly; a `fold` case plants a column the writer may format once
+    # 7-row write blocks split each checkpoint's 23 paths (and a 23-row
+    # table) unevenly; a `fold` case plants a column the writer may format once
     monkeypatch.setattr(sim, "_CSV_ROWS", 7)
     ens = _random_bits_ensemble(5, 23, seed=max_paths or 0)
     _plant(fold, [ens.r2, ens.z, ens.v, ens.qv])
@@ -920,12 +911,13 @@ def test_to_csv_blocks_match_savetxt(tmp_path, monkeypatch, max_paths, fold):
     _savetxt_csv(ens, ref, header_note="n", max_paths=max_paths)
     assert mine.read_bytes() == ref.read_bytes()
 
-    smp = static.StaticJointSample(left=ens.r2[:3].T.copy(), right=ens.v[:3].T.copy(),
-                                   cost=ens.qv[0].copy())
-    _plant(fold, [smp.left[:, 0], smp.left[:, 1], smp.left[:, 2], smp.right[:, 0],
-                  smp.right[:, 1], smp.right[:, 2], smp.cost])
-    smp.to_csv(mine, header_note="n")
-    _savetxt_static_csv(smp, ref)
+    # the block writer alone, with no lead, on a 7-column table
+    table = np.concatenate([ens.r2[:3], ens.v[:3], ens.qv[:1]]).T.copy()
+    _plant(fold, list(table.T))
+    with open(mine, "w") as fh:
+        sim._write_csv_block(fh, list(map(str, range(23))), table, "")
+    with open(ref, "w") as fh:
+        np.savetxt(fh, np.column_stack([np.arange(23), table]), fmt="%.17g", delimiter=",")
     assert mine.read_bytes() == ref.read_bytes()
 
 
