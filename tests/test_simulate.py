@@ -892,8 +892,6 @@ def _plant(case, cols):
             col[...] = col[..., :1]
 
 
-
-
 _FOLD_CASES = ("split", "signed-zero", "nan", "nan-payloads", "all-constant")
 
 
