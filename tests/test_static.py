@@ -1,6 +1,7 @@
 """Fixed-time couplings and the conditional vertical law."""
 
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -460,6 +461,30 @@ def test_assignment_atoms_follow_the_conditional_density(n, monkeypatch):
     cdf = cumulative_trapezoid(pdf, grid, initial=0.0)
     cdf /= cdf[-1]
     assert kstest(zs / sigma, lambda u: np.interp(u, grid, cdf)).pvalue > 1e-3
+
+
+def test_transport_cost_sqrt_1d_brute_force():
+    # a sample against its shift, the sqrt|dx| transport cost of the static
+    # couplings' vertical: sqrt(W_1/2) is the mean matched sqrt cost
+    rng = np.random.default_rng(16)
+    for _ in range(25):
+        x = rng.standard_normal(6)
+        s = rng.uniform(-2, 2)
+        mine = math.sqrt(est.empirical_wasserstein(x, x + s, p=0.5))
+        best = min(
+            np.mean([math.sqrt(abs(x[i] - x[j] - s)) for i, j in enumerate(perm)])
+            for perm in itertools.permutations(range(6))
+        )
+        assert math.isclose(mine, best, rel_tol=1e-10)
+    with pytest.raises(ValueError, match="limited"):
+        est.empirical_wasserstein(np.zeros(600), np.zeros(600) + 0.1, p=0.5)
+    with pytest.raises(ValueError, match="empty"):
+        est.empirical_wasserstein(np.zeros(0), np.zeros(0) + 0.1, p=0.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^samples1 must be finite"):
+            est.empirical_wasserstein(np.array([bad, 1.0]), np.array([0.1, 1.1]), p=0.5)
+        with pytest.raises(ValueError, match="^samples2 must be finite"):
+            est.empirical_wasserstein(np.array([0.0, 1.0]), np.array([0.0, 1.0]) + bad, p=0.5)
 
 
 def test_sorted_matching_suboptimal_for_sqrt_cost():
