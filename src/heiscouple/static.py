@@ -50,8 +50,9 @@ import numpy as np
 
 from heiscouple import group as grp
 from heiscouple.coupling import _frame_from_unit
-# bound here too, so perfbench's tracer times static's solves under this module
-from heiscouple.estimators import linear_sum_assignment
+# the level solver for concave costs on the line, bound to this public name so
+# perfbench's tracer times static's solves under this module, one per sample
+from heiscouple.estimators import _line_assignment as linear_sum_assignment
 from heiscouple.simulate import _check, _check_count, _check_starts, philox_stream
 
 # Standardized Fourier grid for conditional vertical densities: frequencies
@@ -362,11 +363,12 @@ def _law_at(h_can, t):
 def _sqrt_shift_assignment(x, shift):
     """Exact sqrt|dx| assignment: x_i goes to x_{cols[i]} + shift at cost matched[i].
 
-    Returns (matched, cols).  Sorted matching is not optimal for this concave cost.
+    Returns (matched, cols).  Sorted matching is not optimal for this concave
+    cost; the level solver gives the permutation of a dense solve.
     """
-    cost = np.sqrt(np.abs(x[:, None] - (x[None, :] + shift)))
-    rows, cols = linear_sum_assignment(cost)  # rows == arange: the cost is square
-    return cost[rows, cols], cols
+    y = x + shift
+    _, cols = linear_sum_assignment(x, y, np.sqrt)
+    return np.sqrt(np.abs(x - y[cols])), cols
 
 
 def _couple_vertical_density(z, shift, h_can, t, rng):
