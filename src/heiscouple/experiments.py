@@ -27,6 +27,7 @@ from heiscouple.constants import (
 from heiscouple.simulate import (
     _check_count,
     _is_integer,
+    _whole_steps,
     kendall_success_times,
     philox_stream,
     simulate_ensemble,
@@ -187,11 +188,17 @@ def _run_blowup(strategy):
         moms = est.estimate_moment(ens, p=2, metric="d_h")
         lo = min(moms, key=lambda m: abs(m.time - 1.0))
         hi = min(moms, key=lambda m: abs(m.time - p["horizon"]))
-        ratio = hi.estimate / lo.estimate
         # delta-method error on the ratio from the two MC stderrs; the gate
         # is one-sided at 3 sigma because for reflection the true ratio at
-        # T=100 sits essentially on the threshold itself
-        se = ratio * math.sqrt((hi.stderr / hi.estimate) ** 2 + (lo.stderr / lo.estimate) ** 2)
+        # T=100 sits essentially on the threshold itself.  With a zero mean
+        # (a = a' under synchronous: the legs never part) there is no ratio:
+        # a failed, NaN check
+        if lo.estimate > 0 and hi.estimate > 0:
+            ratio = hi.estimate / lo.estimate
+            se = ratio * math.sqrt((hi.stderr / hi.estimate) ** 2
+                                   + (lo.stderr / lo.estimate) ** 2)
+        else:
+            ratio = se = float("nan")
         checks = [_check("dh2_ratio_T_over_1", ratio, ratio + 3 * se > 10.0, se)]
         rows = [(m.time, "mean_dh2", m.estimate, m.stderr, m.n_paths) for m in moms]
         return checks, rows, ens
@@ -301,7 +308,9 @@ def _run_static_ratio(p, threads):
         se = float(smp.cost.std(ddof=1) / math.sqrt(smp.n_samples) / xp)
         ratios.append(r)
         rows.append((float(xp), "cost_ratio", r, se, smp.n_samples))
-    spread = max(ratios) / min(ratios)
+    # a zero cost (an offset so small the plan keeps every vertical) has no
+    # ratio to compare: a failed, NaN check
+    spread = max(ratios) / min(ratios) if min(ratios) > 0 else float("nan")
     checks = [_check("cost_ratio_spread", spread, spread < 3.0)]
     return checks, rows, None
 
@@ -539,6 +548,13 @@ def _validate_params(section, params):
     for key in ("n_paths", "n_cases", "n_samples", "m_steps"):
         if key in params and params[key] <= 0:
             raise ConfigError(f"section [{section}], key {key!r}: must be positive")
+    # cross-key rules: the Euler grid must end on the horizon, and the
+    # kendall hysteresis needs epsilon < kappa
+    if "dt" in params and _whole_steps(params["horizon"], params["dt"]) is None:
+        raise ConfigError(f"section [{section}], key 'dt': must divide 'horizon' into "
+                          "a whole number of steps")
+    if "kappa" in params and not params["epsilon"] < params["kappa"]:
+        raise ConfigError(f"section [{section}], key 'epsilon': must be less than 'kappa'")
     for key in ("checkpoints", "offsets"):
         if key in params and (len(params[key]) == 0 or any(v <= 0 for v in params[key])):
             raise ConfigError(f"section [{section}], key {key!r}: needs positive entries")

@@ -332,6 +332,15 @@ def _check_finite(name, x):
         raise ValueError(f"{name} must be finite, got {bad} non-finite of {x.size} values")
 
 
+def _whole_steps(T, dt):
+    """round(T / dt), or None unless that many steps of dt make T (to 1e-9)."""
+    q = T / dt
+    if not math.isfinite(q):
+        return None
+    n_steps = int(round(q))
+    return n_steps if abs(n_steps * dt - T) <= 1e-9 * max(T, 1.0) else None
+
+
 def _is_integer(x):
     """A Python or numpy integer, not a bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
@@ -849,8 +858,8 @@ def simulate_ensemble(
     n = grp.npairs(a)
     _check(0.0 <= T < math.inf, "T", T, "finite and >= 0")
     _check(0.0 < dt < math.inf, "dt", dt, "positive and finite")
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
+    n_steps = _whole_steps(T, dt)
+    if n_steps is None:
         raise ValueError("T must be an integer multiple of dt")
     if checkpoints is None:
         checkpoints = default_checkpoints(T, dt)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import linear_sum_assignment
 from scipy.special import ndtri
 
 from heiscouple import estimators as est
@@ -66,6 +67,28 @@ def test_fit_power_law_recovers_exact_exponent():
     assert windowed.window == (2.0, 8.0)
     with pytest.raises(ValueError, match="at least 3"):
         est.fit_power_law(ests[:2])
+
+
+@pytest.mark.parametrize("times", [
+    pytest.param([2.0, 2.0, 2.0], id="one-time"),
+    pytest.param([1.0, 2.0, 2.0, 1.0], id="two-times"),
+    pytest.param([1.0, 2.0], id="two-points"),
+    pytest.param([3.0], id="one-point"),
+])
+def test_fits_need_three_distinct_times(times):
+    # three estimates at t = 2 gave exponent 0.431 with a RankWarning;
+    # compare_log_vs_power([1, 1, 1], ...) warned "invalid value encountered
+    # in divide", and two points gave prefer_log False from two exact fits
+    values = [1.0 + k for k in range(len(times))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^need at least 3 distinct times"):
+            est.fit_power_law(_estimates(times, values))
+        with pytest.raises(ValueError, match="^need at least 3 distinct times"):
+            est.compare_log_vs_power(times, values)
+    # the window is what counts: three distinct times, two of them outside
+    with pytest.raises(ValueError, match="^need at least 3 distinct times, got 1$"):
+        est.fit_power_law(_estimates([1.0, 2.0, 4.0], [1.0, 2.0, 3.0]), window=(2.0, 3.0))
 
 
 def _estimates(times, values):
@@ -173,6 +196,65 @@ def test_empirical_wasserstein_guards():
     for bad in (1.0, np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((2, 2, 3))):
         with pytest.raises(ValueError, match=shape):
             est.empirical_wasserstein(bad, bad)
+
+
+# samples are standard normal, so a shift is in units of the sample spread
+_LEVEL_SIZES = [1, 2, 17, 128, 512]
+_LEVEL_SHIFTS = [1e-3, 0.1, 1.0, 10.0]
+
+
+@pytest.mark.parametrize("m", _LEVEL_SIZES)
+@pytest.mark.parametrize("shift", _LEVEL_SHIFTS)
+def test_level_solver_matches_the_dense_solve(m, shift, monkeypatch):
+    # the concave 1-d solve goes level by level; the dense solve over the
+    # whole cost matrix is the oracle for its permutation and cost bits
+    seen = []
+
+    def record(x, y, cost):
+        rows, cols = solve(x, y, cost)
+        seen.append(cols)
+        return rows, cols
+
+    solve = est._line_assignment
+    monkeypatch.setattr(est, "_line_assignment", record)
+    rng = np.random.default_rng(5000 + m)
+    x = rng.standard_normal(m)
+    y = x + shift
+    dist = np.abs(x[:, None] - y[None, :])
+    for p in (0.25, 0.5, 0.75):
+        rows, cols = linear_sum_assignment(dist**p)
+        ref = float((dist[rows, cols] ** p).mean() ** (1.0 / p))
+        assert est.empirical_wasserstein(x, y, p=p) == ref
+        np.testing.assert_array_equal(seen.pop(), cols)
+    for p in (1.0, 2.0):  # optimal matchings can tie: the dense solve stays
+        est.empirical_wasserstein(x, y, p=p)
+        assert not seen
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_level_solver_against_brute_force(m):
+    rng = np.random.default_rng(60 + m)
+    for _ in range(20):
+        x = rng.standard_normal(m)
+        y = rng.standard_normal(m) + rng.uniform(-1.0, 1.0)
+        for p in (0.25, 0.5, 0.75):
+            rows, cols = est._line_assignment(x, y, lambda d: d**p)
+            np.testing.assert_array_equal(rows, np.arange(m))
+            best = min(itertools.permutations(range(m)),
+                       key=lambda perm: sum(abs(x[i] - y[j]) ** p for i, j in enumerate(perm)))
+            assert tuple(cols) == best
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 512])
+def test_blocked_quasidistance_matrix_is_bit_identical(n, m):
+    # sizes off the block's multiple cover the last, partial block
+    rng = np.random.default_rng(70 + 10 * n + m)
+    x = rng.standard_normal((m, 2 * n + 1))
+    y = rng.standard_normal((m, 2 * n + 1))
+    got = est._quasidistance_matrix(x, y)
+    assert got.shape == (m, m)
+    assert got.tobytes() == grp.quasidistance(x[:, None], y[None]).tobytes()
 
 
 def test_a_p_constant_against_quadrature():

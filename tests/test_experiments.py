@@ -359,6 +359,45 @@ def test_reflection_exponents_on_a_degenerate_sample_fails_its_checks(tmp_path, 
         assert rows[name]["value"] is None and rows[name]["pass"] is False
 
 
+@pytest.mark.parametrize("section,lines,key,why", [
+    pytest.param("blowup-reflection", "horizon = 1.0\ndt = 0.3", "dt",
+                 "must divide 'horizon' into a whole number of steps", id="dt"),
+    pytest.param("kendall-success", "kappa = 0.1\nepsilon = 0.2", "epsilon",
+                 "must be less than 'kappa'", id="epsilon"),
+])
+def test_cli_cross_key_rules_exit_two(tmp_path, capsys, section, lines, key, why):
+    # each raised a ValueError traceback from the engine, exit 1
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{lines}\n")
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "art")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: section [{section}], key '{key}': {why}\n"
+    assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize("section,lines,quantity", [
+    pytest.param("blowup-synchronous", "aprime = 0, 0, 0\nn_paths = 16\nhorizon = 2\ndt = 0.5",
+                 "dh2_ratio_T_over_1", id="blowup-synchronous"),
+    pytest.param("static-ratio", "offsets = 1e-300, 1\nn_samples = 16", "cost_ratio_spread",
+                 id="static-ratio"),
+])
+def test_degenerate_ratio_fails_its_check(tmp_path, capsys, section, lines, quantity):
+    # a zero d_H^2 mean (a = a') and a zero mean cost (every vertical kept)
+    # were ZeroDivisionErrors; each is now a failed check with value NaN
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{lines}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "art")])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    assert f"{section}: {quantity} = nan [FAIL]" in captured.out
+    report = (tmp_path / "art" / section / "report.jsonl").read_text().splitlines()
+    (row,) = [r for r in map(json.loads, report) if r["quantity"] == quantity]
+    assert row["value"] is None and row["pass"] is False
+
+
 @pytest.mark.parametrize("key", ["n_samples", "m_steps"])
 def test_excursion_moments_needs_two_samples_and_two_steps(tmp_path, capsys, key):
     cfg = tmp_path / "bad.ini"

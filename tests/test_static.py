@@ -487,6 +487,19 @@ def test_transport_cost_sqrt_1d_brute_force():
             est.empirical_wasserstein(np.array([0.0, 1.0]), np.array([0.0, 1.0]) + bad, p=0.5)
 
 
+@pytest.mark.parametrize("m", [1, 2, 17, 128, 512])
+@pytest.mark.parametrize("shift", [1e-3, 0.1, 1.0, 10.0])
+def test_sqrt_shift_assignment_matches_the_dense_solve(m, shift):
+    # standard normal atoms, so the shift is in units of their spread; the
+    # level solve must give the dense solve's permutation and cost bits
+    x = np.random.default_rng(8000 + m).standard_normal(m)
+    cost = np.sqrt(np.abs(x[:, None] - (x[None, :] + shift)))
+    rows, cols = linear_sum_assignment(cost)
+    matched, got = stc._sqrt_shift_assignment(x, shift)
+    np.testing.assert_array_equal(got, cols)
+    assert matched.tobytes() == cost[rows, cols].tobytes()
+
+
 def test_sorted_matching_suboptimal_for_sqrt_cost():
     # documents why the assignment solver is needed at all: for concave
     # costs the monotone (sorted) coupling can be strictly worse
