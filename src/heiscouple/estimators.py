@@ -49,18 +49,22 @@ def _line_assignment(x, y, cost):
     """
     m = x.shape[0]
     order = np.argsort(np.concatenate([x, y]), kind="stable")
-    step = np.where(order < m, 1, -1)
+    is_y = order >= m
+    step = np.where(is_y, -1, 1)
     h = np.cumsum(step)
     level = np.minimum(h, h - step)
-    by_level = np.argsort(level, kind="stable")  # line order kept within a level
-    cuts = np.flatnonzero(np.diff(level[by_level])) + 1
+    # group by level: its k x's, then its k y's, each in line order
+    group = np.argsort(2 * level + is_y, kind="stable")
+    idx = np.where(is_y, order - m, order)[group]
+    lv = level[group]
+    start = np.flatnonzero(np.diff(lv, prepend=lv[0] - 1))
+    size = np.diff(start, append=2 * m) // 2  # pairs per level
     cols = np.empty(m, dtype=np.intp)
-    for part in np.split(order[by_level], cuts):
-        xi, yj = part[part < m], part[part >= m] - m
-        if xi.size == 1:
-            cols[xi] = yj
-        else:
-            cols[xi] = yj[_linear_sum_assignment(cost(np.abs(x[xi, None] - y[yj])))[1]]
+    one = start[size == 1]
+    cols[idx[one]] = idx[one + 1]
+    for lo, k in zip(start[size > 1].tolist(), size[size > 1].tolist()):
+        xi, yj = idx[lo:lo + k], idx[lo + k:lo + 2 * k]
+        cols[xi] = yj[_linear_sum_assignment(cost(np.abs(x[xi, None] - y[yj])))[1]]
     return np.arange(m), cols
 
 

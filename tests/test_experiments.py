@@ -362,6 +362,8 @@ def test_reflection_exponents_on_a_degenerate_sample_fails_its_checks(tmp_path, 
 @pytest.mark.parametrize("section,lines,key,why", [
     pytest.param("blowup-reflection", "horizon = 1.0\ndt = 0.3", "dt",
                  "must divide 'horizon' into a whole number of steps", id="dt"),
+    pytest.param("scheme-consistency", "horizon = 1e300\ndt = 1e-300", "dt",
+                 "must divide 'horizon' into a whole number of steps", id="dt-overflow"),
     pytest.param("kendall-success", "kappa = 0.1\nepsilon = 0.2", "epsilon",
                  "must be less than 'kappa'", id="epsilon"),
 ])
