@@ -47,13 +47,6 @@ def _check(quantity, value, ok, stderr=float("nan")):
     return Check(quantity, float(value), float(stderr), bool(ok))
 
 
-def _start_points(p):
-    """Configured (a, aprime); default the origin and (1, 0, 0) on H^1."""
-    a = np.asarray(p["a"]) if len(p["a"]) else grp.identity(1)
-    ap = np.asarray(p["aprime"]) if len(p["aprime"]) else grp.point([1.0], [0.0], 0.0)
-    return a, ap
-
-
 def _floats(text):
     return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
 
@@ -134,9 +127,8 @@ def _run_matrix_lemmas(p, threads):
 
 def _scheme_pair(policy_name, p, threads):
     pol = cpl.CouplingPolicy(policy_name, p["kappa"], p["epsilon"])
-    a, ap = _start_points(p)
     kw = dict(
-        a=a, aprime=ap, T=p["horizon"], n_paths=p["n_paths"], dt=p["dt"],
+        a=p["a"], aprime=p["aprime"], T=p["horizon"], n_paths=p["n_paths"], dt=p["dt"],
         checkpoints=[p["horizon"]], threads=threads,
     )
     full = simulate_ensemble(pol, scheme="full", seed=p["seed"], **kw)
@@ -149,8 +141,7 @@ def _run_scheme_consistency(p, threads):
 
     checks, rows = [], []
     keep = None
-    a, ap = _start_points(p)
-    r0sq = float((grp.horizontal(grp.mul(grp.inverse(a), ap)) ** 2).sum())
+    r0sq = float((grp.horizontal(grp.mul(grp.inverse(p["a"]), p["aprime"])) ** 2).sum())
     for name in ("synchronous", "reflection", "perverse", "kendall"):
         full, red = _scheme_pair(name, p, threads)
         ks_r = ks_2samp(full.r2[-1], red.r2[-1], method="asymp")
@@ -179,10 +170,9 @@ def _run_scheme_consistency(p, threads):
 def _run_blowup(strategy):
     def run(p, threads):
         pol = cpl.CouplingPolicy(strategy)
-        a, ap = _start_points(p)
         cks = sorted({1.0, p["horizon"]} | {p["horizon"] * 2.0**-k for k in range(7)})
         ens = simulate_ensemble(
-            pol, a, ap, T=p["horizon"], n_paths=p["n_paths"], dt=p["dt"],
+            pol, p["a"], p["aprime"], T=p["horizon"], n_paths=p["n_paths"], dt=p["dt"],
             seed=p["seed"], scheme=p["scheme"], checkpoints=cks, threads=threads,
         )
         moms = est.estimate_moment(ens, p=2, metric="d_h")
@@ -401,57 +391,71 @@ def _run_excursion_moments(p, threads):
 
 # ---------------------------------------------------------------------------
 # registry, config parsing, artifact writing
+#
+# A schema row is (type, default, bound).  The bound is a string's choices;
+# an int's least value, or (least, most, words) with its message's words; the
+# value a float must exceed; a list's (floor its entries must exceed, how
+# many must be distinct, what they are for).  None bounds nothing but
+# finiteness, and leaves a string free.
 
 _COMMON = {
-    "seed": (int, 0),
-    "out": (str, ""),
+    # experiments key Philox streams (uint64) with seed up to seed + 2
+    "seed": (int, 0, (0, 2**64 - 3, "in [0, 2**64 - 3]")),
+    "out": (str, "", None),
 }
 _ENSEMBLE = {
-    "a": (_floats, ()),
-    "aprime": (_floats, ()),
-    "horizon": (float, 1.0),
-    "dt": (float, 1e-3),
-    "n_paths": (int, 10000),
+    "a": (_floats, (0.0, 0.0, 0.0), None),
+    "aprime": (_floats, (1.0, 0.0, 0.0), None),
+    "horizon": (float, 1.0, 0.0),
+    "dt": (float, 1e-3, 0.0),
+    "n_paths": (int, 10000, 1),
 }
 # the hysteresis thresholds, read only by the kendall policy
-_KENDALL = {"kappa": (float, KENDALL_KAPPA), "epsilon": (float, KENDALL_EPSILON)}
-_BLOWUP = {**_ENSEMBLE, "horizon": (float, 100.0), "dt": (float, 0.01),
-           "scheme": (str, "reduced")}
+_KENDALL = {"kappa": (float, KENDALL_KAPPA, 0.0), "epsilon": (float, KENDALL_EPSILON, 0.0)}
+_BLOWUP = {**_ENSEMBLE, "horizon": (float, 100.0, 0.0), "dt": (float, 0.01, 0.0),
+           "scheme": (str, "reduced", ("reduced", "full"))}
+# one sample has no standard error
+_STATIC = {"t": (float, 1.0, 0.0), "n_samples": (int, 10000, 2), "m_steps": (int, 1024, 1)}
 
 EXPERIMENTS = {
-    "algebra-suite": ({"n_cases": (int, 10000)}, _run_algebra_suite),
-    "matrix-lemmas": ({"n_cases": (int, 10000)}, _run_matrix_lemmas),
-    "scheme-consistency": ({**_ENSEMBLE, **_KENDALL}, _run_scheme_consistency),
+    "algebra-suite": ({"n_cases": (int, 10000, 1)}, _run_algebra_suite),
+    "matrix-lemmas": ({"n_cases": (int, 10000, 2)}, _run_matrix_lemmas),
+    "scheme-consistency": ({**_ENSEMBLE, "n_paths": (int, 10000, 2), **_KENDALL},
+                           _run_scheme_consistency),
     **{f"blowup-{kind}": (_BLOWUP, _run_blowup(kind))
        for kind in ("synchronous", "reflection", "perverse")},
     "kendall-success": (
-        {**_KENDALL, "r0": (float, 1.0), "z0": (float, 0.0), "alpha": (float, 1e-3),
-         "success_dh": (float, KENDALL_SUCCESS_DH),
-         "n_paths": (int, 10000), "checkpoints": (_floats, (10.0, 40.0, 160.0))},
+        {**_KENDALL, "r0": (float, 1.0, 0.0), "z0": (float, 0.0, None),
+         "alpha": (float, 1e-3, 0.0), "success_dh": (float, KENDALL_SUCCESS_DH, 0.0),
+         "n_paths": (int, 10000, 1),
+         "checkpoints": (_floats, (10.0, 40.0, 160.0), (0.0, 1, "times"))},
         _run_kendall_success,
     ),
     "reflection-exponents": (
-        {"r0": (float, 1.0), "n_paths": (int, 100000),
-         "checkpoints": (_floats, tuple(np.geomspace(100.0, 10000.0, 9)))},
+        {"r0": (float, 1.0, 0.0), "n_paths": (int, 100000, 1),
+         "checkpoints": (_floats, tuple(np.geomspace(100.0, 10000.0, 9)),
+                         (0.0, 3, "times for the power-law fit"))},
         _run_reflection_exponents,
     ),
     "reflection-hitting": (
-        {"r0": (float, 2.0), "horizon": (float, 100.0), "n_paths": (int, 100000)},
+        {"r0": (float, 2.0, 0.0), "horizon": (float, 100.0, 0.0), "n_paths": (int, 100000, 1)},
         _run_reflection_hitting,
     ),
     "static-ratio": (
-        {"t": (float, 1.0), "n_samples": (int, 10000), "plan": (str, "density"),
-         "m_steps": (int, 1024), "offsets": (_floats, (1e-3, 1e-2, 1e-1, 1.0, 10.0))},
+        {**_STATIC, "plan": (str, "density", ("density", "assignment")),
+         "offsets": (_floats, (1e-3, 1e-2, 1e-1, 1.0, 10.0), (0.0, 1, "offsets"))},
         _run_static_ratio,
     ),
     "static-baseline": (
-        {"t": (float, 1.0), "n_samples": (int, 4000), "m_steps": (int, 1024),
-         "offsets": (_floats, (1e-3, 10**-2.5, 1e-2, 10**-1.5, 1e-1))},
+        {**_STATIC, "n_samples": (int, 4000, 2),
+         "offsets": (_floats, (1e-3, 10**-2.5, 1e-2, 10**-1.5, 1e-1),
+                     (0.0, 2, "offsets for the slope fit"))},
         _run_static_baseline,
     ),
-    "mg-lemma": ({"n_paths": (int, 100000)}, _run_mg_lemma),
+    "mg-lemma": ({"n_paths": (int, 100000, 1)}, _run_mg_lemma),
+    # the oracle runs at n_samples // 2
     "excursion-moments": (
-        {"n_samples": (int, 4096), "m_steps": (int, 2048)}, _run_excursion_moments
+        {"n_samples": (int, 4096, 2), "m_steps": (int, 2048, 2)}, _run_excursion_moments
     ),
 }
 
@@ -460,11 +464,15 @@ class ConfigError(ValueError):
     """Invalid configuration; identifies the offending section and key."""
 
 
+def _schema(name):
+    """{key: (type, default, bound)} of one experiment."""
+    if name not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}")
+    return {**_COMMON, **EXPERIMENTS[name][0]}
+
+
 def default_params(experiment):
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
-    schema = {**_COMMON, **EXPERIMENTS[experiment][0]}
-    return {key: dv for key, (_, dv) in schema.items()}
+    return {key: row[1] for key, row in _schema(experiment).items()}
 
 
 def parse_config(path, experiment=None):
@@ -488,7 +496,7 @@ def parse_config(path, experiment=None):
             raise ConfigError(f"section [{section}]: unknown experiment")
         if experiment is not None and section != experiment:
             continue
-        schema = {**_COMMON, **EXPERIMENTS[section][0]}
+        schema = _schema(section)
         params = default_params(section)
         for key, raw in ini.items(section):
             if key not in schema:
@@ -506,10 +514,6 @@ def parse_config(path, experiment=None):
     return runs
 
 
-# string keys whose value must be one of a fixed set
-_CHOICES = {"plan": ("density", "assignment"), "scheme": ("reduced", "full")}
-
-
 def _is_number(x):
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
@@ -524,54 +528,54 @@ _TYPES = {
 }
 
 
+def _above(lo):
+    return "positive" if lo == 0 else f"greater than {lo!r}"
+
+
+def _breaks(kind, bound, v):
+    """What a value of the schema type `kind` lacks to keep `bound`, or None."""
+    if kind is str:
+        return None if bound is None or v in bound else "must be one of " + ", ".join(
+            map(repr, bound))
+    if kind is int:
+        least, most, words = bound if isinstance(bound, tuple) else (bound, math.inf, "")
+        return None if least <= v <= most else "must be " + (
+            words or ("positive" if v < 1 else f"at least {least}"))
+    if not np.all(np.isfinite(v)):
+        return "must be finite"
+    if bound is None:
+        return None
+    if kind is float:
+        return None if v > bound else f"must be {_above(bound)}"
+    floor, distinct, words = bound
+    if len(v) == 0 or any(x <= floor for x in v):
+        return f"needs {_above(floor)} entries"
+    return None if len(set(v)) >= distinct else f"needs at least {distinct} distinct {words}"
+
+
 def _validate_params(section, params):
-    schema = {**_COMMON, **EXPERIMENTS[section][0]}
+    schema = _schema(section)
     unknown = sorted(set(params) - set(schema))
     if unknown:
         raise ConfigError(f"section [{section}], key {unknown[0]!r}: unknown key")
-    for key, (kind, _) in schema.items():
+    for key, (kind, _, bound) in schema.items():
         accepts, name = _TYPES[kind]
-        if not accepts(params[key]):
-            raise ConfigError(f"section [{section}], key {key!r}: must be {name}")
-        if key in _CHOICES and params[key] not in _CHOICES[key]:
-            raise ConfigError(f"section [{section}], key {key!r}: must be one of "
-                              + ", ".join(map(repr, _CHOICES[key])))
-    # experiments key Philox streams (uint64) with seed up to seed + 2
-    if not 0 <= params["seed"] <= 2**64 - 3:
-        raise ConfigError(f"section [{section}], key 'seed': must be in [0, 2**64 - 3]")
-    for key, (kind, _) in schema.items():
-        if kind in (float, _floats) and not np.all(np.isfinite(params[key])):
-            raise ConfigError(f"section [{section}], key {key!r}: must be finite")
-    for key in ("horizon", "dt", "t", "kappa", "epsilon", "alpha", "success_dh", "r0"):
-        if key in params and not params[key] > 0:
-            raise ConfigError(f"section [{section}], key {key!r}: must be positive")
-    for key in ("n_paths", "n_cases", "n_samples", "m_steps"):
-        if key in params and params[key] <= 0:
-            raise ConfigError(f"section [{section}], key {key!r}: must be positive")
-    # cross-key rules: the Euler grid must end on the horizon, and the
-    # kendall hysteresis needs epsilon < kappa
+        why = _breaks(kind, bound, params[key]) if accepts(params[key]) else f"must be {name}"
+        if why:
+            raise ConfigError(f"section [{section}], key {key!r}: {why}")
+    # the rules that join keys: the Euler grid ends on the horizon, the
+    # kendall hysteresis needs epsilon < kappa, the start points share one H^n
     if "dt" in params and _whole_steps(params["horizon"], params["dt"]) is None:
         raise ConfigError(f"section [{section}], key 'dt': must divide 'horizon' into "
                           "a whole number of steps")
     if "kappa" in params and not params["epsilon"] < params["kappa"]:
         raise ConfigError(f"section [{section}], key 'epsilon': must be less than 'kappa'")
-    for key in ("checkpoints", "offsets"):
-        if key in params and (len(params[key]) == 0 or any(v <= 0 for v in params[key])):
-            raise ConfigError(f"section [{section}], key {key!r}: needs positive entries")
-    if section == "reflection-exponents" and len(set(params["checkpoints"])) < 3:
-        raise ConfigError(f"section [{section}], key 'checkpoints': needs at least 3 distinct "
-                          "times for the power-law fit")
-    if section == "excursion-moments":  # the oracle runs at n_samples // 2
-        for key in ("n_samples", "m_steps"):
-            if params[key] < 2:
-                raise ConfigError(f"section [{section}], key {key!r}: must be at least 2")
-    if "a" in params:  # start points on one H^n; empty means the default on H^1
-        dims = [len(params[key]) or 3 for key in ("a", "aprime")]
-        for key, d in zip(("a", "aprime"), dims):
-            if d < 3 or d % 2 == 0:
+    if "a" in params:
+        for key in ("a", "aprime"):
+            if len(params[key]) < 3 or len(params[key]) % 2 == 0:
                 raise ConfigError(f"section [{section}], key {key!r}: must be a group point "
                                   "of 2n + 1 >= 3 numbers")
-        if dims[0] != dims[1]:
+        if len(params["a"]) != len(params["aprime"]):
             raise ConfigError(f"section [{section}], key 'aprime': must be as long as 'a'")
 
 
@@ -610,12 +614,8 @@ def run_experiment(name, params=None, out=".", threads=1, stamp=""):
     ConfigError otherwise, and ValueError unless `threads` is an integer >= 1.
     Returns (all_passed, checks).
     """
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}")
+    merged = {**default_params(name), **(params or {})}
     _check_count("threads", threads)
-    merged = default_params(name)
-    if params:
-        merged.update(params)
     _validate_params(name, merged)
     runner = EXPERIMENTS[name][1]
     checks, rows, ens = runner(merged, threads)

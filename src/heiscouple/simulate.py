@@ -303,7 +303,7 @@ def default_checkpoints(T, dt):
 
 
 def _checkpoint_steps(checkpoints, dt, n_steps):
-    idx = sorted({min(int(round(t / dt)), n_steps) for t in checkpoints})
+    idx = sorted({int(round(min(t / dt, n_steps))) for t in checkpoints})
     return np.array(idx, dtype=np.int64)
 
 
@@ -333,9 +333,10 @@ def _check_finite(name, x):
 
 
 def _whole_steps(T, dt):
-    """round(T / dt), or None unless that many steps of dt make T (to 1e-9)."""
+    """round(T / dt), or None unless that many steps of dt make T (to 1e-9)
+    and the count fits an int64."""
     q = T / dt
-    if not math.isfinite(q):
+    if not q < 2.0**63:  # refuses inf and NaN too
         return None
     n_steps = int(round(q))
     return n_steps if abs(n_steps * dt - T) <= 1e-9 * max(T, 1.0) else None

@@ -1,11 +1,18 @@
 """Experiment registry, config parsing, artifacts, and the CLI."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
+import pathlib
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heiscouple import cli
 from heiscouple import experiments as exp
@@ -283,6 +290,8 @@ def test_cli_unparsable_config_value_exits_two(tmp_path, capsys, section, line, 
                  "must be a group point of 2n + 1 >= 3 numbers", id="a=even"),
     pytest.param("blowup-reflection", "aprime = 1", "aprime",
                  "must be a group point of 2n + 1 >= 3 numbers", id="aprime=short"),
+    pytest.param("blowup-perverse", "a =", "a",
+                 "must be a group point of 2n + 1 >= 3 numbers", id="a=empty"),
     pytest.param("scheme-consistency", "aprime = 1, 0, 0, 0, 0", "aprime",
                  "must be as long as 'a'", id="aprime=H2"),
 ])
@@ -364,11 +373,14 @@ def test_reflection_exponents_on_a_degenerate_sample_fails_its_checks(tmp_path, 
                  "must divide 'horizon' into a whole number of steps", id="dt"),
     pytest.param("scheme-consistency", "horizon = 1e300\ndt = 1e-300", "dt",
                  "must divide 'horizon' into a whole number of steps", id="dt-overflow"),
+    pytest.param("blowup-perverse", "horizon = 1\ndt = 1e-300", "dt",
+                 "must divide 'horizon' into a whole number of steps", id="dt-past-int64"),
     pytest.param("kendall-success", "kappa = 0.1\nepsilon = 0.2", "epsilon",
                  "must be less than 'kappa'", id="epsilon"),
 ])
 def test_cli_cross_key_rules_exit_two(tmp_path, capsys, section, lines, key, why):
-    # each raised a ValueError traceback from the engine, exit 1
+    # each raised a ValueError (1e-300: OverflowError) traceback from the
+    # engine, exit 1
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[{section}]\n{lines}\n")
     code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "art")])
@@ -411,6 +423,30 @@ def test_excursion_moments_needs_two_samples_and_two_steps(tmp_path, capsys, key
     assert not (tmp_path / "art").exists()
     with pytest.raises(exp.ConfigError, match=f"'{key}': must be at least 2$"):
         exp.run_experiment("excursion-moments", {key: 1}, out=tmp_path / "api")
+
+
+@pytest.mark.parametrize("section,line,key,why", [
+    pytest.param("scheme-consistency", "n_paths = 1", "n_paths", "must be at least 2",
+                 id="scheme-consistency"),
+    pytest.param("matrix-lemmas", "n_cases = 1", "n_cases", "must be at least 2",
+                 id="matrix-lemmas"),
+    pytest.param("static-ratio", "n_samples = 1", "n_samples", "must be at least 2",
+                 id="static-ratio"),
+    pytest.param("static-baseline", "n_samples = 1", "n_samples", "must be at least 2",
+                 id="static-baseline"),
+    pytest.param("static-baseline", "offsets = 0.1, 0.1", "offsets",
+                 "needs at least 2 distinct offsets for the slope fit", id="offsets"),
+])
+def test_cli_one_sample_or_offset_exits_two(tmp_path, capsys, section, line, key, why):
+    # each gave a RuntimeWarning (divide by zero, mean of an empty slice,
+    # degrees of freedom <= 0) or a slope fitted through one point
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{line}\n")
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "art")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: section [{section}], key '{key}': {why}\n"
+    assert not (tmp_path / "art").exists()
 
 
 # artifact bodies: SHA-256 (first 16 hex digits) of ensemble.csv without its
@@ -459,3 +495,127 @@ def test_artifact_digests(tmp_path, name):
     got = tuple(hashlib.sha256(body).hexdigest()[:16] for body in
                 (ensemble, (d / "summary.csv").read_bytes(), (d / "report.jsonl").read_bytes()))
     assert got == _ARTIFACT_GOLDEN[name]
+
+
+# The schema table is the config contract.  Each case sets one key of one
+# experiment to a value drawn inside or just outside its table bound, with
+# every other key at a small work size, and runs the CLI with warnings as
+# errors.  A value outside exits 2 with one config error line naming the
+# key, and writes nothing.  A value inside runs to the end (checks may fail,
+# and a NaN check must fail) unless a rule that joins keys refuses it.
+# Inside draws stay near the small sizes on purpose: far below them some keys
+# ask for unbounded work (dt, alpha, success_dh) or underflow (static t).
+_SMALL = {
+    "algebra-suite": {"n_cases": 16},
+    "matrix-lemmas": {"n_cases": 16},
+    "scheme-consistency": {"n_paths": 16, "horizon": 0.125, "dt": 0.03125},
+    **{f"blowup-{kind}": {"n_paths": 16, "horizon": 2.0, "dt": 0.25}
+       for kind in ("synchronous", "reflection", "perverse")},
+    "kendall-success": {"n_paths": 16, "alpha": 0.01, "checkpoints": (0.25, 0.5, 1.0)},
+    "reflection-exponents": {"n_paths": 16, "checkpoints": (0.25, 0.5, 1.0)},
+    "reflection-hitting": {"n_paths": 16, "horizon": 0.25},
+    "static-ratio": {"n_samples": 16, "m_steps": 16, "offsets": (0.01, 0.1, 1.0)},
+    "static-baseline": {"n_samples": 16, "m_steps": 16, "offsets": (0.001, 0.01, 0.1)},
+    "mg-lemma": {"n_paths": 64},
+    "excursion-moments": {"n_samples": 4, "m_steps": 16},
+}
+# what the rules that join keys say when they refuse a value the table keeps
+_JOINED = ("must divide 'horizon'", "must be less than 'kappa'",
+           "must be a group point", "must be as long as 'a'")
+
+
+def _float_inside(base, lo):
+    # dyadic multiples of dyadic sizes keep dt dividing horizon
+    if lo is None:
+        return st.integers(-8, 8).map(lambda i: base + i / 4)
+    return st.integers(-4, 4).map(lambda k: lo + (base - lo) * 2.0**k)
+
+
+def _inside(kind, bound, base):
+    if kind is str:
+        return st.sampled_from(bound)
+    if kind is int:
+        least, most, _ = bound if isinstance(bound, tuple) else (bound, max(bound, base), "")
+        return st.integers(least, most)
+    if kind is float:
+        return _float_inside(base, bound)
+    if bound is None:
+        return st.tuples(*(_float_inside(b, None) for b in base))
+    floor, distinct, _ = bound
+    entry = st.sampled_from(base).flatmap(lambda b: _float_inside(b, floor))
+    return st.lists(entry, min_size=max(distinct, 1), max_size=len(base) + 1).filter(
+        lambda v: len(set(v)) >= distinct).map(tuple)
+
+
+def _outside(kind, bound, base):
+    bad = st.sampled_from([math.nan, math.inf, -math.inf])
+    if kind is str:
+        return st.sampled_from(["", "nope", bound[0].upper()])
+    if kind is int:
+        least, most, _ = bound if isinstance(bound, tuple) else (bound, None, "")
+        return st.sampled_from([least - 1, least - 2] + ([most + 1] if most else []))
+    if kind is float:
+        return bad if bound is None else st.one_of(
+            bad, st.integers(0, 4).map(lambda k: bound - (base - bound) * (2.0**k - 1)))
+    inside = _inside(kind, bound, base)
+    spoilt = st.tuples(inside, st.integers(0, len(base)), bad).map(
+        lambda c: c[0][:c[1]] + (c[2],) + c[0][c[1]:])
+    if bound is None:
+        return spoilt
+    floor, distinct, _ = bound
+    below = st.tuples(inside, st.integers(0, len(base)), st.integers(0, 4)).map(
+        lambda c: c[0][:c[1]] + (floor - 2.0**c[2] + 1,) + c[0][c[1]:])
+    few = inside.map(lambda v: tuple(v[i % (distinct - 1)] for i in range(len(v))))
+    return st.one_of(st.just(()), spoilt, below, *([few] if distinct > 1 else []))
+
+
+@st.composite
+def _config_case(draw):
+    name = draw(st.sampled_from(sorted(exp.EXPERIMENTS)))
+    rows = exp._schema(name)
+    key = draw(st.sampled_from([k for k, (kind, _, bound) in rows.items()
+                                if kind is not str or bound is not None]))
+    kind, default, bound = rows[key]
+    inside = draw(st.booleans())
+    base = _SMALL[name].get(key, default)
+    return name, key, draw((_inside if inside else _outside)(kind, bound, base)), inside
+
+
+def _ini(v):
+    if isinstance(v, tuple):
+        return ", ".join(map(_ini, v))
+    return repr(float(v)) if isinstance(v, float) else str(v)
+
+
+@given(case=_config_case())
+@example(case=("scheme-consistency", "dt", 1e-300, True))
+@example(case=("scheme-consistency", "n_paths", 1, False))
+@example(case=("matrix-lemmas", "n_cases", 1, False))
+@example(case=("static-ratio", "n_samples", 1, False))
+@example(case=("static-baseline", "n_samples", 1, False))
+@example(case=("static-baseline", "offsets", (0.01,), False))
+@example(case=("static-baseline", "offsets", (0.01, 0.01), False))
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+def test_schema_table_bounds_every_config(case):
+    name, key, value, inside = case
+    params = {**_SMALL[name], key: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, art = pathlib.Path(tmp, "run.ini"), pathlib.Path(tmp, "art")
+        cfg.write_text(f"[{name}]\n" + "".join(f"{k} = {_ini(v)}\n" for k, v in params.items()))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = cli.main(["--config", str(cfg), "--out", str(art)])
+        err = err.getvalue()
+        if not inside or code == 2:
+            assert code == 2 and err.count("\n") == 1, err
+            assert err.startswith(f"config error: section [{name}], key "), err
+            assert (any(why in err for why in _JOINED) if inside else
+                    f"key '{key}': " in err), err
+            assert not art.exists()
+            return
+        assert code in (0, 1) and err == "", err
+        report = (art / name / "report.jsonl").read_text().splitlines()
+        assert report and all(r["value"] is not None or not r["pass"]
+                              for r in map(json.loads, report))

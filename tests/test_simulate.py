@@ -686,6 +686,7 @@ _BAD_ENSEMBLE_INPUTS = [
     pytest.param("aprime", {"aprime": grp.point([1.0, 0.0], [0.0, 0.0], 0.0)}, id="aprime-in-H2"),
     pytest.param("dt", {"dt": -0.01}, id="dt<0"),
     pytest.param("dt", {"dt": float("nan")}, id="dt=nan"),
+    pytest.param("T", {"dt": 1e-300}, id="dt=1e-300"),  # 1e299 steps: past int64
     pytest.param("T", {"T": -0.1}, id="T<0"),
     pytest.param("T", {"T": float("nan")}, id="T=nan"),
     pytest.param("T", {"T": float("inf")}, id="T=inf"),
