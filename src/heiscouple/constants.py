@@ -37,6 +37,12 @@ KENDALL_SUCCESS_DH = 1e-3
 KENDALL_DT_CAP = 0.05
 KENDALL_MAX_ITERS = 20_000_000
 
+# static couplings: the horizons t they accept, (floor t must exceed, largest
+# t).  The time-t law's scale sigma^2 ~ t^2 stays a normal float in between
+# (it underflows near t = 1e-154 and overflows near 1e154), and the config
+# table's other numbers share the largest magnitude 1e50
+STATIC_T_RANGE = (1e-50, 1e50)
+
 # RNG blocking: paths are carved into blocks of this size, each with its own
 # counter-based stream keyed (seed, block index).  A thread steps one
 # contiguous group of whole blocks as one array, each block's rows drawn from

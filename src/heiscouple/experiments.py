@@ -22,7 +22,7 @@ from heiscouple import group as grp
 from heiscouple import static as stc
 from heiscouple.constants import (
     ALGEBRA_TOL, KENDALL_EPSILON, KENDALL_KAPPA, KENDALL_SUCCESS_DH,
-    KS_PVALUE_MIN, MATRIX_TOL, MAX_CLAMP_FRACTION,
+    KS_PVALUE_MIN, MATRIX_TOL, MAX_CLAMP_FRACTION, STATIC_T_RANGE,
 )
 from heiscouple.simulate import (
     _check_count,
@@ -392,11 +392,14 @@ def _run_excursion_moments(p, threads):
 # ---------------------------------------------------------------------------
 # registry, config parsing, artifact writing
 #
-# A schema row is (type, default, bound).  The bound is a string's choices;
-# an int's least value, or (least, most, words) with its message's words; the
-# value a float must exceed; a list's (floor its entries must exceed, how
-# many must be distinct, what they are for).  None bounds nothing but
-# finiteness, and leaves a string free.
+# A schema row is (type, default, bound).  The bound is a string's choices,
+# or None for a free string; an int's least value, or (least, most, words)
+# with its message's words; a float's (floor it must exceed, largest
+# magnitude); a list's (floor its entries must exceed, their largest
+# magnitude, how many must be distinct, what they are for).  A floor of None
+# leaves the sign free.  The largest magnitude 1e50 is the largest power
+# 10^(10k) at which every experiment runs with all its numbers at +-1e50 at
+# once without overflow: kendall-success squares kappa r0^2.
 
 _COMMON = {
     # experiments key Philox streams (uint64) with seed up to seed + 2
@@ -404,18 +407,20 @@ _COMMON = {
     "out": (str, "", None),
 }
 _ENSEMBLE = {
-    "a": (_floats, (0.0, 0.0, 0.0), None),
-    "aprime": (_floats, (1.0, 0.0, 0.0), None),
-    "horizon": (float, 1.0, 0.0),
-    "dt": (float, 1e-3, 0.0),
+    "a": (_floats, (0.0, 0.0, 0.0), (None, 1e50, 0, "")),
+    "aprime": (_floats, (1.0, 0.0, 0.0), (None, 1e50, 0, "")),
+    "horizon": (float, 1.0, (0.0, 1e50)),
+    "dt": (float, 1e-3, (0.0, 1e50)),
     "n_paths": (int, 10000, 1),
 }
 # the hysteresis thresholds, read only by the kendall policy
-_KENDALL = {"kappa": (float, KENDALL_KAPPA, 0.0), "epsilon": (float, KENDALL_EPSILON, 0.0)}
-_BLOWUP = {**_ENSEMBLE, "horizon": (float, 100.0, 0.0), "dt": (float, 0.01, 0.0),
+_KENDALL = {"kappa": (float, KENDALL_KAPPA, (0.0, 1e50)),
+            "epsilon": (float, KENDALL_EPSILON, (0.0, 1e50))}
+_BLOWUP = {**_ENSEMBLE, "horizon": (float, 100.0, (0.0, 1e50)), "dt": (float, 0.01, (0.0, 1e50)),
            "scheme": (str, "reduced", ("reduced", "full"))}
 # one sample has no standard error
-_STATIC = {"t": (float, 1.0, 0.0), "n_samples": (int, 10000, 2), "m_steps": (int, 1024, 1)}
+_STATIC = {"t": (float, 1.0, STATIC_T_RANGE), "n_samples": (int, 10000, 2),
+           "m_steps": (int, 1024, 1)}
 
 EXPERIMENTS = {
     "algebra-suite": ({"n_cases": (int, 10000, 1)}, _run_algebra_suite),
@@ -425,31 +430,32 @@ EXPERIMENTS = {
     **{f"blowup-{kind}": (_BLOWUP, _run_blowup(kind))
        for kind in ("synchronous", "reflection", "perverse")},
     "kendall-success": (
-        {**_KENDALL, "r0": (float, 1.0, 0.0), "z0": (float, 0.0, None),
-         "alpha": (float, 1e-3, 0.0), "success_dh": (float, KENDALL_SUCCESS_DH, 0.0),
-         "n_paths": (int, 10000, 1),
-         "checkpoints": (_floats, (10.0, 40.0, 160.0), (0.0, 1, "times"))},
+        {**_KENDALL, "r0": (float, 1.0, (0.0, 1e50)), "z0": (float, 0.0, (None, 1e50)),
+         "alpha": (float, 1e-3, (0.0, 1e50)),
+         "success_dh": (float, KENDALL_SUCCESS_DH, (0.0, 1e50)), "n_paths": (int, 10000, 1),
+         "checkpoints": (_floats, (10.0, 40.0, 160.0), (0.0, 1e50, 1, "times"))},
         _run_kendall_success,
     ),
     "reflection-exponents": (
-        {"r0": (float, 1.0, 0.0), "n_paths": (int, 100000, 1),
+        {"r0": (float, 1.0, (0.0, 1e50)), "n_paths": (int, 100000, 1),
          "checkpoints": (_floats, tuple(np.geomspace(100.0, 10000.0, 9)),
-                         (0.0, 3, "times for the power-law fit"))},
+                         (0.0, 1e50, 3, "times for the power-law fit"))},
         _run_reflection_exponents,
     ),
     "reflection-hitting": (
-        {"r0": (float, 2.0, 0.0), "horizon": (float, 100.0, 0.0), "n_paths": (int, 100000, 1)},
+        {"r0": (float, 2.0, (0.0, 1e50)), "horizon": (float, 100.0, (0.0, 1e50)),
+         "n_paths": (int, 100000, 1)},
         _run_reflection_hitting,
     ),
     "static-ratio": (
         {**_STATIC, "plan": (str, "density", ("density", "assignment")),
-         "offsets": (_floats, (1e-3, 1e-2, 1e-1, 1.0, 10.0), (0.0, 1, "offsets"))},
+         "offsets": (_floats, (1e-3, 1e-2, 1e-1, 1.0, 10.0), (0.0, 1e50, 1, "offsets"))},
         _run_static_ratio,
     ),
     "static-baseline": (
         {**_STATIC, "n_samples": (int, 4000, 2),
          "offsets": (_floats, (1e-3, 10**-2.5, 1e-2, 10**-1.5, 1e-1),
-                     (0.0, 2, "offsets for the slope fit"))},
+                     (0.0, 1e50, 2, "offsets for the slope fit"))},
         _run_static_baseline,
     ),
     "mg-lemma": ({"n_paths": (int, 100000, 1)}, _run_mg_lemma),
@@ -543,13 +549,16 @@ def _breaks(kind, bound, v):
             words or ("positive" if v < 1 else f"at least {least}"))
     if not np.all(np.isfinite(v)):
         return "must be finite"
-    if bound is None:
-        return None
     if kind is float:
-        return None if v > bound else f"must be {_above(bound)}"
-    floor, distinct, words = bound
-    if len(v) == 0 or any(x <= floor for x in v):
+        floor, most = bound
+        if floor is not None and not v > floor:
+            return f"must be {_above(floor)}"
+        return None if abs(v) <= most else f"must be at most {most:g} in magnitude"
+    floor, most, distinct, words = bound
+    if floor is not None and (len(v) == 0 or any(x <= floor for x in v)):
         return f"needs {_above(floor)} entries"
+    if any(abs(x) > most for x in v):
+        return f"needs entries at most {most:g} in magnitude"
     return None if len(set(v)) >= distinct else f"needs at least {distinct} distinct {words}"
 
 

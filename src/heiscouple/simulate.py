@@ -465,32 +465,29 @@ class _Streams:
 
     A draw fills a group-wide buffer whose rows [lo, hi) belong to block j and
     come from philox_stream(seed, j), exactly as if the block were stepped
-    alone.  `size` goes along with `out`, so a generator wrapper that counts
+    alone.  Given the ascending row indices `idx`, it fills only those rows,
+    packed into out[:len(idx)]: each block draws for its own rows, in row
+    order.  `size` goes along with `out`, so a generator wrapper that counts
     variates by `size` counts these draws too.
     """
 
     def __init__(self, seed, spans):
         base = spans[0][1]
-        self.rows = [(philox_stream(seed, block), lo - base, hi - base)
-                     for block, lo, hi in spans]
+        self.gens = [philox_stream(seed, block) for block, _, _ in spans]
         self.m = spans[-1][2] - base
-        self.bounds = np.array([lo for _, lo, _ in self.rows] + [self.m])
+        self.bounds = [lo - base for _, lo, _ in spans] + [self.m]
 
-    def normal(self, out):
-        for rng, lo, hi in self.rows:
-            rng.standard_normal(out[lo:hi].shape, out=out[lo:hi])
+    def normal(self, out, idx=None):
+        self._fill("standard_normal", out, idx)
 
-    def uniform(self, out):
-        for rng, lo, hi in self.rows:
-            rng.random(out[lo:hi].shape, out=out[lo:hi])
+    def uniform(self, out, idx=None):
+        self._fill("random", out, idx)
 
-    def uniform_at(self, idx, out):
-        """One uniform per row of the ascending row indices `idx`, into
-        out[:len(idx)]: each block draws for its own rows, in row order."""
-        cuts = np.searchsorted(idx, self.bounds)
-        for (rng, _, _), a, b in zip(self.rows, cuts[:-1], cuts[1:]):
+    def _fill(self, method, out, idx):
+        cuts = self.bounds if idx is None else np.searchsorted(idx, self.bounds)
+        for gen, a, b in zip(self.gens, cuts[:-1], cuts[1:]):
             if b > a:
-                rng.random(b - a, out=out[a:b])
+                getattr(gen, method)(out[a:b].shape, out=out[a:b])
 
 
 def _run_groups(run, n_paths, threads):
@@ -981,7 +978,7 @@ def simulate_reflection_exact(
                 hit, drawn = idx[~up], idx[up]
                 if drawn.size:
                     c = drawn.size
-                    rng.uniform_at(drawn, u)
+                    rng.uniform(u, drawn)
                     draws += c
                     crossed = u[:c] < np.exp(-x[drawn] / (2.0 * dtj))
                     hit = np.concatenate([hit, drawn[crossed]])
@@ -1044,8 +1041,9 @@ def kendall_success_times(
     dt = min(alpha (R^2+|Z|), KENDALL_DT_CAP), reflecting radial boundary.
 
     Success (R^2 + |Z| < success_dh^2) is absorbing at experiment level; the
-    policy memory itself only tracks its regime.  Runs single-threaded on one
-    noise stream: thread counts never affect the output.
+    policy memory itself only tracks its regime.  Each RNG block draws from its
+    own stream, for its own active paths in path order, so a path's time
+    depends only on its block and a longer run keeps a shorter one's times.
 
     `r2_0` and `t_max` must be finite and >= 0, `z_0` finite, `n_paths` an
     integer >= 1, and `alpha` and `success_dh` positive and finite.  A run
@@ -1063,61 +1061,65 @@ def kendall_success_times(
         _check(0.0 < val < math.inf, name, val, "positive and finite")
     tol2 = float(success_dh) ** 2
     band_in = (policy.kappa - policy.epsilon) / math.sqrt(8.0)
-    rng = philox_stream(seed, 0)
     substeps = 4  # reflection substeps per dt refresh
 
-    r2 = np.full(n_paths, float(r2_0))
-    z = np.full(n_paths, float(z_0))
-    t = np.zeros(n_paths)
-    regime = policy.initial_regime(r2, z)
-    success = np.full(n_paths, np.nan)
-    won0 = r2 + np.abs(z) < tol2
-    success[won0] = 0.0
-    active = ~won0
-    idx = np.arange(n_paths)
-    iters = 0
-    while np.any(active):
-        iters += 1
-        if iters > KENDALL_MAX_ITERS:
-            raise RuntimeError("adaptive contraction run exceeded KENDALL_MAX_ITERS")
-        act = idx[active]
-        reg = regime[act]
+    def run(spans):
+        rng = _Streams(seed, spans)
+        m = rng.m
+        r2 = np.full(m, float(r2_0))
+        z = np.full(m, float(z_0))
+        t = np.zeros(m)
+        regime = policy.initial_regime(r2, z)
+        success = np.full(m, np.nan)
+        won0 = r2 + np.abs(z) < tol2
+        success[won0] = 0.0
+        active = ~won0
+        g_sync, g_refl = np.empty(m), np.empty((m, substeps, 2))
+        iters = 0
+        while np.any(active):
+            iters += 1
+            if iters > KENDALL_MAX_ITERS:
+                raise RuntimeError("adaptive contraction run exceeded KENDALL_MAX_ITERS")
+            sy = np.flatnonzero(active & (regime == cpl.REGIME_SYNC))
+            rf = np.flatnonzero(active & (regime == cpl.REGIME_REFLECT))
 
-        sy = act[reg == cpl.REGIME_SYNC]
-        if sy.size:
-            r2s, zs = r2[sy], z[sy]
-            level = np.maximum(band_in * r2s, tol2 - r2s)
-            dist = np.maximum(np.abs(zs) - level, 0.0)
-            g = rng.standard_normal(sy.size)
-            tau = dist**2 / np.maximum(r2s * g**2, 1e-300)
-            t_new = t[sy] + tau
-            out = t_new > t_max
-            z[sy] = np.where(out, zs, np.sign(zs) * level)
-            t[sy] = np.minimum(t_new, t_max)
-            wins = ~out & (tol2 - r2s >= band_in * r2s)
-            success[sy[wins]] = t_new[wins]
-            active[sy[out | wins]] = False
-            cont = ~out & ~wins
-            regime[sy[cont]] = cpl.REGIME_REFLECT
+            if sy.size:
+                r2s, zs = r2[sy], z[sy]
+                level = np.maximum(band_in * r2s, tol2 - r2s)
+                dist = np.maximum(np.abs(zs) - level, 0.0)
+                rng.normal(g_sync, sy)
+                g = g_sync[:sy.size]
+                tau = dist**2 / np.maximum(r2s * g**2, 1e-300)
+                t_new = t[sy] + tau
+                out = t_new > t_max
+                z[sy] = np.where(out, zs, np.sign(zs) * level)
+                t[sy] = np.minimum(t_new, t_max)
+                wins = ~out & (tol2 - r2s >= band_in * r2s)
+                success[sy[wins]] = t_new[wins]
+                active[sy[out | wins]] = False
+                cont = ~out & ~wins
+                regime[sy[cont]] = cpl.REGIME_REFLECT
 
-        rf = act[reg == cpl.REGIME_REFLECT]
-        if rf.size:
-            r2r, zr, tr = r2[rf], z[rf], t[rf]
-            remaining = np.maximum(t_max - tr, 0.0)
-            dt = np.minimum(alpha * (r2r + np.abs(zr)), KENDALL_DT_CAP)
-            dt = np.minimum(dt, remaining / substeps)
-            sdt = np.sqrt(dt)
-            g = rng.standard_normal((rf.size, substeps, 2))
-            r = np.sqrt(r2r)
-            for k in range(substeps):
-                zr = zr + r * sdt * g[:, k, 0]  # K22 = 1 in both regimes
-                r = np.abs(r + 2.0 * sdt * g[:, k, 1])
-            r2r = r * r
-            tr = tr + substeps * dt
-            r2[rf], z[rf], t[rf] = r2r, zr, tr
-            won = r2r + np.abs(zr) < tol2
-            success[rf[won]] = tr[won]
-            regime[rf] = policy.next_regime(r2r, zr, regime[rf])
-            # the 1e-9 guard stops denormal final steps from spinning forever
-            active[rf] = ~won & (tr < t_max - 1e-9)
-    return success
+            if rf.size:
+                r2r, zr, tr = r2[rf], z[rf], t[rf]
+                remaining = np.maximum(t_max - tr, 0.0)
+                dt = np.minimum(alpha * (r2r + np.abs(zr)), KENDALL_DT_CAP)
+                dt = np.minimum(dt, remaining / substeps)
+                sdt = np.sqrt(dt)
+                rng.normal(g_refl, rf)
+                g = g_refl[:rf.size]
+                r = np.sqrt(r2r)
+                for k in range(substeps):
+                    zr = zr + r * sdt * g[:, k, 0]  # K22 = 1 in both regimes
+                    r = np.abs(r + 2.0 * sdt * g[:, k, 1])
+                r2r = r * r
+                tr = tr + substeps * dt
+                r2[rf], z[rf], t[rf] = r2r, zr, tr
+                won = r2r + np.abs(zr) < tol2
+                success[rf[won]] = tr[won]
+                regime[rf] = policy.next_regime(r2r, zr, regime[rf])
+                # the 1e-9 guard stops denormal final steps from spinning forever
+                active[rf] = ~won & (tr < t_max - 1e-9)
+        return {"success": success}
+
+    return _run_groups(run, n_paths, 1)[0]["success"]

@@ -49,6 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from heiscouple import group as grp
+from heiscouple.constants import STATIC_T_RANGE
 from heiscouple.coupling import _frame_from_unit
 # the level solver for concave costs on the line, bound to this public name so
 # perfbench's tracer times static's solves under this module, one per sample
@@ -105,7 +106,8 @@ class StaticJointSample:
 
 
 def _check_horizon(t):
-    _check(0.0 < t < math.inf, "t", t, "positive and finite")
+    lo, hi = STATIC_T_RANGE
+    _check(lo < t <= hi, "t", t, f"positive and finite, in ({lo:g}, {hi:g}]")
 
 
 def _check_bridge_args(t, m_steps):

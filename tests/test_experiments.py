@@ -371,7 +371,7 @@ def test_reflection_exponents_on_a_degenerate_sample_fails_its_checks(tmp_path, 
 @pytest.mark.parametrize("section,lines,key,why", [
     pytest.param("blowup-reflection", "horizon = 1.0\ndt = 0.3", "dt",
                  "must divide 'horizon' into a whole number of steps", id="dt"),
-    pytest.param("scheme-consistency", "horizon = 1e300\ndt = 1e-300", "dt",
+    pytest.param("scheme-consistency", "horizon = 1e50\ndt = 1e-300", "dt",
                  "must divide 'horizon' into a whole number of steps", id="dt-overflow"),
     pytest.param("blowup-perverse", "horizon = 1\ndt = 1e-300", "dt",
                  "must divide 'horizon' into a whole number of steps", id="dt-past-int64"),
@@ -504,7 +504,8 @@ def test_artifact_digests(tmp_path, name):
 # key, and writes nothing.  A value inside runs to the end (checks may fail,
 # and a NaN check must fail) unless a rule that joins keys refuses it.
 # Inside draws stay near the small sizes on purpose: far below them some keys
-# ask for unbounded work (dt, alpha, success_dh) or underflow (static t).
+# ask for unbounded work (dt, alpha, success_dh).  Outside draws also go just
+# past each largest magnitude, which a scan chose so that nothing overflows.
 _SMALL = {
     "algebra-suite": {"n_cases": 16},
     "matrix-lemmas": {"n_cases": 16},
@@ -538,10 +539,10 @@ def _inside(kind, bound, base):
         least, most, _ = bound if isinstance(bound, tuple) else (bound, max(bound, base), "")
         return st.integers(least, most)
     if kind is float:
-        return _float_inside(base, bound)
-    if bound is None:
+        return _float_inside(base, bound[0])
+    floor, _, distinct, _ = bound
+    if floor is None:
         return st.tuples(*(_float_inside(b, None) for b in base))
-    floor, distinct, _ = bound
     entry = st.sampled_from(base).flatmap(lambda b: _float_inside(b, floor))
     return st.lists(entry, min_size=max(distinct, 1), max_size=len(base) + 1).filter(
         lambda v: len(set(v)) >= distinct).map(tuple)
@@ -554,19 +555,28 @@ def _outside(kind, bound, base):
     if kind is int:
         least, most, _ = bound if isinstance(bound, tuple) else (bound, None, "")
         return st.sampled_from([least - 1, least - 2] + ([most + 1] if most else []))
+    floor, most = bound[:2]
+    # just past the largest magnitude, down to the next float, either sign
+    # where there is no floor
+    past = st.tuples(st.integers(0, 52), st.sampled_from([1.0] if floor is not None else
+                                                          [1.0, -1.0])).map(
+        lambda c: c[1] * most * (1.0 + 2.0**-c[0]))
     if kind is float:
-        return bad if bound is None else st.one_of(
-            bad, st.integers(0, 4).map(lambda k: bound - (base - bound) * (2.0**k - 1)))
+        return st.one_of(bad, past) if floor is None else st.one_of(
+            bad, past, st.integers(0, 4).map(lambda k: floor - (base - floor) * (2.0**k - 1)))
     inside = _inside(kind, bound, base)
-    spoilt = st.tuples(inside, st.integers(0, len(base)), bad).map(
-        lambda c: c[0][:c[1]] + (c[2],) + c[0][c[1]:])
-    if bound is None:
-        return spoilt
-    floor, distinct, _ = bound
-    below = st.tuples(inside, st.integers(0, len(base)), st.integers(0, 4)).map(
-        lambda c: c[0][:c[1]] + (floor - 2.0**c[2] + 1,) + c[0][c[1]:])
+
+    def put(entry):
+        return st.tuples(inside, st.integers(0, len(base)), entry).map(
+            lambda c: c[0][:c[1]] + (c[2],) + c[0][c[1]:])
+
+    if floor is None:
+        return st.one_of(put(bad), put(past))
+    distinct = bound[2]
     few = inside.map(lambda v: tuple(v[i % (distinct - 1)] for i in range(len(v))))
-    return st.one_of(st.just(()), spoilt, below, *([few] if distinct > 1 else []))
+    return st.one_of(st.just(()), put(bad), put(past),
+                     put(st.integers(0, 4).map(lambda k: floor - 2.0**k + 1)),
+                     *([few] if distinct > 1 else []))
 
 
 @st.composite
@@ -595,6 +605,15 @@ def _ini(v):
 @example(case=("static-baseline", "n_samples", 1, False))
 @example(case=("static-baseline", "offsets", (0.01,), False))
 @example(case=("static-baseline", "offsets", (0.01, 0.01), False))
+@example(case=("static-ratio", "t", 1e-200, False))
+@example(case=("static-ratio", "t", 1e-300, False))
+@example(case=("static-ratio", "t", 1e300, False))
+@example(case=("static-baseline", "t", 1e-300, False))
+@example(case=("kendall-success", "z0", 1e300, False))
+@example(case=("kendall-success", "kappa", 1e300, False))
+@example(case=("scheme-consistency", "a", (1e100, 0.0, 0.0), False))
+@example(case=("scheme-consistency", "a", (1e200, 0.0, 0.0), False))
+@example(case=("blowup-reflection", "aprime", (1e200, 0.0, 0.0), False))
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
 def test_schema_table_bounds_every_config(case):
     name, key, value, inside = case

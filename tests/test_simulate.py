@@ -274,6 +274,15 @@ def test_kendall_success_times_behaviour():
     assert np.array_equal(times, again, equal_nan=True)
     with pytest.raises(ValueError, match="kendall"):
         sim.kendall_success_times(cpl.synchronous_policy(), 1.0, 0.0, 1.0, 10)
+    # block-prefix stable: a path's time depends only on its own RNG block
+    run = lambda n: sim.kendall_success_times(pol, 1.0, 0.0, 20.0, n, alpha=0.004, seed=9)
+    one, two, more = run(1024), run(2048), run(2500)
+    assert np.array_equal(one, two[:1024], equal_nan=True)
+    assert np.array_equal(two, more[:2048], equal_nan=True)
+    # one block is keyed (seed, 0) and draws the normals of the single-stream
+    # runner, in its order: recorded with numpy 2.4.6 before the block streams
+    one = sim.kendall_success_times(pol, 1.0, 0.0, 40.0, 1024, alpha=0.004, seed=3)
+    assert hashlib.sha256(one.tobytes()).hexdigest()[:16] == "50c6f46a74a4d24e"
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +447,7 @@ class _CountingStream:
 
 
 @pytest.mark.parametrize("case", ["exact/reflection", "full/custom/n1",
-                                  "reduced/reflection/n1/absorbing"])
+                                  "reduced/reflection/n1/absorbing", "kendall"])
 def test_block_streams_are_keyed_once_and_draw_their_own_rows(monkeypatch, case):
     keys, log = [], []
     real = sim.philox_stream
@@ -448,14 +457,25 @@ def test_block_streams_are_keyed_once_and_draw_their_own_rows(monkeypatch, case)
         return _CountingStream(real(seed, block), block, log)
 
     monkeypatch.setattr(sim, "philox_stream", counting)
-    ens = _golden_ensemble(case, 3, _WIDE_PATHS)
+    if case == "kendall":
+        seed = 5
+        sim.kendall_success_times(cpl.kendall_policy(), 1.0, 0.0, 2.0, _WIDE_PATHS,
+                                  alpha=0.01, seed=seed)
+    else:
+        ens = _golden_ensemble(case, 3, _WIDE_PATHS)
+        seed = ens.meta["seed"]
     spans = list(sim._blocks(_WIDE_PATHS))
-    seed = ens.meta["seed"]
     assert sorted(keys) == [(seed, block) for block, _, _ in spans]
     per_block = {block: [] for block, _, _ in spans}
     for block, method, rows, out_rows in log:
         per_block[block].append((method, rows, out_rows))
-    if case.startswith("exact"):
+    if case == "kendall":
+        # a phase update draws normals for the block's active paths only
+        for block, lo, hi in spans:
+            assert per_block[block]
+            assert all(method == "standard_normal" and rows == out_rows and 1 <= rows <= hi - lo
+                       for method, rows, out_rows in per_block[block])
+    elif case.startswith("exact"):
         # normals fill the whole block; a uniform is drawn only for the
         # block's paths near 0, so each draw takes between 1 and all its rows
         n_normals = sum(draw[0] == "standard_normal" for draw in per_block[0])

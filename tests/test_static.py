@@ -179,6 +179,7 @@ assert estimators.empirical_wasserstein(x, x + 1.0, p=1.0) == 1.0
 @pytest.mark.parametrize("arg,kw", [
     pytest.param("t", {"t": -1.0}, id="t=-1"),
     pytest.param("t", {"t": 0.0}, id="t=0"),
+    pytest.param("t", {"t": 1e-300}, id="t=1e-300"),  # sigma underflows to 0
     pytest.param("b", {"b": np.array([np.nan, 0.3])}, id="b=nan"),
     pytest.param("b", {"b": np.zeros(0)}, id="b=empty"),
 ])
@@ -364,6 +365,8 @@ _BAD_INPUTS = [
     pytest.param("m_steps", {"m_steps": 2.5}, id="m_steps=2.5"),
     pytest.param("t", {"t": float("nan")}, id="t=nan"),
     pytest.param("t", {"t": float("inf")}, id="t=inf"),
+    pytest.param("t", {"t": 1e-200}, id="t=1e-200"),  # past STATIC_T_RANGE
+    pytest.param("t", {"t": 1e300}, id="t=1e300"),
     pytest.param("a", {"a": grp.point([np.nan], [0.0], 0.0)}, id="a=nan"),
     pytest.param("aprime", {"aprime": grp.point([0.5], [0.0], np.nan)}, id="aprime=nan"),
     *_BAD_SEEDS,
