@@ -922,6 +922,10 @@ def simulate_reflection_exact(
       checkpoint as one normal per path, scaled by the root of the summed
       variance, and qv gains that sum.
 
+`drift_int` is int 2 tr(I - K) ds = 4 t while R lives.  As in the Euler
+engines, a path stops adding at the end of the cell in which it is absorbed,
+so each checkpoint records 4 min(t, end of the absorbing cell).
+
     Checkpoints must be finite and >= 0; those past T are recorded at T.
     `n_paths` must be an integer >= 1, `r0` and `T` finite and >= 0, `z0`
     finite, `delta` and `t_first` finite and > 0.  `threads` must be an
@@ -960,6 +964,7 @@ def simulate_reflection_exact(
         z = np.full(m, float(z0))
         rec = _Recorder(ck_idx, m)
         alive = np.ones(m, dtype=bool)  # R has not hit 0
+        end = np.full(m, math.inf)  # end of the absorbing cell
         g, u, x, near = np.empty(m), np.empty(m), np.empty(m), np.empty(m, dtype=bool)
         var = np.zeros(m)  # variance of Z's increment since the last checkpoint
         draws = 0
@@ -985,6 +990,7 @@ def simulate_reflection_exact(
                 rn[hit] = 0.0
                 alive[hit] = False
                 rec.absorbed_at[hit] = grid[j] + dtj / 2.0
+                end[hit] = grid[j + 1]
             np.multiply(rn, rn, out=rn2)
             np.add(r2, rn2, out=x)
             x *= dtj / 2.0
@@ -997,6 +1003,7 @@ def simulate_reflection_exact(
                 z += x
                 rec.qv += var
                 var[:] = 0.0
+                rec.drift_int = 4.0 * np.minimum(end, grid[j + 1])
             rec(j + 1, r2, z)
         return rec.result(crossing_draws=draws)
 

@@ -212,6 +212,16 @@ def test_exact_reflection_threads_and_z0():
     assert one.meta["absorbed"] == np.isfinite(one.absorbed_at).sum() > 0
 
 
+def test_exact_reflection_r2_identity():
+    # E[R^2_t] - R0^2 = E[drift_int_t], drift_int being 4 t up to the end of
+    # the absorbing cell, as scheme-consistency checks for the Euler engines
+    ens = sim.simulate_reflection_exact(1.0, 2.0, 4000, seed=3, checkpoints=[0.5, 1, 2])
+    for t, r2, drift in zip(ens.times, ens.r2, ens.drift_int):
+        assert np.all((drift > 0.0) & (drift <= 4.0 * t))
+        gap = r2 - 1.0 - drift
+        assert abs(gap.mean()) <= 3 * gap.std(ddof=1) / math.sqrt(ens.n_paths)
+
+
 def test_exact_reflection_vertical_is_gaussian_given_r():
     # given the R path, Z - z0 is a centred normal of variance qv, the
     # summed trapezoid variance: E[(Z - z0)^2] = E[qv], and (Z - z0)/sqrt(qv)
@@ -355,7 +365,7 @@ def _golden_ensemble(case, threads, n_paths=1500):
 
 
 _GOLDEN = {
-    "exact/reflection": "59bb9625dea94917",
+    "exact/reflection": "32f1fa96683108ba",
     "full/custom/n1": "2ba56dec6bf8318b",
     "full/custom/n1/skew": "5815e5474902930e",
     "full/custom/n2": "94d9f9afba49a060",
@@ -404,7 +414,7 @@ def test_golden_digests(case, threads):
 # into uneven groups of 1, 2 and 2 blocks
 _WIDE_PATHS = 4500
 _WIDE_GOLDEN = {
-    "exact/reflection": "404dccadf7bd8529",
+    "exact/reflection": "323af65273b62e85",
     "full/custom/n1": "61d7f643461276e7",
     "full/kendall/n1": "1cd8d16cdccdcfe5",
     "full/reflection/n1/absorbing": "5a09d7296ac3f444",
