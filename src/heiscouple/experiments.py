@@ -285,19 +285,23 @@ def _run_reflection_hitting(p, threads):
     return checks, rows, ens
 
 
+def _static_costs(p, couple, offsets, **kw):
+    """(mean cost, its standard error, samples) of `couple` from the identity
+    of H^1 to (xp, 0, 0), for each offset xp."""
+    stats = []
+    for xp in offsets:
+        smp = couple(grp.identity(1), grp.point([xp], [0.0], 0.0), t=p["t"],
+                     n_samples=p["n_samples"], seed=p["seed"], m_steps=p["m_steps"], **kw)
+        stats.append((float(smp.cost.mean()),
+                      float(smp.cost.std(ddof=1) / math.sqrt(smp.n_samples)), smp.n_samples))
+    return stats
+
+
 def _run_static_ratio(p, threads):
-    a = grp.identity(1)
-    ratios, rows = [], []
-    for xp in p["offsets"]:
-        ap = grp.point([xp], [0.0], 0.0)
-        smp = stc.static_couple(
-            a, ap, t=p["t"], n_samples=p["n_samples"], seed=p["seed"],
-            plan=p["plan"], m_steps=p["m_steps"],
-        )
-        r = float(smp.cost.mean() / xp)
-        se = float(smp.cost.std(ddof=1) / math.sqrt(smp.n_samples) / xp)
-        ratios.append(r)
-        rows.append((float(xp), "cost_ratio", r, se, smp.n_samples))
+    stats = _static_costs(p, stc.static_couple, p["offsets"], plan=p["plan"])
+    ratios = [mean / xp for xp, (mean, _, _) in zip(p["offsets"], stats)]
+    rows = [(float(xp), "cost_ratio", r, se / xp, n)
+            for xp, r, (_, se, n) in zip(p["offsets"], ratios, stats)]
     # a zero cost (an offset so small the plan keeps every vertical) has no
     # ratio to compare: a failed, NaN check
     spread = max(ratios) / min(ratios) if min(ratios) > 0 else float("nan")
@@ -306,22 +310,12 @@ def _run_static_ratio(p, threads):
 
 
 def _run_static_baseline(p, threads):
-    a = grp.identity(1)
-    costs, rows = [], []
-    for xp in p["offsets"]:
-        ap = grp.point([xp], [0.0], 0.0)
-        smp = stc.baseline_translation_couple(
-            a, ap, t=p["t"], n_samples=p["n_samples"], seed=p["seed"],
-            m_steps=p["m_steps"],
-        )
-        costs.append(float(smp.cost.mean()))
-        rows.append((float(xp), "mean_cost", costs[-1],
-                     float(smp.cost.std(ddof=1) / math.sqrt(smp.n_samples)), smp.n_samples))
+    stats = _static_costs(p, stc.baseline_translation_couple, p["offsets"])
+    costs = [mean for mean, _, _ in stats]
+    rows = [(float(xp), "mean_cost", *stat) for xp, stat in zip(p["offsets"], stats)]
     slope, _ = np.polyfit(np.log(p["offsets"]), np.log(costs), 1)
-    ap1 = grp.point([1.0], [0.0], 0.0)
-    ref = stc.baseline_translation_couple(a, ap1, t=p["t"], n_samples=p["n_samples"],
-                                          seed=p["seed"], m_steps=p["m_steps"])
-    blow = (costs[0] / p["offsets"][0]) / float(ref.cost.mean())
+    ref = _static_costs(p, stc.baseline_translation_couple, [1.0])[0][0]
+    blow = (costs[0] / p["offsets"][0]) / ref
     checks = [
         _check("baseline_exponent", float(slope), 0.4 <= slope <= 0.6),
         _check("ratio_blowup_smallest_over_unit", blow, blow > 10.0),

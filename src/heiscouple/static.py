@@ -7,7 +7,7 @@ moving only the vertical coordinate.  Every coupling here runs one pipeline,
 the first horizontal axis) by a left translation and a horizontal rotation,
 draw the left leg, couple its vertical with the translate by rho * Y_1 through
 a conditional plan given the horizontal endpoint, add the Campbell correction
-and undo the reduction.  The plans are:
+and undo the reduction.  The plans, looked up by name in `_PLANS`, are:
 
 * ``plan="density"`` -- the conditional law of the vertical coordinate given
   the horizontal endpoint has an even, unimodal density (computed here by
@@ -29,8 +29,9 @@ tabulated once per n (`_law_table`): by Levy's area formula the law of
 Z / sigma given the endpoint b depends only on (n, |b|^2 / t), so one table
 of densities and normal-score maps covers every endpoint and horizon, with no
 bridge discretization bias (the interpolation error is ~1e-5 in Z / sigma).
-The density plan's keep/reflect probability reads the same table, and the
-assignment plan's atoms are drawn from it too, one normal each.  No plan
+That law is read at the canonical endpoints once per call (`_law_at`) and
+handed to the plan: the density plan's keep/reflect probability reads it, and
+the assignment plan's atoms are drawn from it too, one normal each.  No plan
 runs a Brownian bridge, so the `m_steps` argument is validated and otherwise
 unused.
 
@@ -110,11 +111,6 @@ def _check_horizon(t):
     _check(lo < t <= hi, "t", t, f"positive and finite, in ({lo:g}, {hi:g}]")
 
 
-def _check_bridge_args(t, m_steps):
-    _check_horizon(t)
-    _check_count("m_steps", m_steps)
-
-
 def sample_levy_area_given_endpoint(b, t=1.0, m_steps=1024, seed=0):
     """Vertical coordinate of a horizontal Brownian bridge 0 -> b on [0, t].
 
@@ -138,7 +134,8 @@ def sample_levy_area_given_endpoint(b, t=1.0, m_steps=1024, seed=0):
     b = np.asarray(b, dtype=float)
     if b.ndim < 1 or b.shape[-1] < 2 or b.shape[-1] % 2:
         raise ValueError("endpoints must have even horizontal dimension 2n")
-    _check_bridge_args(t, m_steps)
+    _check_horizon(t)
+    _check_count("m_steps", m_steps)
     rng = philox_stream(seed, 0)
     lead = b.shape[:-1]
     flat = b.reshape(-1, b.shape[-1])
@@ -373,7 +370,7 @@ def _sqrt_shift_assignment(x, shift):
     return np.sqrt(np.abs(x - y[cols])), cols
 
 
-def _couple_vertical_density(z, shift, h_can, t, rng):
+def _couple_vertical_density(z, shift, at, rng, m_bridge):
     """Concave-cost optimal plan between Law(Z|b) and its translate.
 
     Keeps z with probability min(1, f(z-s)/f(z)), else reflects about s/2:
@@ -382,7 +379,6 @@ def _couple_vertical_density(z, shift, h_can, t, rng):
     read from the tabulated law.
     """
     u_stay = rng.uniform(size=z.shape[0])
-    at = _law_at(h_can, t)
     f_here = at.density(z)
     f_shift = at.density(z - shift)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -391,7 +387,7 @@ def _couple_vertical_density(z, shift, h_can, t, rng):
     return z_tilde, z_tilde - z
 
 
-def _couple_vertical_assignment(z, shift, h_can, t, rng, m_bridge):
+def _couple_vertical_assignment(z, shift, at, rng, m_bridge):
     """Empirical plan: exact assignment between m_bridge atoms and their shift.
 
     For each sample, draws m_bridge conditional verticals from the tabulated
@@ -400,7 +396,6 @@ def _couple_vertical_assignment(z, shift, h_can, t, rng, m_bridge):
     atoms shifted, and routes the drawn vertical through its nearest atom.
     """
     m = z.shape[0]
-    at = _law_at(h_can, t)
     z_tilde = np.empty(m)
     for i in range(m):
         zi = at.row(i).quantile(rng.standard_normal(m_bridge))
@@ -410,9 +405,14 @@ def _couple_vertical_assignment(z, shift, h_can, t, rng, m_bridge):
     return z_tilde, z_tilde - z
 
 
-def _translate_vertical(z, shift, h_can, t, rng):
+def _translate_vertical(z, shift, at, rng, m_bridge):
     """Reference plan: every vertical moves by the full shift."""
     return z + shift, shift
+
+
+# the vertical plans of `_pinned_couple`, by name
+_PLANS = {"density": _couple_vertical_density, "assignment": _couple_vertical_assignment,
+          "translation": _translate_vertical}
 
 
 def _reduce_offset(a, aprime):
@@ -450,30 +450,33 @@ def _assemble(a, h_can, z_left, z_right, q_rot, delta_h):
     return left, right
 
 
-def _pinned_couple(a, aprime, t, n_samples, seed, m_steps, plan, vertical, m_bridge=None):
-    """The pipeline behind every coupling here, for the plan `vertical`.
+def _pinned_couple(a, aprime, t, n_samples, seed, m_steps, plan, m_bridge=None):
+    """The pipeline behind every coupling here, for the plan named `plan`.
 
     The left verticals are drawn exactly from the tabulated law given the
     canonical endpoints, one normal each through sigma T_s.  m_steps is
     validated and otherwise unused (meta records None).
-    `vertical(z, shift, h_can, t, rng)` gets the left verticals, their
-    shifts rho * Y_1, the canonical endpoints and the stream after the left
-    leg's draws, and returns the coupled verticals and the move from z.  It is
-    not called at rho = 0, where the two conditional laws coincide.
+    The plan `_PLANS[plan](z, shift, at, rng, m_bridge)` gets the left
+    verticals, their shifts rho * Y_1, the law `at` they were drawn from,
+    the stream after the left leg's draws and the atom count, and returns
+    the coupled verticals and the move from z.  It is not called at rho = 0,
+    where the two conditional laws coincide.
     """
-    _check_bridge_args(t, m_steps)
+    _check_horizon(t)
+    _check_count("m_steps", m_steps)
     _check_count("n_samples", n_samples)
     if plan == "assignment":
         _check_count("m_bridge", m_bridge)
     delta, q_rot, rho, dz, n = _reduce_offset(a, aprime)
     rng = philox_stream(seed, 0)
     h_can = math.sqrt(t) * rng.standard_normal((n_samples, 2 * n))
-    z = _law_at(h_can, t).quantile(rng.standard_normal(n_samples))
+    at = _law_at(h_can, t)
+    z = at.quantile(rng.standard_normal(n_samples))
     shift = rho * h_can[:, n]  # offset times conjugate coordinate Y_1
     if rho == 0.0:
         z_tilde, move = z, np.zeros_like(z)
     else:
-        z_tilde, move = vertical(z, shift, h_can, t, rng)
+        z_tilde, move = _PLANS[plan](z, shift, at, rng, m_bridge)
     # right leg in canonical frame: Campbell correction of the horizontal
     # offset, then its central part
     z_right = z_tilde - 0.5 * shift + dz
@@ -524,13 +527,9 @@ def static_couple(
     Returns:
         StaticJointSample.
     """
-    if plan == "density":
-        vertical = _couple_vertical_density
-    elif plan == "assignment":
-        vertical = functools.partial(_couple_vertical_assignment, m_bridge=m_bridge)
-    else:
+    if plan not in ("density", "assignment"):
         raise ValueError('plan must be "density" or "assignment"')
-    return _pinned_couple(a, aprime, t, n_samples, seed, m_steps, plan, vertical, m_bridge)
+    return _pinned_couple(a, aprime, t, n_samples, seed, m_steps, plan, m_bridge)
 
 
 def baseline_translation_couple(a, aprime, t=1.0, n_samples=1000, seed=0, m_steps=1024):
@@ -541,5 +540,4 @@ def baseline_translation_couple(a, aprime, t=1.0, n_samples=1000, seed=0, m_step
     Its verticals come from the exact tabulated law and no bridge is run, so
     m_steps is validated and otherwise unused.
     """
-    return _pinned_couple(a, aprime, t, n_samples, seed, m_steps, "translation",
-                          _translate_vertical)
+    return _pinned_couple(a, aprime, t, n_samples, seed, m_steps, "translation")
