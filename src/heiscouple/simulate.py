@@ -333,13 +333,14 @@ def _check_finite(name, x):
 
 
 def _whole_steps(T, dt):
-    """round(T / dt), or None unless that many steps of dt make T (to 1e-9)
-    and the count fits an int64."""
+    """round(T / dt), or None unless that many steps of dt make T (to 1e-9),
+    the count fits an int64 and a positive T takes at least one step."""
     q = T / dt
     if not q < 2.0**63:  # refuses inf and NaN too
         return None
     n_steps = int(round(q))
-    return n_steps if abs(n_steps * dt - T) <= 1e-9 * max(T, 1.0) else None
+    ok = (n_steps > 0 or T == 0.0) and abs(n_steps * dt - T) <= 1e-9 * max(T, 1.0)
+    return n_steps if ok else None
 
 
 def _is_integer(x):
@@ -835,7 +836,8 @@ def simulate_ensemble(
         a, aprime: finite starting group points, arrays of length 2n + 1.
         T: horizon, finite and >= 0.
         n_paths: ensemble size, an integer >= 1.
-        dt: Euler step, positive and finite.
+        dt: Euler step, positive and finite; T must be a whole number of
+            steps, at least one when T > 0.
         seed: base seed, an integer in [0, 2**64); path block j uses the
             stream keyed (seed, j).
         scheme: "full" (group coordinates) or "reduced" ((R^2, Z) only).

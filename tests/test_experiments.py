@@ -375,6 +375,8 @@ def test_reflection_exponents_on_a_degenerate_sample_fails_its_checks(tmp_path, 
                  "must divide 'horizon' into a whole number of steps", id="dt-overflow"),
     pytest.param("blowup-perverse", "horizon = 1\ndt = 1e-300", "dt",
                  "must divide 'horizon' into a whole number of steps", id="dt-past-int64"),
+    pytest.param("scheme-consistency", "horizon = 1e-12\ndt = 0.001\nn_paths = 64", "dt",
+                 "must divide 'horizon' into a whole number of steps", id="zero-steps"),
     pytest.param("kendall-success", "kappa = 0.1\nepsilon = 0.2", "epsilon",
                  "must be less than 'kappa'", id="epsilon"),
 ])

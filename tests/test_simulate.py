@@ -717,6 +717,7 @@ _BAD_ENSEMBLE_INPUTS = [
     pytest.param("dt", {"dt": -0.01}, id="dt<0"),
     pytest.param("dt", {"dt": float("nan")}, id="dt=nan"),
     pytest.param("T", {"dt": 1e-300}, id="dt=1e-300"),  # 1e299 steps: past int64
+    pytest.param("T", {"T": 1e-12, "dt": 1e-3}, id="T=1e-12"),  # rounds to 0 steps
     pytest.param("T", {"T": -0.1}, id="T<0"),
     pytest.param("T", {"T": float("nan")}, id="T=nan"),
     pytest.param("T", {"T": float("inf")}, id="T=inf"),
@@ -732,6 +733,13 @@ def test_simulate_ensemble_rejects_bad_input(arg, bad, scheme):
           "dt": 0.01, "scheme": scheme, **bad}
     with pytest.raises(ValueError, match=rf"^{arg} must"):
         sim.simulate_ensemble(**kw)
+
+
+def test_simulate_ensemble_zero_horizon_takes_no_step():
+    # T = 0 records the start; a positive T that rounds to 0 steps is refused above
+    ens = sim.simulate_ensemble(cpl.reflection_policy(), **_H1_START, T=0.0, n_paths=4, dt=1e-3)
+    assert ens.times.tolist() == [0.0] and ens.meta["steps"] == 0
+    assert np.all(ens.r2 == 1.0)
 
 
 _BAD_THREADS = [0, -2, 2.5, True]
