@@ -485,7 +485,10 @@ class _Streams:
         self._fill("random", out, idx)
 
     def _fill(self, method, out, idx):
-        cuts = self.bounds if idx is None else np.searchsorted(idx, self.bounds)
+        if idx is None:
+            cuts = self.bounds
+        else:  # a lone block draws for all of idx, with no search
+            cuts = [0, len(idx)] if len(self.gens) == 1 else np.searchsorted(idx, self.bounds)
         for gen, a, b in zip(self.gens, cuts[:-1], cuts[1:]):
             if b > a:
                 getattr(gen, method)(out[a:b].shape, out=out[a:b])
