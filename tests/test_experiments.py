@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from heiscouple import cli
 from heiscouple import experiments as exp
+from heiscouple.constants import MAX_MAGNITUDE
 
 
 def test_registry_names():
@@ -541,8 +542,8 @@ def _inside(kind, bound, base):
         least, most, _ = bound if isinstance(bound, tuple) else (bound, max(bound, base), "")
         return st.integers(least, most)
     if kind is float:
-        return _float_inside(base, bound[0])
-    floor, _, distinct, _ = bound
+        return _float_inside(base, bound)
+    floor, distinct, _ = bound
     if floor is None:
         return st.tuples(*(_float_inside(b, None) for b in base))
     entry = st.sampled_from(base).flatmap(lambda b: _float_inside(b, floor))
@@ -557,7 +558,7 @@ def _outside(kind, bound, base):
     if kind is int:
         least, most, _ = bound if isinstance(bound, tuple) else (bound, None, "")
         return st.sampled_from([least - 1, least - 2] + ([most + 1] if most else []))
-    floor, most = bound[:2]
+    floor, most = (bound if kind is float else bound[0]), MAX_MAGNITUDE
     # just past the largest magnitude, down to the next float, either sign
     # where there is no floor
     past = st.tuples(st.integers(0, 52), st.sampled_from([1.0] if floor is not None else
@@ -574,7 +575,7 @@ def _outside(kind, bound, base):
 
     if floor is None:
         return st.one_of(put(bad), put(past))
-    distinct = bound[2]
+    distinct = bound[1]
     few = inside.map(lambda v: tuple(v[i % (distinct - 1)] for i in range(len(v))))
     return st.one_of(st.just(()), put(bad), put(past),
                      put(st.integers(0, 4).map(lambda k: floor - 2.0**k + 1)),
