@@ -37,14 +37,13 @@ KENDALL_SUCCESS_DH = 1e-3
 KENDALL_DT_CAP = 0.05
 KENDALL_MAX_ITERS = 20_000_000
 
-# the largest magnitude of every float and list entry of an experiment config:
-# the largest 10^(10k) at which every experiment runs with all its numbers at
-# +-MAX_MAGNITUDE at once without overflow (kendall-success squares kappa r0^2)
+# largest magnitude of an experiment config's float and list entries: the
+# largest 10^(10k) at which every experiment runs with all its numbers at
+# +-MAX_MAGNITUDE at once without overflow (kendall-success squares kappa r0^2).
+# The static couplings accept t in STATIC_T_RANGE = (floor t must exceed,
+# largest t); the time-t law's scale sigma^2 ~ t^2 stays a normal float in
+# between (it underflows near t = 1e-154 and overflows near 1e154)
 MAX_MAGNITUDE = 1e50
-
-# static couplings: the horizons t they accept, (floor t must exceed, largest
-# t).  The time-t law's scale sigma^2 ~ t^2 stays a normal float in between
-# (it underflows near t = 1e-154 and overflows near 1e154)
 STATIC_T_RANGE = (1e-50, MAX_MAGNITUDE)
 
 # RNG blocking: paths are carved into blocks of this size, each with its own

@@ -468,8 +468,9 @@ class _Streams:
     come from philox_stream(seed, j), exactly as if the block were stepped
     alone.  Given the ascending row indices `idx`, it fills only those rows,
     packed into out[:len(idx)]: each block draws for its own rows, in row
-    order.  `size` goes along with `out`, so a generator wrapper that counts
-    variates by `size` counts these draws too.
+    order; a lone block draws for all of `idx` with no search.  `size` goes
+    along with `out`, so a generator wrapper that counts variates by `size`
+    counts these draws too.
     """
 
     def __init__(self, seed, spans):
@@ -485,10 +486,8 @@ class _Streams:
         self._fill("random", out, idx)
 
     def _fill(self, method, out, idx):
-        if idx is None:
-            cuts = self.bounds
-        else:  # a lone block draws for all of idx, with no search
-            cuts = [0, len(idx)] if len(self.gens) == 1 else np.searchsorted(idx, self.bounds)
+        cuts = (self.bounds if idx is None else [0, len(idx)] if len(self.gens) == 1
+                else np.searchsorted(idx, self.bounds))
         for gen, a, b in zip(self.gens, cuts[:-1], cuts[1:]):
             if b > a:
                 getattr(gen, method)(out[a:b].shape, out=out[a:b])

@@ -453,14 +453,12 @@ def _assemble(a, h_can, z_left, z_right, q_rot, delta_h):
 def _pinned_couple(a, aprime, t, n_samples, seed, m_steps, plan, m_bridge=None):
     """The pipeline behind every coupling here, for the plan named `plan`.
 
-    The left verticals are drawn exactly from the tabulated law given the
+    The left verticals z are drawn exactly from the tabulated law `at` at the
     canonical endpoints, one normal each through sigma T_s.  m_steps is
-    validated and otherwise unused (meta records None).
-    The plan `_PLANS[plan](z, shift, at, rng, m_bridge)` gets the left
-    verticals, their shifts rho * Y_1, the law `at` they were drawn from,
-    the stream after the left leg's draws and the atom count, and returns
-    the coupled verticals and the move from z.  It is not called at rho = 0,
-    where the two conditional laws coincide.
+    validated and otherwise unused (meta records None).  `_PLANS[plan](z,
+    shift, at, rng, m_bridge)` gets their shifts rho * Y_1 and the stream
+    after the left leg's draws, and returns the coupled verticals and the
+    move from z.  It is not called at rho = 0, where the two laws coincide.
     """
     _check_horizon(t)
     _check_count("m_steps", m_steps)
@@ -495,16 +493,8 @@ def _pinned_couple(a, aprime, t, n_samples, seed, m_steps, plan, m_bridge=None):
     return StaticJointSample(left=left, right=right, cost=cost, meta=meta)
 
 
-def static_couple(
-    a,
-    aprime,
-    t=1.0,
-    n_samples=1000,
-    m_bridge=256,
-    seed=0,
-    plan="density",
-    m_steps=1024,
-):
+def static_couple(a, aprime, t=1.0, n_samples=1000, m_bridge=256, seed=0, plan="density",
+                  m_steps=1024):
     """Couple the time-t laws started at a and a' with pinned horizontals.
 
     The horizontal parts differ by the constant hor(a^{-1} a') on every
