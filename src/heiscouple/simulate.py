@@ -333,14 +333,13 @@ def _check_finite(name, x):
 
 
 def _whole_steps(T, dt):
-    """round(T / dt), or None unless that many steps of dt make T (to 1e-9),
-    the count fits an int64 and a positive T takes at least one step."""
+    """round(T / dt), or None unless that many steps of dt make T to a relative
+    1e-9 (so a positive T takes at least one step) and the count fits an int64."""
     q = T / dt
     if not q < 2.0**63:  # refuses inf and NaN too
         return None
     n_steps = int(round(q))
-    ok = (n_steps > 0 or T == 0.0) and abs(n_steps * dt - T) <= 1e-9 * max(T, 1.0)
-    return n_steps if ok else None
+    return n_steps if abs(n_steps * dt - T) <= 1e-9 * T else None
 
 
 def _is_integer(x):
@@ -926,9 +925,9 @@ def simulate_reflection_exact(
       checkpoint as one normal per path, scaled by the root of the summed
       variance, and qv gains that sum.
 
-`drift_int` is int 2 tr(I - K) ds = 4 t while R lives.  As in the Euler
-engines, a path stops adding at the end of the cell in which it is absorbed,
-so each checkpoint records 4 min(t, end of the absorbing cell).
+    `drift_int` is int 2 tr(I - K) ds = 4 t while R lives.  As in the Euler
+    engines, a path stops adding at the end of the cell in which it is
+    absorbed, so each checkpoint records 4 min(t, end of the absorbing cell).
 
     Checkpoints must be finite and >= 0; those past T are recorded at T.
     `n_paths` must be an integer >= 1, `r0` and `T` finite and >= 0, `z0`

@@ -410,7 +410,6 @@ def _translate_vertical(z, shift, at, rng, m_bridge):
     return z + shift, shift
 
 
-# the vertical plans of `_pinned_couple`, by name
 _PLANS = {"density": _couple_vertical_density, "assignment": _couple_vertical_assignment,
           "translation": _translate_vertical}
 

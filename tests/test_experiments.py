@@ -378,6 +378,8 @@ def test_reflection_exponents_on_a_degenerate_sample_fails_its_checks(tmp_path, 
                  "must divide 'horizon' into a whole number of steps", id="dt-past-int64"),
     pytest.param("scheme-consistency", "horizon = 1e-12\ndt = 0.001\nn_paths = 64", "dt",
                  "must divide 'horizon' into a whole number of steps", id="zero-steps"),
+    pytest.param("blowup-synchronous", "horizon = 1.5e-9\ndt = 1e-9", "dt",
+                 "must divide 'horizon' into a whole number of steps", id="small-horizon"),
     pytest.param("kendall-success", "kappa = 0.1\nepsilon = 0.2", "epsilon",
                  "must be less than 'kappa'", id="epsilon"),
 ])

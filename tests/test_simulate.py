@@ -718,6 +718,7 @@ _BAD_ENSEMBLE_INPUTS = [
     pytest.param("dt", {"dt": float("nan")}, id="dt=nan"),
     pytest.param("T", {"dt": 1e-300}, id="dt=1e-300"),  # 1e299 steps: past int64
     pytest.param("T", {"T": 1e-12, "dt": 1e-3}, id="T=1e-12"),  # rounds to 0 steps
+    pytest.param("T", {"T": 1.5e-9, "dt": 1e-9}, id="T=1.5e-9"),  # rounds to 2 steps
     pytest.param("T", {"T": -0.1}, id="T<0"),
     pytest.param("T", {"T": float("nan")}, id="T=nan"),
     pytest.param("T", {"T": float("inf")}, id="T=inf"),
