@@ -17,7 +17,10 @@ The output file, written fresh, holds per side: the commit of its checkout
 (when it is a git checkout), the ``# perfbench`` machine record of its first
 run (machine, versions and the ``src/heiscouple`` line count), every run's
 metrics by seed, each metric's median, quartiles and IQR per workload, and
-under "trace" the seed and per-layer metrics of its traced runs.
+under "trace" the seed and per-layer metrics of its traced runs.  Beside
+those values, "trace" keeps under "detail" the (median, q1, q3, passes) over
+the run's traced passes that its ``# perfbench`` record gives for a metric,
+so a per-layer difference can be read against its spread.
 Under "wins" it counts, for every side but the first ``--side`` (the "base"),
 per workload and metric, the seeds on which that side did better than the
 base, by the direction BENCHMARK.json gives.
@@ -39,7 +42,7 @@ PREFIX = "# perfbench "
 
 
 def run_once(checkout, workload, seed, trace=0):
-    """One ``perfbench/run.py`` run; returns (machine record, result line)."""
+    """One ``perfbench/run.py`` run; returns (its ``# perfbench`` record, result line)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", str(trace)]
     res = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900,
@@ -49,7 +52,7 @@ def run_once(checkout, workload, seed, trace=0):
                          f"{res.stderr[-800:]}")
     lines = res.stdout.strip().splitlines()
     record = json.loads(next(ln for ln in lines if ln.startswith(PREFIX))[len(PREFIX):])
-    return record["info"], json.loads(lines[-1])
+    return record, json.loads(lines[-1])
 
 
 def commit_of(checkout):
@@ -95,10 +98,10 @@ def main(argv=None):
     for k, seed in enumerate(args.seeds):
         for work in WORKLOADS:
             for name, checkout in sides[k % len(sides):] + sides[:k % len(sides)]:
-                machine, result = run_once(checkout, work, seed)
+                record, result = run_once(checkout, work, seed)
                 side = out["sides"][name]
-                side.setdefault("machine", machine)
-                side["src_heiscouple_lines"] = machine["src_heiscouple_lines"]
+                side.setdefault("machine", record["info"])
+                side["src_heiscouple_lines"] = record["info"]["src_heiscouple_lines"]
                 side["runs"][work][str(seed)] = {
                     "correct": result["correct"],
                     "metrics": {m: v["value"] for m, v in result["metrics"].items()},
@@ -106,12 +109,13 @@ def main(argv=None):
                 print(f"{work} seed {seed} {name}: " + ", ".join(
                     f"{m}={v['value']:.4g}" for m, v in result["metrics"].items()), flush=True)
     for name, checkout in sides:
-        traced = {work: run_once(checkout, work, args.seeds[0], trace=1)[1]["metrics"]
-                  for work in WORKLOADS}
+        traced = {work: run_once(checkout, work, args.seeds[0], trace=1) for work in WORKLOADS}
         out["sides"][name]["trace"] = {
             "seed": args.seeds[0],
-            "metrics": {work: {m: v["value"] for m, v in res.items()}
-                        for work, res in traced.items()},
+            "metrics": {work: {m: v["value"] for m, v in res["metrics"].items()}
+                        for work, (_, res) in traced.items()},
+            "detail": {work: {m: rec["detail"][m] for m in res["metrics"] if m in rec["detail"]}
+                       for work, (rec, res) in traced.items()},
         }
         print(f"{name}: traced runs done", flush=True)
     for side in out["sides"].values():

@@ -25,7 +25,7 @@ def build_parser():
                     help="override the seed of every selected experiment")
     ap.add_argument("--threads", type=int, default=1, metavar="N",
                     help="worker threads; never changes numeric output")
-    ap.add_argument("--out", default=None, metavar="DIR",
+    ap.add_argument("--out", default=".", metavar="DIR",
                     help="output root; each experiment writes into DIR/<name>/")
     ap.add_argument("--list", action="store_true",
                     help="list available experiments and exit")
@@ -38,9 +38,6 @@ def main(argv=None):
         for name in exp.EXPERIMENTS:
             print(name)
         return 0
-    if args.threads <= 0:
-        print("config error: --threads must be positive", file=sys.stderr)
-        return 2
     try:
         if args.config:
             runs = exp.parse_config(args.config, experiment=args.experiment)
@@ -54,16 +51,13 @@ def main(argv=None):
         print(f"config error: {err}", file=sys.stderr)
         return 2
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    root = args.out if args.out is not None else "."
     any_failed = False
     for name, params in runs:
         if args.seed is not None:
             params["seed"] = args.seed
-        if args.out is not None:
-            params["out"] = ""  # CLI --out overrides a config-file out
         try:
             ok, checks = exp.run_experiment(
-                name, params, out=root, threads=args.threads, stamp=stamp
+                name, params, out=args.out, threads=args.threads, stamp=stamp
             )
         except exp.ConfigError as err:
             print(f"config error: {err}", file=sys.stderr)

@@ -143,8 +143,7 @@ def _frame_from_unit(e1):
     P = np.zeros(w.shape[:-1] + (n, n), dtype=complex)
     P[...] = np.eye(n)
     P -= 2.0 * (u[..., :, None] * u[..., None, :].conj()) / uu[..., None, None]
-    # P maps w -> -alpha e1; scale column 0 by -conj(alpha)... rather: U = P
-    # right-multiplied by diag(-alpha, 1, .., 1) sends e1 -> w exactly.
+    # P w = -alpha e_0 and P P = I, so U = P diag(-alpha, 1, .., 1) sends e_0 to w
     U = P.copy()
     U[..., :, 0] *= -alpha[..., None]
     A, B = U.real, U.imag

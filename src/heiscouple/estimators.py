@@ -106,6 +106,11 @@ def jackknife_stderr(values):
     return float(np.sqrt(((x - x.mean()) ** 2).sum() / (n * (n - 1))))
 
 
+def _moment(v, p, time=1.0):
+    """The MomentEstimate of E[v] at `time`, for the samples v of a p-th power."""
+    return MomentEstimate(float(time), float(p), float(v.mean()), jackknife_stderr(v), v.size)
+
+
 def _check_log_axes(t_name, t, y_name, y):
     """Raise ValueError unless t and y are 1-d of one length, finite and positive."""
     if t.ndim != 1 or t.shape != y.shape:
@@ -159,19 +164,8 @@ def estimate_moment(ensemble, p, metric="d_h"):
         vals = np.abs(ensemble.z)
     else:
         vals = ensemble.d_h()
-    out = []
-    for i, t in enumerate(ensemble.times):
-        v = vals[i] ** p if p != 0 else np.ones(ensemble.n_paths)
-        out.append(
-            MomentEstimate(
-                time=float(t),
-                p=float(p),
-                estimate=float(v.mean()),
-                stderr=jackknife_stderr(v),
-                n_paths=ensemble.n_paths,
-            )
-        )
-    return out
+    return [_moment(vals[i] ** p if p != 0 else np.ones(ensemble.n_paths), p, t)
+            for i, t in enumerate(ensemble.times)]
 
 
 def fit_power_law(estimates, window=None):
@@ -369,14 +363,7 @@ def excursion_moment(p, n_samples=4096, m_steps=2048, seed=0):
         # trapezoid with X(0) = X(1) = 0
         vals[done : done + k] = x2.sum(axis=-1) / m_steps
         done += k
-    v = vals ** (p / 2.0)
-    return MomentEstimate(
-        time=1.0,
-        p=float(p),
-        estimate=float(v.mean()),
-        stderr=jackknife_stderr(v),
-        n_paths=n_samples,
-    )
+    return _moment(vals ** (p / 2.0), p)
 
 
 def _check_excursion_args(p, n_samples, m_steps):
@@ -413,14 +400,7 @@ def excursion_moment_rejection(p, n_samples=2048, m_steps=256, seed=0):
         w -= w.min(axis=-1, keepdims=True)
         np.square(w, out=w)
         out[lo:lo + k] = w.sum(axis=-1) / m_steps
-    v = out ** (p / 2.0)
-    return MomentEstimate(
-        time=1.0,
-        p=float(p),
-        estimate=float(v.mean()),
-        stderr=jackknife_stderr(v),
-        n_paths=n_samples,
-    )
+    return _moment(out ** (p / 2.0), p)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from heiscouple.constants import (
     KS_PVALUE_MIN, MATRIX_TOL, MAX_CLAMP_FRACTION, MAX_MAGNITUDE, STATIC_T_RANGE,
 )
 from heiscouple.simulate import (
-    _check_count,
+    PathEnsemble,
     _is_integer,
     _whole_steps,
     kendall_success_times,
@@ -52,8 +52,11 @@ def _floats(text):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners; each returns (checks, summary_rows, ensemble_or_None)
-# where summary rows are (checkpoint_time, stat_name, estimate, stderr, n)
+# experiment runners; each returns (checks, summary_rows, ensemble) where
+# summary rows are (checkpoint_time, stat_name, estimate, stderr, n)
+
+# the ensemble of a runner that keeps none: its ensemble.csv is the header alone
+_NO_ENSEMBLE = PathEnsemble(np.empty(0), *[np.empty((0, 0))] * 5, absorbed_at=np.empty(0))
 
 
 def _run_algebra_suite(p, threads):
@@ -83,7 +86,7 @@ def _run_algebra_suite(p, threads):
         worst[f"rotation_isometry_n{n}"] = float((np.abs(d2 - d0) / scale(d0)).max())
     checks = [_check(k, v, v < ALGEBRA_TOL) for k, v in sorted(worst.items())]
     rows = [(float("nan"), k, v, float("nan"), m) for k, v in sorted(worst.items())]
-    return checks, rows, None
+    return checks, rows, _NO_ENSEMBLE
 
 
 def _random_contractions(rng, n, m):
@@ -122,7 +125,7 @@ def _run_matrix_lemmas(p, threads):
     agree = float((mine == direct).mean())
     checks.append(_check("validator_agreement", agree, agree == 1.0))
     rows = [(float("nan"), c.quantity, c.value, float("nan"), m) for c in checks]
-    return checks, rows, None
+    return checks, rows, _NO_ENSEMBLE
 
 
 def _scheme_pair(policy_name, p, threads):
@@ -156,10 +159,9 @@ def _run_scheme_consistency(p, threads):
             checks.append(_check(f"{name}/{tag}/r2_identity_gap", gap.mean(), ok, se))
             cf = ens.meta["clamp_fraction"]
             checks.append(_check(f"{name}/{tag}/clamp_fraction", cf, cf < MAX_CLAMP_FRACTION))
-            rows.append((p["horizon"], f"{name}/{tag}/mean_r2", float(ens.r2[-1].mean()),
-                         float(ens.r2[-1].std(ddof=1) / math.sqrt(ens.n_paths)), ens.n_paths))
-            rows.append((p["horizon"], f"{name}/{tag}/mean_z", float(ens.z[-1].mean()),
-                         float(ens.z[-1].std(ddof=1) / math.sqrt(ens.n_paths)), ens.n_paths))
+            for stat, x in (("r2", ens.r2[-1]), ("z", ens.z[-1])):
+                rows.append((p["horizon"], f"{name}/{tag}/mean_{stat}", float(x.mean()),
+                             float(x.std(ddof=1) / math.sqrt(ens.n_paths)), ens.n_paths))
         if name == "kendall":
             keep = full
         rows.append((p["horizon"], f"{name}/ks_r2_pvalue", float(ks_r.pvalue), float("nan"), p["n_paths"]))
@@ -213,10 +215,9 @@ def _run_kendall_success(p, threads):
     increasing = all(b >= a for a, b in zip(fracs, fracs[1:]))
     checks = [
         _check("success_fraction_increasing", float(increasing), increasing),
-        _check("success_fraction_final", fracs[-1], fracs[-1] > 0.8,
-               math.sqrt(max(fracs[-1] * (1 - fracs[-1]), 1e-12) / p["n_paths"])),
+        _check("success_fraction_final", fracs[-1], fracs[-1] > 0.8, rows[-1][3]),
     ]
-    return checks, rows, None
+    return checks, rows, _NO_ENSEMBLE
 
 
 def _run_reflection_exponents(p, threads):
@@ -270,16 +271,13 @@ def _run_reflection_hitting(p, threads):
     # with no absorbed path there is no law to test: a failed, NaN check
     ks = (kstest(tau[hit], lambda u: est.hitting_cdf(u, p["r0"]) / ft).statistic
           if hit.any() else float("nan"))
+    se = math.sqrt(ft * (1 - ft) / p["n_paths"])
     checks = [
         _check("tau_ks_statistic", ks, ks < 0.01),
-        _check("absorbed_fraction_vs_cdf",
-               float(hit.mean()),
-               abs(hit.mean() - ft) <= 3 * math.sqrt(ft * (1 - ft) / p["n_paths"]),
-               math.sqrt(ft * (1 - ft) / p["n_paths"])),
+        _check("absorbed_fraction_vs_cdf", float(hit.mean()), abs(hit.mean() - ft) <= 3 * se, se),
     ]
     rows = [
-        (p["horizon"], "absorbed_fraction", float(hit.mean()),
-         math.sqrt(ft * (1 - ft) / p["n_paths"]), p["n_paths"]),
+        (p["horizon"], "absorbed_fraction", float(hit.mean()), se, p["n_paths"]),
         (float("nan"), "tau_ks_statistic", float(ks), float("nan"), int(hit.sum())),
     ]
     return checks, rows, ens
@@ -306,7 +304,7 @@ def _run_static_ratio(p, threads):
     # ratio to compare: a failed, NaN check
     spread = max(ratios) / min(ratios) if min(ratios) > 0 else float("nan")
     checks = [_check("cost_ratio_spread", spread, spread < 3.0)]
-    return checks, rows, None
+    return checks, rows, _NO_ENSEMBLE
 
 
 def _run_static_baseline(p, threads):
@@ -321,7 +319,7 @@ def _run_static_baseline(p, threads):
         _check("ratio_blowup_smallest_over_unit", blow, blow > 10.0),
     ]
     rows.append((float("nan"), "baseline_exponent", float(slope), float("nan"), p["n_samples"]))
-    return checks, rows, None
+    return checks, rows, _NO_ENSEMBLE
 
 
 def _run_mg_lemma(p, threads):
@@ -355,7 +353,7 @@ def _run_mg_lemma(p, threads):
         (1.0, "bm_mean_abs", r1.estimate, r1.stderr, m),
         (1.0, "frozen_half_mean_abs", r2.estimate, r2.stderr, m),
     ]
-    return checks, rows, None
+    return checks, rows, _NO_ENSEMBLE
 
 
 def _run_excursion_moments(p, threads):
@@ -380,23 +378,21 @@ def _run_excursion_moments(p, threads):
         rows.append((1.0, f"E_p{pw}", mm.estimate, mm.stderr, mm.n_paths))
     jensen = vals[0.5] ** 2 <= vals[1.0] <= math.sqrt(vals[2.0])
     checks.append(_check("jensen_monotone", float(jensen), jensen))
-    return checks, rows, None
+    return checks, rows, _NO_ENSEMBLE
 
 
 # ---------------------------------------------------------------------------
 # registry, config parsing, artifact writing
 #
-# A schema row is (type, default, bound).  The bound is a string's choices,
-# or None for a free string; an int's least value, or (least, most, words)
-# with its message's words; a float's floor it must exceed; a list's (floor
-# its entries must exceed, how many must be distinct, what they are for).  A
-# floor of None leaves the sign free.  Every float and list entry is at most
-# MAX_MAGNITUDE in magnitude.
+# A schema row is (type, default, bound).  The bound is a string's choices;
+# an int's least value, or (least, most, words) with its message's words; a
+# float's floor it must exceed; a list's (floor its entries must exceed, how
+# many must be distinct, what they are for).  A floor of None leaves the sign
+# free.  Every float and list entry is at most MAX_MAGNITUDE in magnitude.
 
 _COMMON = {
     # experiments key Philox streams (uint64) with seed up to seed + 2
     "seed": (int, 0, (0, 2**64 - 3, "in [0, 2**64 - 3]")),
-    "out": (str, "", None),
 }
 _ENSEMBLE = {
     "a": (_floats, (0.0, 0.0, 0.0), (None, 0, "")),
@@ -478,11 +474,11 @@ def parse_config(path, experiment=None):
     the section and key for unknown experiments, unknown keys, or values
     that fail to parse or are out of range.
     """
-    ini = configparser.ConfigParser(default_section="common")
+    ini = configparser.ConfigParser(default_section="common", interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             ini.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
@@ -531,8 +527,7 @@ def _above(lo):
 def _breaks(kind, bound, v):
     """What a value of the schema type `kind` lacks to keep `bound`, or None."""
     if kind is str:
-        return None if bound is None or v in bound else "must be one of " + ", ".join(
-            map(repr, bound))
+        return None if v in bound else "must be one of " + ", ".join(map(repr, bound))
     if kind is int:
         least, most, words = bound if isinstance(bound, tuple) else (bound, math.inf, "")
         return None if least <= v <= most else "must be " + (
@@ -583,13 +578,8 @@ _ENSEMBLE_CAP = 20000  # paths written to ensemble.csv
 
 def _write_artifacts(name, checks, rows, ens, out_dir, stamp):
     os.makedirs(out_dir, exist_ok=True)
-    epath = os.path.join(out_dir, "ensemble.csv")
-    if ens is not None:
-        ens.to_csv(epath, header_note=f"{name} {stamp}", max_paths=_ENSEMBLE_CAP)
-    else:
-        with open(epath, "w") as fh:
-            fh.write(f"# {name} {stamp}\n")
-            fh.write("checkpoint_time,path_id,R2,Z,V,QV\n")
+    ens.to_csv(os.path.join(out_dir, "ensemble.csv"), header_note=f"{name} {stamp}",
+               max_paths=_ENSEMBLE_CAP)
     with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
         fh.write(f"# {name} {stamp}\n")
         fh.write("checkpoint_time,stat_name,estimate,stderr,n_paths\n")
@@ -610,14 +600,14 @@ def run_experiment(name, params=None, out=".", threads=1, stamp=""):
     """Run one named experiment and write its three artifact files.
 
     The merged parameters pass the same checks as a parsed config; raises
-    ConfigError otherwise, and ValueError unless `threads` is an integer >= 1.
+    ConfigError otherwise, and also unless `threads` is an integer >= 1.
     Returns (all_passed, checks).
     """
     merged = {**default_params(name), **(params or {})}
-    _check_count("threads", threads)
+    if not (_is_integer(threads) and threads >= 1):
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     _validate_params(name, merged)
     runner = EXPERIMENTS[name][1]
     checks, rows, ens = runner(merged, threads)
-    out_dir = os.path.join(merged["out"] or out, name)
-    _write_artifacts(name, checks, rows, ens, out_dir, stamp)
+    _write_artifacts(name, checks, rows, ens, os.path.join(out, name), stamp)
     return all(c.ok for c in checks), checks

@@ -63,7 +63,8 @@ frame of `coupling.frame` as its complex Householder reflector in real
 arithmetic (`_frame_apply`), O(n) per path, without building the matrix.
 Every operation acts on each path's own entries, so a path gets the same bits
 in a group of one path as in a wide one.  The increments are still drawn
-path-major, in (m, 2n) buffers.
+path-major, in (m, 2n) buffers, and read through one scaled, transposed copy
+per step.
 """
 
 import math
@@ -238,10 +239,9 @@ class PathEnsemble:
         paths are written (keeps large-ensemble artifacts bounded without
         changing what is written for any path that does appear).
 
-        Byte contract: one row `checkpoint_time,path_id,R2,Z,V,QV` per
-        checkpoint and path, checkpoint-major, every float as `%.17g`, which
-        round-trips every float64 through `float()`; path_id is the bare
-        integer.  Rows are written in blocks of one checkpoint's paths, at
+        Byte contract: below the column header, one row per checkpoint and
+        path, checkpoint-major, every float as `%.17g`, which round-trips
+        every float64 through `float()`; path_id is the bare integer.  Rows are written in blocks of one checkpoint's paths, at
         most _CSV_ROWS at a time (`_write_csv_block`), so neither the file's
         text nor its whole table is ever held.  A column that is bitwise
         constant over a write block (a merged or frozen quantity, a drift
@@ -692,18 +692,8 @@ def _run_full_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, s
       for D is projected back to the exact radius and the second vertical
       coordinate is rebuilt to keep Z at its starting value.
 
-    Reflection and custom regimes are left genuinely stochastic.
-
-    Layout: the horizontals b, b' are (2n, m) arrays, one contiguous row of m
-    paths per coordinate, so every 2n-term reduction is a sum of whole rows.
-    The increments are drawn into (m, 2n) buffers, row by row per path as the
-    streams have always been consumed, and read through one scaled,
-    transposed copy per step.  |D|^2, the frame components and the
-    symplectic forms are summed by `_sum_terms` in the order of numpy's `sum`
-    over a last axis of length 2n, so they are bit for bit those of a
-    path-major (m, 2n) engine for n <= 3.  The custom regime's dbp =
-    Q (K Q^T dw + Khat Q^T dwt) applies the frame Q of `coupling.frame` as a
-    reflector (`_frame_apply`) and never builds it.
+    Reflection and custom regimes are left genuinely stochastic.  The array
+    layout is the module docstring's.
     """
     rng = _Streams(seed, spans)
     m = rng.m

@@ -48,12 +48,20 @@ def test_parse_config_happy_path(tmp_path):
     assert runs[1][1]["checkpoints"] == (5.0, 10.0)
     only = exp.parse_config(cfg, experiment="kendall-success")
     assert len(only) == 1 and only[0][0] == "kendall-success"
+    # a [common] key reaches every section
+    cfg.write_text("[common]\nseed = 3\n\n[mg-lemma]\n\n[static-ratio]\nn_samples = 8\n")
+    assert [params["seed"] for _, params in exp.parse_config(cfg)] == [3, 3]
 
 
 @pytest.mark.parametrize("body,msg", [
     ("[what-is-this]\nseed = 1\n", "unknown experiment"),
     ("[algebra-suite]\nwidgets = 3\n", "unknown key"),
     ("[algebra-suite]\nn_cases = many\n", "bad value"),
+    # values are literal: no % interpolation
+    ("[algebra-suite]\nn_cases = 5%\n", "bad value"),
+    ("[mg-lemma]\nn_paths = %(x)s\n", "bad value"),
+    # the output root is --out alone
+    ("[algebra-suite]\nout = x\n", "unknown key"),
     ("[kendall-success]\nalpha = 0\n", "must be positive"),
     ("[kendall-success]\ncheckpoints = -1, 4\n", "positive entries"),
 ])
@@ -67,6 +75,10 @@ def test_parse_config_rejects(tmp_path, body, msg):
 def test_parse_config_missing_file_and_section(tmp_path):
     with pytest.raises(exp.ConfigError, match="cannot read"):
         exp.parse_config(tmp_path / "absent.ini")
+    latin = tmp_path / "latin.ini"
+    latin.write_bytes(b"[algebra-suite]\nn_cases = 5\xff\n")
+    with pytest.raises(exp.ConfigError, match="cannot read"):
+        exp.parse_config(latin)
     cfg = tmp_path / "one.ini"
     cfg.write_text("[algebra-suite]\n")
     with pytest.raises(exp.ConfigError, match="no \\[mg-lemma\\] section"):
@@ -129,7 +141,10 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
     assert cli.main(["--config", str(tmp_path / "missing.ini")]) == 2
     assert cli.main(["--experiment", "unknown-name"]) == 2
     assert cli.main([]) == 2
+    capsys.readouterr()
     assert cli.main(["--experiment", "algebra-suite", "--threads", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: threads must be an integer >= 1, got 0"]
 
 
 @pytest.mark.parametrize("name,params,key", [
@@ -148,7 +163,7 @@ def test_run_experiment_validates_merged_params(tmp_path, name, params, key):
 
 @pytest.mark.parametrize("threads", [0, -2, 2.5, True])
 def test_run_experiment_rejects_bad_threads(tmp_path, threads):
-    with pytest.raises(ValueError, match=r"^threads must"):
+    with pytest.raises(exp.ConfigError, match=r"^threads must"):
         exp.run_experiment("algebra-suite", out=tmp_path, threads=threads)
     assert not (tmp_path / "algebra-suite").exists()
 
@@ -588,8 +603,7 @@ def _outside(kind, bound, base):
 def _config_case(draw):
     name = draw(st.sampled_from(sorted(exp.EXPERIMENTS)))
     rows = exp._schema(name)
-    key = draw(st.sampled_from([k for k, (kind, _, bound) in rows.items()
-                                if kind is not str or bound is not None]))
+    key = draw(st.sampled_from(list(rows)))
     kind, default, bound = rows[key]
     inside = draw(st.booleans())
     base = _SMALL[name].get(key, default)
