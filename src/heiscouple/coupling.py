@@ -231,8 +231,8 @@ class CouplingPolicy:
         if self.kind not in _REGIMES:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind == "kendall":
-            if not (0.0 < self.epsilon < self.kappa):
-                raise ValueError("kendall policy needs 0 < epsilon < kappa")
+            if not (0.0 < self.epsilon < self.kappa < np.inf):
+                raise ValueError("kendall policy needs 0 < epsilon < kappa < inf")
         if self.kind == "custom":
             if self.matrix is None:
                 raise ValueError("custom policy needs a frame-basis matrix")

@@ -164,8 +164,7 @@ def estimate_moment(ensemble, p, metric="d_h"):
         vals = np.abs(ensemble.z)
     else:
         vals = ensemble.d_h()
-    return [_moment(vals[i] ** p if p != 0 else np.ones(ensemble.n_paths), p, t)
-            for i, t in enumerate(ensemble.times)]
+    return [_moment(vals[i] ** p, p, t) for i, t in enumerate(ensemble.times)]
 
 
 def fit_power_law(estimates, window=None):
@@ -339,31 +338,32 @@ def hitting_cdf(t, r0):
 def excursion_moment(p, n_samples=4096, m_steps=2048, seed=0):
     """E[(int_0^1 X_s^2 ds)^{p/2}] for a normalized Brownian excursion X.
 
-    X is sampled as a 3-d Bessel bridge 0 -> 0 on [0,1]: the norm of three
-    independent scalar Brownian bridges.  The integral uses the midpoint of
-    left/right endpoint sums (trapezoid in X^2).
-
     `p` must be positive and finite, `n_samples` an integer >= 1 and
     `m_steps` an integer >= 2.  Returns a MomentEstimate (time field is the
-    unit horizon).
+    unit horizon) over the samples of `_excursion_integrals`.
     """
     _check_excursion_args(p, n_samples, m_steps)
+    return _moment(_excursion_integrals(n_samples, m_steps, seed) ** (p / 2.0), p)
+
+
+def _excursion_integrals(n_samples, m_steps, seed):
+    """(n_samples,) samples of int_0^1 X_s^2 ds, X a 3-d Bessel bridge 0 -> 0 on
+    [0,1] (the norm of three independent scalar Brownian bridges), by the
+    midpoint of left/right endpoint sums (trapezoid in X^2)."""
     rng = philox_stream(seed, 0)
     vals = np.empty(n_samples)
-    chunk = max(1, int(2**22 // m_steps))
+    chunk = max(1, 2**22 // m_steps)
     s = np.arange(1, m_steps) / m_steps
-    done = 0
-    while done < n_samples:
-        k = min(chunk, n_samples - done)
+    for lo in range(0, n_samples, chunk):
+        k = min(chunk, n_samples - lo)
         # three independent bridges via increments (interior points only)
         dw = rng.standard_normal((k, 3, m_steps)) / math.sqrt(m_steps)
         w = np.cumsum(dw, axis=-1)
         br = w[..., :-1] - s * w[..., -1:]
         x2 = (br**2).sum(axis=1)  # squared norm at interior grid points
         # trapezoid with X(0) = X(1) = 0
-        vals[done : done + k] = x2.sum(axis=-1) / m_steps
-        done += k
-    return _moment(vals ** (p / 2.0), p)
+        vals[lo:lo + k] = x2.sum(axis=-1) / m_steps
+    return vals
 
 
 def _check_excursion_args(p, n_samples, m_steps):
@@ -417,10 +417,10 @@ def martingale_lower_bound_check(terminal, quad_var, beta, p):
     """Check E|N_h| >= a_p sqrt(beta) on empirical martingale data.
 
     Args:
-        terminal: samples of N_h.
-        quad_var: matching samples of <N>_h.
-        beta: variance threshold.
-        p: required lower bound on P(<N>_h >= beta).
+        terminal: finite samples of N_h, at least 2.
+        quad_var: matching finite samples of <N>_h.
+        beta: variance threshold, >= 0 and finite.
+        p: required lower bound on P(<N>_h >= beta), in (0, 1).
 
     Returns:
         MartingaleBoundCheck; `premise_ok` reports whether the empirical
@@ -431,6 +431,12 @@ def martingale_lower_bound_check(terminal, quad_var, beta, p):
     qv = np.asarray(quad_var, dtype=float)
     if nh.shape != qv.shape:
         raise ValueError("terminal and quadratic-variation samples must align")
+    for name, x in (("terminal", nh), ("quad_var", qv)):
+        _check_finite(name, x)
+        if x.size < 2:
+            raise ValueError(f"{name} must hold at least 2 samples, got {x.size}")
+    _check(0.0 <= beta < math.inf, "beta", beta, ">= 0 and finite")
+    _check(0.0 < p < 1.0, "p", p, "in (0, 1)")
     p_hat = float((qv >= beta).mean())
     premise_ok = p_hat >= p
     est = float(nh.mean())

@@ -371,12 +371,10 @@ def _run_excursion_moments(p, threads):
                          abs(extrap - 0.5) <= 3 * se + 2.0 / 256, se))
     rows = [(1.0, "E2_bessel", e2.estimate, e2.stderr, e2.n_paths),
             (1.0, "E2_rejection_extrapolated", extrap, se, rej_hi.n_paths)]
-    vals = {}
-    for pw in (0.5, 1.0, 2.0):
-        mm = est.excursion_moment(pw, n_samples=p["n_samples"], m_steps=p["m_steps"], seed=p["seed"] + 2)
-        vals[pw] = mm.estimate
-        rows.append((1.0, f"E_p{pw}", mm.estimate, mm.stderr, mm.n_paths))
-    jensen = vals[0.5] ** 2 <= vals[1.0] <= math.sqrt(vals[2.0])
+    y = est._excursion_integrals(p["n_samples"], p["m_steps"], p["seed"] + 2)
+    mm = {pw: est._moment(y ** (pw / 2), pw) for pw in (0.5, 1.0, 2.0)}
+    rows += [(1.0, f"E_p{pw}", m.estimate, m.stderr, m.n_paths) for pw, m in mm.items()]
+    jensen = mm[0.5].estimate ** 2 <= mm[1.0].estimate <= math.sqrt(mm[2.0].estimate)
     checks.append(_check("jensen_monotone", float(jensen), jensen))
     return checks, rows, _NO_ENSEMBLE
 
@@ -444,7 +442,8 @@ EXPERIMENTS = {
                      (0.0, 2, "offsets for the slope fit"))},
         _run_static_baseline,
     ),
-    "mg-lemma": ({"n_paths": (int, 100000, 1)}, _run_mg_lemma),
+    # martingale_lower_bound_check needs 2 samples
+    "mg-lemma": ({"n_paths": (int, 100000, 2)}, _run_mg_lemma),
     # the oracle runs at n_samples // 2
     "excursion-moments": (
         {"n_samples": (int, 4096, 2), "m_steps": (int, 2048, 2)}, _run_excursion_moments

@@ -140,6 +140,10 @@ def test_policy_validation():
         cpl.CouplingPolicy(kind="bogus")
     with pytest.raises(ValueError, match="epsilon"):
         cpl.kendall_policy(kappa=1.0, epsilon=1.0)
+    # kappa = inf gave inf * 0 = nan at R^2 = 0 in initial_regime
+    for kappa in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="^kendall policy needs 0 < epsilon < kappa < inf$"):
+            cpl.kendall_policy(kappa=kappa, epsilon=0.5)
     with pytest.raises(ValueError, match="matrix"):
         cpl.CouplingPolicy(kind="custom")
     with pytest.raises(ValueError, match="not valid"):

@@ -343,6 +343,53 @@ def test_excursion_rejection_route_extrapolates_to_bessel():
     assert abs(extrap - direct.estimate) < 3 * math.hypot(se, direct.stderr) + 2.0 / 64
 
 
+def _excursion_laplace(lam):
+    """E exp(-lam Y) for Y = int_0^1 X^2, X a normalized excursion.
+
+    Y is the sum of three independent int b^2 over Brownian bridges b, and
+    E exp(-lam int b^2) = (x / sinh x)^{1/2} with x = sqrt(2 lam)
+    (Cameron-Martin 1945); sinh is taken in log form so large lam cannot
+    overflow.
+    """
+    x = math.sqrt(2.0 * lam)
+    log_sinh = x - math.log(2.0) + math.log1p(-math.exp(-2.0 * x))
+    return math.exp(1.5 * (math.log(x) - log_sinh))
+
+
+def _excursion_oracle(p):
+    """E Y^{p/2}: E Y = 1/2, and for 0 < q < 1
+    E Y^q = q / Gamma(1 - q) int_0^inf lam^{-q-1} (1 - E exp(-lam Y)) dlam."""
+    q = p / 2.0
+    if q == 1.0:
+        return 0.5
+    val, err = quad(lambda lam: lam ** (-q - 1.0) * (1.0 - _excursion_laplace(lam)), 0.0, math.inf)
+    assert err < 1e-7
+    return q / math.gamma(1.0 - q) * val
+
+
+def test_excursion_oracle_values():
+    # E Y = 1/2 is the slope of 1 - E exp(-lam Y) at 0, which fixes the power 3/2
+    lam = 1e-6
+    assert (1.0 - _excursion_laplace(lam)) / lam == pytest.approx(0.5, abs=1e-5)
+    assert _excursion_oracle(0.5) == pytest.approx(0.822179, abs=1e-6)
+    assert _excursion_oracle(1.0) == pytest.approx(0.686208, abs=1e-6)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_excursion_moments_match_the_laplace_oracle(p):
+    # both routes within 3 sigma of the exact moment, plus an O(1/m)
+    # discretization allowance of 2/m (at the coarser grid for the
+    # Richardson-extrapolated cyclic-shift route, as in the experiment)
+    exact = _excursion_oracle(p)
+    bessel = est.excursion_moment(p, n_samples=4096, m_steps=512, seed=4)
+    assert abs(bessel.estimate - exact) < 3 * bessel.stderr + 2.0 / 512
+    lo = est.excursion_moment_rejection(p, n_samples=2048, m_steps=64, seed=5)
+    hi = est.excursion_moment_rejection(p, n_samples=2048, m_steps=256, seed=6)
+    extrap = 2 * hi.estimate - lo.estimate
+    se = math.sqrt(4 * hi.stderr**2 + lo.stderr**2)
+    assert abs(extrap - exact) < 3 * se + 2.0 / 64
+
+
 @pytest.mark.parametrize("arg,bad", [
     pytest.param("n_samples", {"n_samples": 0}, id="n_samples=0"),
     pytest.param("n_samples", {"n_samples": 2.5}, id="n_samples=2.5"),
@@ -387,3 +434,25 @@ def test_martingale_lower_bound_check_cases():
     r3 = est.martingale_lower_bound_check(0.01 * rng.standard_normal(m),
                                           np.ones(m), beta=1.0, p=0.9)
     assert not r3.ok and r3.premise_ok
+
+
+@pytest.mark.parametrize("kw,arg", [
+    pytest.param({"terminal": [1.0, np.nan, 0.5]}, "terminal must be finite", id="terminal=nan"),
+    pytest.param({"quad_var": [1.0, np.inf, 1.0]}, "quad_var must be finite", id="quad_var=inf"),
+    pytest.param({"terminal": [], "quad_var": []}, "terminal must hold at least 2", id="empty"),
+    pytest.param({"terminal": [1.0], "quad_var": [1.0]}, "terminal must hold at least 2", id="one"),
+    pytest.param({"beta": math.nan}, "beta must be", id="beta=nan"),
+    pytest.param({"beta": -1.0}, "beta must be", id="beta=-1"),
+    pytest.param({"beta": math.inf}, "beta must be", id="beta=inf"),
+    pytest.param({"beta": 0.0, "p": 5.0}, "p must be", id="beta=0,p=5"),
+    pytest.param({"p": 0.0}, "p must be", id="p=0"),
+    pytest.param({"p": 1.0}, "p must be", id="p=1"),
+    pytest.param({"p": math.nan}, "p must be", id="p=nan"),
+])
+def test_martingale_lower_bound_check_rejects_bad_input(kw, arg):
+    # a NaN sample gave estimate NaN, beta=nan passed against a bound of 0,
+    # empty samples warned "Mean of empty slice" and beta=0 skipped the p check
+    args = {"terminal": [1.0, -1.0, 0.5], "quad_var": [1.0, 1.0, 1.0],
+            "beta": 1.0, "p": 0.5, **kw}
+    with pytest.raises(ValueError, match=f"^{arg}"):
+        est.martingale_lower_bound_check(**args)

@@ -456,10 +456,12 @@ def test_excursion_moments_needs_two_samples_and_two_steps(tmp_path, capsys, key
                  id="static-baseline"),
     pytest.param("static-baseline", "offsets = 0.1, 0.1", "offsets",
                  "needs at least 2 distinct offsets for the slope fit", id="offsets"),
+    pytest.param("mg-lemma", "n_paths = 1", "n_paths", "must be at least 2", id="mg-lemma"),
 ])
 def test_cli_one_sample_or_offset_exits_two(tmp_path, capsys, section, line, key, why):
     # each gave a RuntimeWarning (divide by zero, mean of an empty slice,
-    # degrees of freedom <= 0) or a slope fitted through one point
+    # degrees of freedom <= 0), a slope fitted through one point, or a NaN
+    # stderr that failed the martingale checks
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[{section}]\n{line}\n")
     code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "art")])
