@@ -505,7 +505,7 @@ _ARTIFACT_GOLDEN = {
     "static-ratio": (_EMPTY_ENSEMBLE, "40db01ac71cd89c5", "f77b570aff072fed"),
     "static-baseline": (_EMPTY_ENSEMBLE, "cecef4a1ecaa2dec", "525a420adfa29989"),
     "mg-lemma": (_EMPTY_ENSEMBLE, "b7dca7bd090dc6a8", "2a8414a5fcec821e"),
-    "excursion-moments": (_EMPTY_ENSEMBLE, "74d8276efc1f8c32", "42a894ed975cbff2"),
+    "excursion-moments": (_EMPTY_ENSEMBLE, "e4e58fadc5ac22b7", "42a894ed975cbff2"),
 }
 
 
