@@ -75,6 +75,8 @@ _MAX_N = 512
 # call: a block's four (rows, m) temporaries stay in L2 at m = 512
 _DMAT_ROWS = 64
 
+_CHUNK_NORMALS = 2**20  # per chunk of both excursion samplers, one row at least
+
 
 @dataclass
 class MomentEstimate:
@@ -352,13 +354,12 @@ def _excursion_integrals(n_samples, m_steps, seed):
     midpoint of left/right endpoint sums (trapezoid in X^2)."""
     rng = philox_stream(seed, 0)
     vals = np.empty(n_samples)
-    chunk = max(1, 2**22 // m_steps)
+    chunk = max(1, _CHUNK_NORMALS // (3 * m_steps))
     s = np.arange(1, m_steps) / m_steps
     for lo in range(0, n_samples, chunk):
         k = min(chunk, n_samples - lo)
         # three independent bridges via increments (interior points only)
-        dw = rng.standard_normal((k, 3, m_steps)) / math.sqrt(m_steps)
-        w = np.cumsum(dw, axis=-1)
+        w = np.cumsum(rng.standard_normal((k, 3, m_steps)) / math.sqrt(m_steps), axis=-1)
         br = w[..., :-1] - s * w[..., -1:]
         x2 = (br**2).sum(axis=1)  # squared norm at interior grid points
         # trapezoid with X(0) = X(1) = 0
@@ -382,7 +383,7 @@ def excursion_moment_rejection(p, n_samples=2048, m_steps=256, seed=0):
     sampling of positive bridges gives, without rejecting m_steps - 1 of
     every m_steps proposals.  The turn only reorders the values, so each
     sample is sum_{j=1..m} (B_j - min B)^2 / m directly, drawn in chunks of
-    at most 2**22 normals.  Same discretization bias class as the
+    at most _CHUNK_NORMALS normals.  Same discretization bias class as the
     Bessel-bridge route only if compared at the same m_steps -- callers
     should match them.  Inputs are checked as in excursion_moment.
     """
@@ -390,7 +391,7 @@ def excursion_moment_rejection(p, n_samples=2048, m_steps=256, seed=0):
     rng = philox_stream(seed, 1)
     s = np.arange(1, m_steps + 1) / m_steps
     out = np.empty(n_samples)
-    chunk = max(1, 2**22 // m_steps)
+    chunk = max(1, _CHUNK_NORMALS // m_steps)
     for lo in range(0, n_samples, chunk):
         k = min(chunk, n_samples - lo)
         w = rng.standard_normal((k, m_steps))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -415,6 +416,34 @@ def test_excursion_shift_oracle_takes_the_smallest_grid():
     # leaves |B_1|: the sample is B_1^2 / 2 with B_1 ~ N(0, 1/4)
     out = est.excursion_moment_rejection(2.0, n_samples=20000, m_steps=2, seed=5)
     assert abs(out.estimate - 0.125) < 4 * out.stderr
+
+
+def test_excursion_samplers_do_not_depend_on_the_chunk_budget(monkeypatch):
+    # draws are sample-major and all arithmetic is per row, so no chunk size
+    # moves a bit; 37 rows leave an uneven last chunk at every budget here
+    monkeypatch.setattr(est, "_moment", lambda v, p: v)  # the samples themselves
+
+    def both():
+        return (est._excursion_integrals(37, 64, 3),
+                est.excursion_moment_rejection(2.0, n_samples=37, m_steps=64, seed=3))
+
+    ref = both()
+    for budget in (1, 3 * 64 * 5 + 1, 64 * 7):
+        monkeypatch.setattr(est, "_CHUNK_NORMALS", budget)
+        for a, b in zip(ref, both()):
+            assert np.array_equal(a, b)
+
+
+def test_excursion_integrals_draw_in_bounded_chunks():
+    # a chunk of at most 2**20 normals keeps a few 8 MB temporaries; one
+    # chunk of 2**22 // m_steps rows held about 400 MB at this size
+    tracemalloc.start()
+    try:
+        est._excursion_integrals(2048, 2048, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_martingale_lower_bound_check_cases():
