@@ -496,9 +496,9 @@ _EMPTY_ENSEMBLE = "e81eb7066f3d56a4"  # the header line alone
 _ARTIFACT_GOLDEN = {
     "algebra-suite": (_EMPTY_ENSEMBLE, "3db50bce0d3f15c8", "48b61e6fc7d7bc5b"),
     "matrix-lemmas": (_EMPTY_ENSEMBLE, "d84b1fbcf1421234", "31e71db452590051"),
-    "scheme-consistency": ("0bc7b8dee49746d3", "47474149ee8e8cc2", "3e97867248da7f19"),
+    "scheme-consistency": ("ecdc8bd5f382e92c", "c8cdde79d06d7475", "acd12a3adfaaa284"),
     "blowup-synchronous": ("aea7e102e6bf692e", "98da8c81201b036e", "e8bfd89a4c887d9b"),
-    "blowup-reflection": ("bb16703f1dd0dbf6", "cc814128d0d7c005", "2b1cae0435d1fe23"),
+    "blowup-reflection": ("7737526ba308741f", "72661c19bd1872fd", "35afcd5dd7be3980"),
     "blowup-perverse": ("8d9def53a90c6459", "565b48be78a0a76e", "baaff204b3bc641a"),
     "kendall-success": (_EMPTY_ENSEMBLE, "b05d62851bfe691e", "4f255a183c7ef8c3"),
     "reflection-exponents": ("e8ecaf337f6e32c8", "3de3f6f6650d9680", "7ed800c3bda74f10"),

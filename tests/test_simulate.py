@@ -366,30 +366,30 @@ def _golden_ensemble(case, threads, n_paths=1500):
 
 _GOLDEN = {
     "exact/reflection": "32f1fa96683108ba",
-    "full/custom/n1": "2ba56dec6bf8318b",
-    "full/custom/n1/skew": "5815e5474902930e",
-    "full/custom/n2": "94d9f9afba49a060",
-    "full/custom/n2/skew": "dc8e19b39b49fda4",
-    "full/custom/n3": "0ac81a3cd5739ad9",
-    "full/kendall/n1": "b52ba022d3c2c9d0",
-    "full/kendall/n1/skew": "96d2f0710c7c31ad",
-    "full/kendall/n2": "419f2f357bb4f90f",
-    "full/kendall/n2/skew": "f02ff01c3c0408bc",
-    "full/kendall/n3": "d89b9aa827aaa9a6",
+    "full/custom/n1": "ae63c8758536209c",
+    "full/custom/n1/skew": "2873706f6b89ce88",
+    "full/custom/n2": "e9d5f84a3c9bca44",
+    "full/custom/n2/skew": "e85cfea2ca6c1548",
+    "full/custom/n3": "4ef7c1c92f20ac89",
+    "full/kendall/n1": "092d38ca528dcf2d",
+    "full/kendall/n1/skew": "78e795c717ac0670",
+    "full/kendall/n2": "61f24ac11980e924",
+    "full/kendall/n2/skew": "a2d5ac3b8730c53c",
+    "full/kendall/n3": "aa30d1add6d0512c",
     "full/perverse/n1": "b3efbe833f983110",
     "full/perverse/n1/skew": "cdf50c2c2b340e6d",
     "full/perverse/n2": "b3efbe833f983110",
     "full/perverse/n2/skew": "11405549c40d7e0c",
-    "full/reflection/n1": "500f2d7b8672f162",
-    "full/reflection/n1/absorbing": "4f6b41432b43d83b",
-    "full/reflection/n1/skew": "f2ddb591c6eb3567",
-    "full/reflection/n2": "6d35b2f0618347c7",
-    "full/reflection/n2/absorbing": "a380cb5e83fbadac",
-    "full/reflection/n2/skew": "607afa3576f7b0dc",
-    "full/synchronous/n1": "5657d11ad1b1522b",
-    "full/synchronous/n1/skew": "a6225e22e09dd09e",
-    "full/synchronous/n2": "8a516d0ee3373479",
-    "full/synchronous/n2/skew": "a73b09b772ab44a1",
+    "full/reflection/n1": "1748ed908b4dfada",
+    "full/reflection/n1/absorbing": "55cff01a68d5280f",
+    "full/reflection/n1/skew": "1796de400bf2e6e5",
+    "full/reflection/n2": "60f09f1dfad4f1d1",
+    "full/reflection/n2/absorbing": "53e4f8bd02dbc1b4",
+    "full/reflection/n2/skew": "82f0283ed73fe8a7",
+    "full/synchronous/n1": "0c41db66f75828ed",
+    "full/synchronous/n1/skew": "a6fccb2338405461",
+    "full/synchronous/n2": "cce51776a35f3c00",
+    "full/synchronous/n2/skew": "ec265be0bcd53d9c",
     "reduced/custom/n1": "c8e51bea29840b4c",
     "reduced/custom/n2": "9fa0465cde755b63",
     "reduced/kendall/n1": "bb492c4d7bf6ddbf",
@@ -415,9 +415,9 @@ def test_golden_digests(case, threads):
 _WIDE_PATHS = 4500
 _WIDE_GOLDEN = {
     "exact/reflection": "323af65273b62e85",
-    "full/custom/n1": "61d7f643461276e7",
-    "full/kendall/n1": "1cd8d16cdccdcfe5",
-    "full/reflection/n1/absorbing": "5a09d7296ac3f444",
+    "full/custom/n1": "9b5cdc9eb289ba46",
+    "full/kendall/n1": "24f0e0af48362f39",
+    "full/reflection/n1/absorbing": "658d71e364673075",
     "reduced/custom/n1": "54e7b23289562cfe",
     "reduced/kendall/n1": "16cb9d5c503ad7fe",
     "reduced/reflection/n1/absorbing": "936230ce833029ec",
@@ -434,7 +434,7 @@ def test_golden_digests_across_groups(case, threads):
 def test_golden_digest_with_a_one_path_block(threads):
     # 2049 paths end in a block of one path, which at threads=3 is a group of
     # its own: the full engine must round it as it does inside a wide group
-    assert _digest(_golden_ensemble("full/custom/n1", threads, 2049)) == "49064db8bb004ef4"
+    assert _digest(_golden_ensemble("full/custom/n1", threads, 2049)) == "a375d2c6addc49c1"
 
 
 class _CountingStream:
@@ -856,9 +856,9 @@ _CSV_GOLDEN = {
     "exact/5": "69a3037e682e99bf",
     "exact/all": "df15e6d087d17011",
     "full-kendall/0": "f898184347fb2edc",
-    "full-kendall/1": "27fae285ec2a01a2",
-    "full-kendall/5": "9702e98ae4db5e61",
-    "full-kendall/all": "d09b088dbe4ca447",
+    "full-kendall/1": "f32011b08b51d3f2",
+    "full-kendall/5": "d1f50f90cdb12d0b",
+    "full-kendall/all": "6f080ed21cfb5b3d",
     "special/0": "f898184347fb2edc",
     "special/1": "716fd41ccdd2b5db",
     "special/5": "fa327954b71e1cd0",
