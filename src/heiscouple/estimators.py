@@ -337,21 +337,16 @@ def hitting_cdf(t, r0):
     return out if out.ndim else float(out)
 
 
-def excursion_moment(p, n_samples=4096, m_steps=2048, seed=0):
-    """E[(int_0^1 X_s^2 ds)^{p/2}] for a normalized Brownian excursion X.
+def excursion_integrals(n_samples, m_steps, seed):
+    """(n_samples,) samples of Y = int_0^1 X_s^2 ds for a normalized Brownian
+    excursion X, as a 3-d Bessel bridge 0 -> 0 on [0,1] (the norm of three
+    independent scalar Brownian bridges), by the midpoint of left/right
+    endpoint sums (trapezoid in X^2).
 
-    `p` must be positive and finite, `n_samples` an integer >= 1 and
-    `m_steps` an integer >= 2.  Returns a MomentEstimate (time field is the
-    unit horizon) over the samples of `_excursion_integrals`.
+    `n_samples` must be an integer >= 1 and `m_steps` an integer >= 2.  The
+    moment E[Y^{p/2}] is `_moment(y ** (p / 2), p)` over the samples y.
     """
-    _check_excursion_args(p, n_samples, m_steps)
-    return _moment(_excursion_integrals(n_samples, m_steps, seed) ** (p / 2.0), p)
-
-
-def _excursion_integrals(n_samples, m_steps, seed):
-    """(n_samples,) samples of int_0^1 X_s^2 ds, X a 3-d Bessel bridge 0 -> 0 on
-    [0,1] (the norm of three independent scalar Brownian bridges), by the
-    midpoint of left/right endpoint sums (trapezoid in X^2)."""
+    _check_excursion_counts(n_samples, m_steps)
     rng = philox_stream(seed, 0)
     vals = np.empty(n_samples)
     chunk = max(1, _CHUNK_NORMALS // (3 * m_steps))
@@ -367,14 +362,13 @@ def _excursion_integrals(n_samples, m_steps, seed):
     return vals
 
 
-def _check_excursion_args(p, n_samples, m_steps):
-    _check(0.0 < p < math.inf, "p", p, "positive and finite")
+def _check_excursion_counts(n_samples, m_steps):
     _check_count("n_samples", n_samples)
     _check_count("m_steps", m_steps, 2)
 
 
 def excursion_moment_rejection(p, n_samples=2048, m_steps=256, seed=0):
-    """Oracle for excursion_moment: positive bridges by cyclic shift.
+    """E[Y^{p/2}] for the Y of `excursion_integrals`: positive bridges by cyclic shift.
 
     A Gaussian random-walk bridge B of m_steps steps (B_0 = B_m = 0), turned
     cyclically to start at its minimum, has the law of the bridge conditioned
@@ -385,9 +379,11 @@ def excursion_moment_rejection(p, n_samples=2048, m_steps=256, seed=0):
     sample is sum_{j=1..m} (B_j - min B)^2 / m directly, drawn in chunks of
     at most _CHUNK_NORMALS normals.  Same discretization bias class as the
     Bessel-bridge route only if compared at the same m_steps -- callers
-    should match them.  Inputs are checked as in excursion_moment.
+    should match them.  `p` must be positive and finite; the counts are
+    checked as in `excursion_integrals`.  Returns a MomentEstimate.
     """
-    _check_excursion_args(p, n_samples, m_steps)
+    _check(0.0 < p < math.inf, "p", p, "positive and finite")
+    _check_excursion_counts(n_samples, m_steps)
     rng = philox_stream(seed, 1)
     s = np.arange(1, m_steps + 1) / m_steps
     out = np.empty(n_samples)

@@ -357,7 +357,7 @@ def _run_mg_lemma(p, threads):
 
 
 def _run_excursion_moments(p, threads):
-    y = est._excursion_integrals(p["n_samples"], p["m_steps"], p["seed"])
+    y = est.excursion_integrals(p["n_samples"], p["m_steps"], p["seed"])
     mm = {pw: est._moment(y ** (pw / 2), pw) for pw in (0.5, 1.0, 2.0)}
     e2 = mm[2.0]
     checks = [_check("excursion_E2", e2.estimate, abs(e2.estimate - 0.5) <= 3 * e2.stderr, e2.stderr)]

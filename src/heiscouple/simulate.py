@@ -2,9 +2,11 @@
 
 Two schemes over the same driving noise model:
 
-* full scheme -- evolves both legs in group coordinates (B, A) and (B', A');
-  the second leg consumes J dW + Jhat dWtilde.  Vertical coordinates use
-  left-endpoint increments dA = (1/2) omega(B, dB).
+* full scheme -- evolves the left quotient of the two legs, D = B - B' and
+  Z = A - A' + (1/2) omega(B, B'); the first leg consumes dW and the second
+  J dW + Jhat dWtilde.  Each step is the two-leg Euler map with
+  left-endpoint vertical increments dA = (1/2) omega(B, dB), written in
+  (D, Z):  D += dW - dB',  Z += (1/2) (omega(D, dW + dB') + omega(dW, dB')).
 
 * reduced scheme -- evolves only the dilation-reduced pair (R^2, Z):
 
@@ -23,7 +25,9 @@ The reduced engine gives each built-in regime its exact radial update
 (reflection: R/2 is a Brownian motion; perverse: R^2 += 4 dt; synchronous:
 R frozen) and steps only custom K by Euler.  For synchronous and perverse K
 (var_r = 0) the Euler formula gives the same bits, but routing those regimes
-through it measured 31-43 % slower per path-step.
+through it measured 31-43 % slower per path-step.  The full engine steps the
+perverse regime by the same exact law (R^2 += 4 dt, Z fixed), so the two
+schemes give it the same bits.
 
 Boundary behaviour at R = 0 is policy-dependent and identical in both
 schemes:
@@ -53,12 +57,12 @@ as one array: every draw fills each block's rows from that block's own
 stream, and every engine operation acts path by path, so results are bitwise
 reproducible for a given (seed, n_paths) regardless of thread count.
 
-The full engine holds the horizontals as (2n, m) arrays, one contiguous row
-of m paths per coordinate, and sums 2n-term products row by row.  Each such
-sum (|D|^2, frame components, symplectic forms) goes through `_sum_terms` in
-the order numpy's last-axis `sum` adds the same terms for a path-major
-(m, 2n) array, so the engine's bits are those of the path-major form for
-n <= 3 (numpy sums 8 or more terms pairwise).  The custom regime applies the
+The full engine holds D as one (2n, m) array, one contiguous row of m paths
+per coordinate, and Z as one (m,) array, and sums 2n-term products row by
+row.  Each such sum (|D|^2, frame components, symplectic forms) goes through
+`_sum_terms` in the order numpy's last-axis `sum` adds the same terms for a
+path-major (m, 2n) array, so the engine's bits are those of the path-major
+form for n <= 3 (numpy sums 8 or more terms pairwise).  The custom regime applies the
 frame of `coupling.frame` as its complex Householder reflector in real
 arithmetic (`_frame_apply`), O(n) per path, without building the matrix.
 Every operation acts on each path's own entries, so a path gets the same bits
@@ -679,33 +683,30 @@ def _pick(mask, new, old):
 
 
 def _run_full_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, seed, spans):
-    """Full-scheme engine.
+    """Full-scheme engine: Euler on the left quotient (D, Z), D = B - B'.
 
-    Plain Euler in group coordinates, plus exact enforcement of the two
-    invariants the continuous dynamics make deterministic (so the reduced
-    scheme's point masses are matched rather than smeared by roundoff or
-    O(dt) discretisation artifacts):
+    Each step drives B by dW and B' by dB' = J dW (+ Jhat dWtilde for a
+    custom K), with J read from the frame of D, and applies the Euler map of
+    the two legs with left-endpoint areas in quotient form:
 
-    * synchronous regime: D = B - B' is constant; B' is rebuilt as B - D.
-    * perverse regime: |D|^2 grows by exactly 4 dt (the Ito correction
-      cancels the radial component) and Z is constant; the Euler proposal
-      for D is projected back to the exact radius and the second vertical
-      coordinate is rebuilt to keep Z at its starting value.
+        D += dW - dB',    Z += (1/2) (omega(D, dW + dB') + omega(dW, dB')).
 
-    Reflection and custom regimes are left genuinely stochastic.  The array
-    layout is the module docstring's.
+    Under the synchronous regime dB' = dW, so D stays bitwise constant, and Z
+    too once D = 0: an absorbed pair (D and R^2 set to 0) stays frozen.  The
+    perverse regime takes its exact law, R^2 += 4 dt with Z fixed, as in the
+    reduced engine; no policy leaves it, so D is not stepped there.  R^2 is
+    |D|^2 otherwise.  The array layout is the module docstring's.
     """
     rng = _Streams(seed, spans)
     m = rng.m
     n = grp.npairs(a)
-    b = np.repeat(a[:-1, None], m, axis=1)
-    bp = np.repeat(aprime[:-1, None], m, axis=1)
-    vert = np.full(m, float(a[-1]))
-    vert_p = np.full(m, float(aprime[-1]))
-    r2 = _sum_terms((b - bp) ** 2)
-    z = vert - vert_p + 0.5 * _symplectic(b, bp)
+    r2_0, z_0 = relative_coordinates(a[:-1], aprime[:-1], a[-1], aprime[-1])
+    d = np.repeat((a[:-1] - aprime[:-1])[:, None], m, axis=1)
+    r2 = np.full(m, float(r2_0))
+    z = np.full(m, float(z_0))
     regime = policy.initial_regime(r2, z)
     regimes = policy.regimes
+    perverse = cpl.REGIME_PERVERSE in regimes  # the perverse policy's only regime
     custom = cpl.REGIME_CUSTOM in regimes
     if custom:
         K = policy.matrix_for_regime(cpl.REGIME_CUSTOM, n)
@@ -717,12 +718,6 @@ def _run_full_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, s
     dw, dwt, u = np.empty((m, 2 * n)), np.empty((m, 2 * n)), np.empty(m)
     dw_c, dwt_c = np.empty((2 * n, m)), np.empty((2 * n, m))
 
-    def regime_mask(code, extra=None):
-        if code not in regimes:
-            return False
-        mask = regime == code
-        return _mask(mask if extra is None else mask & extra)
-
     rec(0, r2, z)
     for k in range(1, n_steps + 1):
         regime = policy.next_regime(r2, z, regime)
@@ -733,24 +728,22 @@ def _run_full_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, s
             np.multiply(dwt.T, sdt, out=dwt_c)
         if absorbing:
             rng.uniform(u)
+        rec.accumulate(coef, regime, r2, dt)
+        if perverse:
+            r2 = r2 + 4.0 * dt
+            rec(k, r2, z)
+            continue
 
-        d = b - bp
+        # dB' = dW (synchronous, and wherever R = 0) unless a regime turns it
         r = np.sqrt(r2)
-        sync = regime_mask(cpl.REGIME_SYNC)
-        refl = regime_mask(cpl.REGIME_REFLECT, r > 0.0)
-        perv = regime_mask(cpl.REGIME_PERVERSE)
-        cust = regime_mask(cpl.REGIME_CUSTOM, r > 0.0)
-        if refl is not False or perv is not False or cust is not False:
+        refl, cust = (_mask((regime == code) & (r > 0.0)) if code in regimes else False
+                      for code in (cpl.REGIME_REFLECT, cpl.REGIME_CUSTOM))
+        if refl is not False or cust is not False:
             e1 = d / np.where(r > 0.0, r, 1.0)
-
-        dbp = dw_c  # synchronous default
+        dbp = dw_c
         if refl is not False:
             comp = _sum_terms(e1 * dw_c)
             dbp = _pick(refl, dw_c - 2.0 * comp * e1, dbp)
-        if perv is not False:
-            e2 = np.concatenate([-e1[n:], e1[:n]])  # M e1
-            comp2 = _sum_terms(e2 * dw_c)
-            dbp = _pick(perv, dw_c - 2.0 * comp2 * e2, dbp)
         if cust is not False:
             # dbp = Q (K Q^T dw + Khat Q^T dwt)
             axis = _frame_axis(e1)
@@ -759,50 +752,18 @@ def _run_full_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, s
                 y += _matvec(Khat_t, _frame_apply(axis, dwt_c, transpose=True))
             dbp = _pick(cust, _frame_apply(axis, y), dbp)
 
-        rec.accumulate(coef, regime, r2, dt)
-
-        vert = vert + 0.5 * _symplectic(b, dw_c)
-        vert_p = vert_p + 0.5 * _symplectic(bp, dbp)
-        b += dw_c
-        if sync is True:
-            # keep D bitwise constant (same Euler map, rounding-stable form)
-            bp = b - d
-        else:
-            bp = bp + dbp
-            if sync is not False:
-                bp = np.where(sync, b - d, bp)
-        if perv is not False:
-            dtil = b - bp
-            nrm2 = _sum_terms(dtil**2)
-            tgt = r2 + 4.0 * dt
-            scale = np.sqrt(tgt / np.where(nrm2 > 0.0, nrm2, 1.0))
-            bp = _pick(perv, b - dtil * scale, bp)
-        omega = _symplectic(b, bp)
-        if perv is not False:
-            vert_p = _pick(perv, vert + 0.5 * omega - z, vert_p)
-        if perv is True:
-            r2 = tgt  # and Z stays as it is
-        else:
-            zz = vert - vert_p + 0.5 * omega
-            if sync is not True:
-                rr = _sum_terms((b - bp) ** 2)
-                r2 = rr if sync is False else np.where(sync, r2, rr)
-            if perv is not False:
-                r2 = np.where(perv, tgt, r2)
-                zz = np.where(perv, z, zz)
-            z = zz
-
+        z = z + 0.5 * (_symplectic(d, dw_c + dbp) + _symplectic(dw_c, dbp))
+        d += dw_c - dbp
         if absorbing and refl is not False:
-            # radial walk is exactly linear under reflection; apply the
-            # bridge-crossing absorption so R/2 is a true absorbed BM
+            # the radial walk is exactly linear under reflection; the
+            # bridge-crossing absorption makes R/2 a true absorbed BM
             hit = _bridge_hit(r, r + 2.0 * comp, dt, u)
             if refl is not True:
                 hit &= refl
             if np.any(hit):
-                bp = np.where(hit, b, bp)
-                vert_p = np.where(hit, vert - z, vert_p)
-                r2 = np.where(hit, 0.0, r2)
+                d = np.where(hit, 0.0, d)
                 rec.absorbed_at[hit & np.isnan(rec.absorbed_at)] = (k - 0.5) * dt
+        r2 = _sum_terms(d * d)
         rec(k, r2, z)
 
     return rec.result()
@@ -831,7 +792,8 @@ def simulate_ensemble(
             steps, at least one when T > 0.
         seed: base seed, an integer in [0, 2**64); path block j uses the
             stream keyed (seed, j).
-        scheme: "full" (group coordinates) or "reduced" ((R^2, Z) only).
+        scheme: "full" (Euler on the left quotient (D, Z) of the two legs) or
+            "reduced" ((R^2, Z) only).
         checkpoints: recording times, finite and >= 0 (snapped to the step
             grid, and to T past it); default is the dyadic grid of
             `default_checkpoints`.

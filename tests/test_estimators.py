@@ -317,16 +317,21 @@ def test_hitting_cdf_shape():
             est.hitting_cdf(bad_t, 1.0)
 
 
+def _bessel_moment(p, n_samples, m_steps, seed):
+    """E[Y^{p/2}] over the Bessel-bridge samples of Y = int X^2."""
+    return est._moment(est.excursion_integrals(n_samples, m_steps, seed) ** (p / 2), p)
+
+
 def test_excursion_moment_second_moment():
-    out = est.excursion_moment(2.0, n_samples=4096, m_steps=1024, seed=0)
+    out = _bessel_moment(2.0, 4096, 1024, 0)
     assert abs(out.estimate - 0.5) < 3 * out.stderr
     assert out.stderr < 0.01
 
 
 def test_excursion_moment_grid_refinement_small():
     # halving the grid moves the estimate by less than 1%
-    a = est.excursion_moment(1.0, n_samples=4096, m_steps=512, seed=3)
-    b = est.excursion_moment(1.0, n_samples=4096, m_steps=1024, seed=3)
+    a = _bessel_moment(1.0, 4096, 512, 3)
+    b = _bessel_moment(1.0, 4096, 1024, 3)
     assert abs(a.estimate - b.estimate) / b.estimate < 0.01
 
 
@@ -340,7 +345,7 @@ def test_excursion_rejection_route_extrapolates_to_bessel():
     extrap = 2 * hi.estimate - lo.estimate
     se = math.sqrt(4 * hi.stderr**2 + lo.stderr**2)
     assert abs(extrap - 0.5) < 3 * se + 2.0 / 64
-    direct = est.excursion_moment(2.0, n_samples=4096, m_steps=1024, seed=3)
+    direct = _bessel_moment(2.0, 4096, 1024, 3)
     assert abs(extrap - direct.estimate) < 3 * math.hypot(se, direct.stderr) + 2.0 / 64
 
 
@@ -382,7 +387,7 @@ def test_excursion_moments_match_the_laplace_oracle(p):
     # discretization allowance of 2/m (at the coarser grid for the
     # Richardson-extrapolated cyclic-shift route, as in the experiment)
     exact = _excursion_oracle(p)
-    bessel = est.excursion_moment(p, n_samples=4096, m_steps=512, seed=4)
+    bessel = _bessel_moment(p, 4096, 512, 4)
     assert abs(bessel.estimate - exact) < 3 * bessel.stderr + 2.0 / 512
     lo = est.excursion_moment_rejection(p, n_samples=2048, m_steps=64, seed=5)
     hi = est.excursion_moment_rejection(p, n_samples=2048, m_steps=256, seed=6)
@@ -391,24 +396,35 @@ def test_excursion_moments_match_the_laplace_oracle(p):
     assert abs(extrap - exact) < 3 * se + 2.0 / 64
 
 
-@pytest.mark.parametrize("arg,bad", [
+_COUNT_CASES = [
     pytest.param("n_samples", {"n_samples": 0}, id="n_samples=0"),
     pytest.param("n_samples", {"n_samples": 2.5}, id="n_samples=2.5"),
     pytest.param("n_samples", {"n_samples": True}, id="n_samples=True"),
     pytest.param("m_steps", {"m_steps": 1}, id="m_steps=1"),
     pytest.param("m_steps", {"m_steps": 2.5}, id="m_steps=2.5"),
+]
+_P_CASES = [
     pytest.param("p", {"p": float("nan")}, id="p=nan"),
     pytest.param("p", {"p": float("inf")}, id="p=inf"),
     pytest.param("p", {"p": 0.0}, id="p=0"),
+]
+
+
+@pytest.mark.parametrize("route,arg,bad", [
+    pytest.param(route, *case.values, id=f"{route}-{case.id}")
+    for route, cases in (("bessel", _COUNT_CASES), ("shift", _COUNT_CASES + _P_CASES))
+    for case in cases
 ])
-@pytest.mark.parametrize("route", ["bessel", "shift"])
 def test_excursion_moments_reject_bad_input(route, arg, bad):
     # n_samples=0 gave NaN with RuntimeWarnings, m_steps=1 a silent 0.0 and
-    # p=nan passed the p <= 0 check
-    fn = est.excursion_moment if route == "bessel" else est.excursion_moment_rejection
-    kw = {"p": 2.0, "n_samples": 8, "m_steps": 16, **bad}
+    # p=nan passed the p <= 0 check; the Bessel route returns the samples,
+    # so it takes no p
+    kw = {"n_samples": 8, "m_steps": 16, "seed": 0, **bad}
     with pytest.raises(ValueError, match=rf"^{arg} must"):
-        fn(**kw)
+        if route == "bessel":
+            est.excursion_integrals(**kw)
+        else:
+            est.excursion_moment_rejection(**{"p": 2.0, **kw})
 
 
 def test_excursion_shift_oracle_takes_the_smallest_grid():
@@ -424,7 +440,7 @@ def test_excursion_samplers_do_not_depend_on_the_chunk_budget(monkeypatch):
     monkeypatch.setattr(est, "_moment", lambda v, p: v)  # the samples themselves
 
     def both():
-        return (est._excursion_integrals(37, 64, 3),
+        return (est.excursion_integrals(37, 64, 3),
                 est.excursion_moment_rejection(2.0, n_samples=37, m_steps=64, seed=3))
 
     ref = both()
@@ -439,7 +455,7 @@ def test_excursion_integrals_draw_in_bounded_chunks():
     # chunk of 2**22 // m_steps rows held about 400 MB at this size
     tracemalloc.start()
     try:
-        est._excursion_integrals(2048, 2048, 0)
+        est.excursion_integrals(2048, 2048, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

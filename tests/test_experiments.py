@@ -538,8 +538,8 @@ def test_list_keys_are_order_free(tmp_path, name, key):
 def test_excursion_moments_draws_one_bessel_sample(tmp_path, monkeypatch):
     # every Bessel row and the E2 check read one sample of the integrals
     calls = []
-    draw = est._excursion_integrals
-    monkeypatch.setattr(est, "_excursion_integrals", lambda *a: calls.append(a) or draw(*a))
+    draw = est.excursion_integrals
+    monkeypatch.setattr(est, "excursion_integrals", lambda *a: calls.append(a) or draw(*a))
     exp.run_experiment("excursion-moments", {**_ARTIFACT_CASES["excursion-moments"], "seed": 7},
                        out=tmp_path)
     assert calls == [(8, 64, 7)]

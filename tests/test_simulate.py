@@ -151,11 +151,12 @@ def test_simulate_ensemble_rejects_bad_args():
                               T=1.0, n_paths=4)
 
 
-def test_reflection_absorption_freezes_state():
+@pytest.mark.parametrize("scheme", ["reduced", "full"])
+def test_reflection_absorption_freezes_state(scheme):
     pol = cpl.reflection_policy()
     ens = sim.simulate_ensemble(
         pol, grp.identity(1), grp.point([0.2], [0.0], 0.0),
-        T=4.0, n_paths=2000, dt=0.002, seed=5, scheme="reduced",
+        T=4.0, n_paths=2000, dt=0.002, seed=5, scheme=scheme,
         checkpoints=[2.0, 4.0],
     )
     hit = np.isfinite(ens.absorbed_at)
@@ -582,28 +583,57 @@ def test_step_reduced_matches_reduced_engine(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_step_full_matches_full_engine(n):
-    _check_step_full(*_oracle_setup(n))
+    _check_step_full(cpl.custom_policy(_custom_k(n)), n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_step_full_matches_full_engine_for_a_general_k(n):
-    _check_step_full(*_oracle_setup(n, _general_k(n)))
+    _check_step_full(cpl.custom_policy(_general_k(n)), n)
 
 
-def _check_step_full(a, ap, K, m, dt, n_steps, rng, kw):
-    n = grp.npairs(a)
-    ens = sim.simulate_ensemble(cpl.custom_policy(K), a, ap, scheme="full", **kw)
-    Khat = cpl.complete_jhat(K)
-    assert np.abs(Khat).max() > 0.1
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_step_full_matches_full_engine_under_kendall(n):
+    # R0^2 = 1 and Z0 = 0.3 sit inside the hysteresis band, so paths switch
+    # between reflection and synchronous both ways within the 25 steps
+    switches = _check_step_full(cpl.kendall_policy(), n)
+    assert switches[cpl.REGIME_REFLECT, cpl.REGIME_SYNC] > 0
+    assert switches[cpl.REGIME_SYNC, cpl.REGIME_REFLECT] > 0
+
+
+def _check_step_full(policy, n):
+    """The full engine, which steps (D, Z), against `step_full` on both legs.
+
+    The oracle draws the engine's noise in its order (dW, then dWtilde for a
+    custom K), takes each path's regime from `next_regime` on its own state,
+    and couples by J = Q K Q^T (and Q Khat Q^T) in the frame Q of that state;
+    at R = 0 the engine drives both legs by dW.  Returns the count of regime
+    switches (from, to) over all paths and steps.
+    """
+    a, ap, _, m, dt, n_steps, rng, kw = _oracle_setup(n)
+    ens = sim.simulate_ensemble(policy, a, ap, scheme="full", **kw)
+    custom = policy.kind == "custom"
+    if custom:
+        Khat = cpl.complete_jhat(policy.matrix)
+        assert np.abs(Khat).max() > 0.1
     states = [sim.CouplingState.from_points(a, ap) for _ in range(m)]
+    regime = policy.initial_regime([st.r2 for st in states], [st.z for st in states])
+    switches = np.zeros((cpl.REGIME_CUSTOM + 1,) * 2, dtype=int)
     for k in range(n_steps):
+        prev, regime = regime, policy.next_regime([st.r2 for st in states],
+                                                  [st.z for st in states], regime)
+        np.add.at(switches, (prev, regime), prev != regime)
         dw = math.sqrt(dt) * rng.standard_normal((m, 2 * n))
-        dwt = math.sqrt(dt) * rng.standard_normal((m, 2 * n))
+        dwt = math.sqrt(dt) * rng.standard_normal((m, 2 * n)) if custom else [None] * m
         for i, st in enumerate(states):
-            Q = cpl.frame(st.b, st.bprime)
-            states[i] = sim.step_full(st, Q @ K @ Q.T, dt, dw[i], dwt[i], Q @ Khat @ Q.T)
+            J, jhat = np.eye(2 * n), None
+            if st.r2 > 0.0:
+                Q = cpl.frame(st.b, st.bprime)
+                J = Q @ policy.matrix_for_regime(int(regime[i]), n) @ Q.T
+                jhat = Q @ Khat @ Q.T if custom else None
+            states[i] = sim.step_full(st, J, dt, dw[i], dwt[i], jhat)
         np.testing.assert_allclose(ens.r2[k], [st.r2 for st in states], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(ens.z[k], [st.z for st in states], rtol=1e-12, atol=1e-12)
+    return switches
 
 
 def _signed_terms(rng, shape):
