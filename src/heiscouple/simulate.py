@@ -62,13 +62,13 @@ per coordinate, and Z as one (m,) array, and sums 2n-term products row by
 row.  Each such sum (|D|^2, frame components, symplectic forms) goes through
 `_sum_terms` in the order numpy's last-axis `sum` adds the same terms for a
 path-major (m, 2n) array, so the engine's bits are those of the path-major
-form for n <= 3 (numpy sums 8 or more terms pairwise).  The custom regime applies the
-frame of `coupling.frame` as its complex Householder reflector in real
-arithmetic (`_frame_apply`), O(n) per path, without building the matrix.
-Every operation acts on each path's own entries, so a path gets the same bits
-in a group of one path as in a wide one.  The increments are still drawn
-path-major, in (m, 2n) buffers, and read through one scaled, transposed copy
-per step.
+form for n <= 3 (numpy sums 8 or more terms pairwise).  The custom regime
+applies the frame of `coupling.frame` as its complex Householder reflector in
+real arithmetic (`_frame_apply`), O(n) per path, without building the
+matrix.  Every operation acts on each path's own entries, so a path gets the
+same bits in a group of one path as in a wide one.  The increments are still
+drawn path-major, in (m, 2n) buffers, and read through one scaled,
+transposed copy per step.
 """
 
 import math
@@ -755,8 +755,8 @@ def _run_full_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, s
         z = z + 0.5 * (_symplectic(d, dw_c + dbp) + _symplectic(dw_c, dbp))
         d += dw_c - dbp
         if absorbing and refl is not False:
-            # the radial walk is exactly linear under reflection; the
-            # bridge-crossing absorption makes R/2 a true absorbed BM
+            # radial walk is exactly linear under reflection; apply the
+            # bridge-crossing absorption so R/2 is a true absorbed BM
             hit = _bridge_hit(r, r + 2.0 * comp, dt, u)
             if refl is not True:
                 hit &= refl
