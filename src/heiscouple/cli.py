@@ -9,6 +9,7 @@ import sys
 from datetime import datetime, timezone
 
 from heiscouple import experiments as exp
+from heiscouple.constants import POOL_MIN_BLOCKS, RNG_BLOCK
 
 
 def build_parser():
@@ -24,7 +25,9 @@ def build_parser():
     ap.add_argument("--seed", type=int, default=None, metavar="N",
                     help="override the seed of every selected experiment")
     ap.add_argument("--threads", type=int, default=1, metavar="N",
-                    help="worker threads; never changes numeric output")
+                    help=f"at most N worker threads, one per group of at least {POOL_MIN_BLOCKS} "
+                         f"RNG blocks ({POOL_MIN_BLOCKS * RNG_BLOCK} paths); never "
+                         "changes numeric output")
     ap.add_argument("--out", default=".", metavar="DIR",
                     help="output root; each experiment writes into DIR/<name>/")
     ap.add_argument("--list", action="store_true",

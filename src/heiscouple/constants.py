@@ -52,6 +52,23 @@ STATIC_T_RANGE = (1e-50, MAX_MAGNITUDE)
 # its own stream, so output is independent of thread count
 RNG_BLOCK = 1024
 
+# fewest RNG blocks per thread-pool group: a run at `threads` > 1 forms
+# max(1, min(threads, n_blocks // POOL_MIN_BLOCKS)) groups.  Chosen by
+# measurement, not from a benchmark size: the speedup of threads=2 over
+# threads=1 for a run of two groups of this many blocks each (reflection
+# policy, T = 0.3, dt = 0.01, median of 5 runs per side, 2 shared cores)
+#
+#     blocks per group   4      8      16     24     32
+#     reduced            0.70x  1.01x  1.30x  1.23x  1.52x
+#     full               0.67x  1.10x  1.35x  1.46x  1.60x
+#     exact runner       0.81x  0.97x  1.23x  1.45x  1.43x
+#
+# Over three passes 16 blocks read 1.15-1.46x for the Euler engines and
+# 0.94-1.23x for the exact runner, and 8 blocks 0.82-1.17x.  A narrower group
+# loses more to the per-step cost of its numpy calls, which hold the
+# interpreter lock, than its thread gains, so one constant serves every runner
+POOL_MIN_BLOCKS = 16
+
 # exact reflection runner: a step of R/2 from r/2 to rn/2 > 0 over dt crossed 0
 # with probability exp(-x), x = r rn / (2 dt).  Past x = 53 ln 2 that is below
 # 2**-53, the smallest nonzero value of a 53-bit uniform u in [0, 1), so the rule

@@ -27,7 +27,8 @@ R frozen) and steps only custom K by Euler.  For synchronous and perverse K
 (var_r = 0) the Euler formula gives the same bits, but routing those regimes
 through it measured 31-43 % slower per path-step.  The full engine steps the
 perverse regime by the same exact law (R^2 += 4 dt, Z fixed), so the two
-schemes give it the same bits.
+schemes give it the same bits, and neither draws noise for the perverse
+policy.
 
 Boundary behaviour at R = 0 is policy-dependent and identical in both
 schemes:
@@ -52,10 +53,12 @@ per checkpoint from the summed trapezoid variance.
 
 Paths are carved into RNG blocks of RNG_BLOCK paths, block j drawing from the
 counter-based stream keyed (seed, j) in a fixed per-step order.  A runner
-splits the blocks into one contiguous group per thread and steps each group
-as one array: every draw fills each block's rows from that block's own
-stream, and every engine operation acts path by path, so results are bitwise
-reproducible for a given (seed, n_paths) regardless of thread count.
+splits the blocks into contiguous groups, one per thread but none narrower
+than POOL_MIN_BLOCKS blocks (a narrower group costs more than its thread
+saves), and steps each group as one array: every draw fills each block's
+rows from that block's own stream, and every engine operation acts path by
+path, so results are bitwise reproducible for a given (seed, n_paths)
+regardless of thread count or group width.
 
 The full engine holds D as one (2n, m) array, one contiguous row of m paths
 per coordinate, and Z as one (m,) array, and sums 2n-term products row by
@@ -87,6 +90,7 @@ from heiscouple.constants import (
     KENDALL_DT_CAP,
     KENDALL_MAX_ITERS,
     KENDALL_SUCCESS_DH,
+    POOL_MIN_BLOCKS,
     RNG_BLOCK,
 )
 
@@ -499,24 +503,30 @@ class _Streams:
 def _run_groups(run, n_paths, threads):
     """Run `run(spans)` once per group of RNG blocks and join the groups' outputs.
 
-    The blocks of `_blocks(n_paths)` split into k = min(threads, n_blocks)
-    contiguous groups of whole blocks, as even as whole blocks allow, each
-    stepped as one array on its own worker.  The engines act path by path,
-    so a path's bits do not depend on its group's width.  `run` returns
+    With threads == 1 the blocks of `_blocks(n_paths)` run as one group on
+    the caller's thread.  Otherwise they split into k = max(1, min(threads,
+    n_blocks // POOL_MIN_BLOCKS)) contiguous groups of whole blocks, as even
+    as whole blocks allow, each stepped as one array on its own pool worker:
+    a group narrower than POOL_MIN_BLOCKS costs more in per-step overhead
+    than its thread saves (see constants.py), and a run too narrow to split
+    still runs its one group on a worker.  The engines act path by path, so
+    a path's bits do not depend on its group's width.  `run` returns
     per-path arrays (path axis last) and int counts ("clamps" and any
     others).  The arrays are joined in block order and each count summed, so
-    the result does not depend on `threads`.  Returns (arrays, counts).
+    the result does not depend on `threads`.  Returns (arrays, counts), and
+    counts["groups"] is k.
     """
     spans = list(_blocks(n_paths))
-    k = min(threads, len(spans))
-    if k == 1:
+    if threads == 1:
         results = [run(spans)]
     else:
+        k = max(1, min(threads, len(spans) // POOL_MIN_BLOCKS))
         groups = [spans[i * len(spans) // k:(i + 1) * len(spans) // k] for i in range(k)]
         with ThreadPoolExecutor(max_workers=k) as ex:
             results = list(ex.map(run, groups))
     counts = {key: sum(res.pop(key) for res in results)
               for key, val in list(results[0].items()) if isinstance(val, int)}
+    counts["groups"] = len(results)
     if len(results) == 1:
         return results[0], counts
     arrays = {key: np.concatenate([res[key] for res in results], axis=-1)
@@ -544,12 +554,14 @@ def _run_reduced_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps
     sdt = math.sqrt(dt)
     rec = _Recorder(ck_steps, m)
     g1, g2, u = np.empty(m), np.empty(m), np.empty(m)
+    noise = regimes != (cpl.REGIME_PERVERSE,)  # the perverse law reads no normal
 
     rec(0, r2, z)
     for k in range(1, n_steps + 1):
         regime = policy.next_regime(r2, z, regime)
-        rng.normal(g1)
-        rng.normal(g2)
+        if noise:
+            rng.normal(g1)
+            rng.normal(g2)
         if absorbing:
             rng.uniform(u)
 
@@ -694,8 +706,9 @@ def _run_full_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, s
     Under the synchronous regime dB' = dW, so D stays bitwise constant, and Z
     too once D = 0: an absorbed pair (D and R^2 set to 0) stays frozen.  The
     perverse regime takes its exact law, R^2 += 4 dt with Z fixed, as in the
-    reduced engine; no policy leaves it, so D is not stepped there.  R^2 is
-    |D|^2 otherwise.  The array layout is the module docstring's.
+    reduced engine; no policy leaves it, so D is not stepped and no noise is
+    drawn there.  R^2 is |D|^2 otherwise.  The array layout is the module
+    docstring's.
     """
     rng = _Streams(seed, spans)
     m = rng.m
@@ -721,6 +734,11 @@ def _run_full_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, s
     rec(0, r2, z)
     for k in range(1, n_steps + 1):
         regime = policy.next_regime(r2, z, regime)
+        rec.accumulate(coef, regime, r2, dt)
+        if perverse:
+            r2 = r2 + 4.0 * dt
+            rec(k, r2, z)
+            continue
         rng.normal(dw)
         np.multiply(dw.T, sdt, out=dw_c)
         if custom:
@@ -728,11 +746,6 @@ def _run_full_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, s
             np.multiply(dwt.T, sdt, out=dwt_c)
         if absorbing:
             rng.uniform(u)
-        rec.accumulate(coef, regime, r2, dt)
-        if perverse:
-            r2 = r2 + 4.0 * dt
-            rec(k, r2, z)
-            continue
 
         # dB' = dW (synchronous, and wherever R = 0) unless a regime turns it
         r = np.sqrt(r2)
@@ -797,11 +810,13 @@ def simulate_ensemble(
         checkpoints: recording times, finite and >= 0 (snapped to the step
             grid, and to T past it); default is the dyadic grid of
             `default_checkpoints`.
-        threads: integer >= 1; each thread steps one contiguous group of RNG
-            blocks as one array.  Does not affect output.
+        threads: integer >= 1; at most this many pool workers each step one
+            contiguous group of at least POOL_MIN_BLOCKS RNG blocks as one
+            array (`_run_groups`).  Does not affect output.
 
     Returns:
-        PathEnsemble.
+        PathEnsemble.  Its meta counts the clamps and path-steps, and
+        "groups" the number of groups the run was split into.
     """
     if scheme not in ("full", "reduced"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -835,6 +850,7 @@ def simulate_ensemble(
             "seed": seed,
             "n": n,
             "n_paths": n_paths,
+            "groups": counts["groups"],
             "clamps": clamps,
             "steps": steps,
             "clamp_fraction": clamps / steps if steps else 0.0,
@@ -884,13 +900,14 @@ def simulate_reflection_exact(
     Checkpoints must be finite and >= 0; those past T are recorded at T.
     `n_paths` must be an integer >= 1, `r0` and `T` finite and >= 0, `z0`
     finite, `delta` and `t_first` finite and > 0.  `threads` must be an
-    integer >= 1; each thread steps one contiguous group of RNG blocks as one
-    array, and the output does not depend on their number.
+    integer >= 1; at most this many pool workers each step one contiguous
+    group of at least POOL_MIN_BLOCKS RNG blocks as one array
+    (`_run_groups`), and the output does not depend on their number.
 
     Returns a PathEnsemble whose absorbed_at carries the hitting times (NaN
     when R survives past T).  Its meta counts the path-cells stepped
-    ("cells"), the uniforms drawn ("crossing_draws") and the absorbed paths
-    ("absorbed").
+    ("cells"), the uniforms drawn ("crossing_draws"), the absorbed paths
+    ("absorbed") and the groups the run was split into ("groups").
     """
     _check_count("threads", threads)
     _check_run_args(n_paths, checkpoints)
@@ -975,6 +992,7 @@ def simulate_reflection_exact(
             "cells": n_paths * len(dts),
             "crossing_draws": counts["crossing_draws"],
             "absorbed": int(np.isfinite(arrays["absorbed_at"]).sum()),
+            "groups": counts["groups"],
             "clamps": counts["clamps"],
             "clamp_fraction": 0.0,
         },

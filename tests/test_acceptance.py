@@ -239,6 +239,7 @@ def test_h2_reflection_radial_martingale():
     assert abs(r.mean() - 1.0) <= 3 * se
 
 
+@pytest.mark.usefixtures("one_block_groups")
 def test_thread_count_reproducibility(tmp_path):
     params = {"n_paths": 512, "horizon": 0.25, "dt": 0.005}
     bodies = {}

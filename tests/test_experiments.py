@@ -216,6 +216,7 @@ def test_cli_failed_check_exits_one(tmp_path, capsys):
     assert any(not r["pass"] for r in rows)
 
 
+@pytest.mark.usefixtures("one_block_groups")
 def test_threads_flag_does_not_change_numbers(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[scheme-consistency]\nn_paths = 1100\nhorizon = 0.1\ndt = 0.005\n")

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from heiscouple import coupling as cpl
 from heiscouple import estimators as est
 from heiscouple import group as grp
 from heiscouple import simulate as sim
-from heiscouple.constants import CROSSING_CUT
+from heiscouple.constants import CROSSING_CUT, POOL_MIN_BLOCKS, RNG_BLOCK
 
 
 def test_philox_stream_keying():
@@ -127,6 +128,7 @@ def test_simulate_ensemble_shapes_and_meta(scheme):
     assert np.all(np.isnan(ens.absorbed_at))
 
 
+@pytest.mark.usefixtures("one_block_groups")
 def test_simulate_ensemble_thread_count_is_invisible():
     pol = cpl.kendall_policy()
     kw = dict(
@@ -199,6 +201,7 @@ def test_exact_reflection_radial_martingale_and_hitting():
     assert res.pvalue > 1e-3
 
 
+@pytest.mark.usefixtures("one_block_groups")
 def test_exact_reflection_threads_and_z0():
     kw = dict(r0=0.5, T=2.0, n_paths=1500, z0=0.7, checkpoints=[2.0], seed=13)
     one = sim.simulate_reflection_exact(threads=1, **kw)
@@ -405,6 +408,7 @@ _GOLDEN = {
 }
 
 
+@pytest.mark.usefixtures("one_block_groups")
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("case", sorted(_GOLDEN))
 def test_golden_digests(case, threads):
@@ -425,17 +429,73 @@ _WIDE_GOLDEN = {
 }
 
 
+@pytest.mark.usefixtures("one_block_groups")
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(_WIDE_GOLDEN))
 def test_golden_digests_across_groups(case, threads):
     assert _digest(_golden_ensemble(case, threads, _WIDE_PATHS)) == _WIDE_GOLDEN[case]
 
 
+@pytest.mark.usefixtures("one_block_groups")
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_golden_digest_with_a_one_path_block(threads):
     # 2049 paths end in a block of one path, which at threads=3 is a group of
     # its own: the full engine must round it as it does inside a wide group
     assert _digest(_golden_ensemble("full/custom/n1", threads, 2049)) == "a375d2c6addc49c1"
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("n_blocks,widths", [
+    (1, [1]),
+    (2 * POOL_MIN_BLOCKS - 1, [2 * POOL_MIN_BLOCKS - 1]),
+    (2 * POOL_MIN_BLOCKS, [POOL_MIN_BLOCKS, POOL_MIN_BLOCKS]),
+])
+def test_run_groups_splits_only_groups_of_pool_min_blocks(n_blocks, widths, threads):
+    calls = []
+
+    def run(spans):
+        calls.append(([block for block, _, _ in spans],
+                      threading.current_thread() is threading.main_thread()))
+        return {"path": np.arange(spans[0][1], spans[-1][2]), "clamps": len(spans)}
+
+    n_paths = n_blocks * RNG_BLOCK - 1  # the last block is one path short
+    arrays, counts = sim._run_groups(run, n_paths, threads)
+    if threads == 1:
+        widths = [n_blocks]
+    calls.sort()
+    assert [len(blocks) for blocks, _ in calls] == widths
+    assert [block for blocks, _ in calls for block in blocks] == list(range(n_blocks))
+    # threads > 1 keeps even a run of one group off the caller's thread
+    assert [on_main for _, on_main in calls] == [threads == 1] * len(widths)
+    assert np.array_equal(arrays["path"], np.arange(n_paths))
+    assert counts == {"clamps": n_blocks, "groups": len(widths)}
+
+
+def test_runs_report_the_groups_they_used():
+    wide = 2 * POOL_MIN_BLOCKS * RNG_BLOCK
+    a, ap = grp.identity(1), grp.point([1.0], [0.0], 0.0)
+    for n_paths, threads, groups in ((4096, 2, 1), (wide, 2, 2), (wide, 1, 1)):
+        ens = sim.simulate_ensemble(cpl.reflection_policy(), a, ap, T=0.01, n_paths=n_paths,
+                                    dt=0.01, scheme="reduced", threads=threads)
+        exact = sim.simulate_reflection_exact(r0=1.0, T=0.01, n_paths=n_paths, t_first=0.01,
+                                              threads=threads)
+        assert ens.meta["groups"] == exact.meta["groups"] == groups
+
+
+@pytest.mark.parametrize("scheme", ["reduced", "full"])
+def test_perverse_runs_draw_no_noise(monkeypatch, scheme):
+    draws, real = [], sim._Streams._fill
+    monkeypatch.setattr(sim._Streams, "_fill",
+                        lambda self, method, out, idx: draws.append(method)
+                        or real(self, method, out, idx))
+    kw = dict(a=grp.identity(1), aprime=grp.point([1.0], [0.0], 0.3), T=0.1, n_paths=1500,
+              dt=0.01, scheme=scheme, checkpoints=[0.1])
+    ens = sim.simulate_ensemble(cpl.perverse_policy(), **kw)
+    assert draws == []
+    assert np.all(ens.r2 == ens.r2[0, 0]) and np.all(ens.z == ens.z[0, 0])
+    # the spy sees the draws of a run that has noise
+    sim.simulate_ensemble(cpl.synchronous_policy(), **kw)
+    assert draws
 
 
 class _CountingStream:
@@ -457,6 +517,7 @@ class _CountingStream:
         return self._draw("random", size, kwargs)
 
 
+@pytest.mark.usefixtures("one_block_groups")
 @pytest.mark.parametrize("case", ["exact/reflection", "full/custom/n1",
                                   "reduced/reflection/n1/absorbing", "kendall"])
 def test_block_streams_are_keyed_once_and_draw_their_own_rows(monkeypatch, case):
