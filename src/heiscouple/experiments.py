@@ -22,7 +22,7 @@ from heiscouple import group as grp
 from heiscouple import static as stc
 from heiscouple.constants import (
     ALGEBRA_TOL, KENDALL_EPSILON, KENDALL_KAPPA, KENDALL_SUCCESS_DH,
-    KS_PVALUE_MIN, MATRIX_TOL, MAX_CLAMP_FRACTION, MAX_MAGNITUDE, STATIC_T_RANGE,
+    KS_PVALUE_MIN, MATRIX_TOL, MAX_MAGNITUDE, STATIC_T_RANGE,
 )
 from heiscouple.simulate import (
     PathEnsemble,
@@ -128,25 +128,20 @@ def _run_matrix_lemmas(p, threads):
     return checks, rows, _NO_ENSEMBLE
 
 
-def _scheme_pair(policy_name, p, threads):
-    pol = cpl.CouplingPolicy(policy_name, p["kappa"], p["epsilon"])
-    kw = dict(
-        a=p["a"], aprime=p["aprime"], T=p["horizon"], n_paths=p["n_paths"], dt=p["dt"],
-        checkpoints=[p["horizon"]], threads=threads,
-    )
-    full = simulate_ensemble(pol, scheme="full", seed=p["seed"], **kw)
-    red = simulate_ensemble(pol, scheme="reduced", seed=p["seed"] + 1, **kw)
-    return full, red
-
-
 def _run_scheme_consistency(p, threads):
+    # full vs reduced under the reflection-type couplings only: synchronous
+    # and perverse have closed-form (R^2, Z) laws that both engines step
+    # exactly, so comparing them could not fail
     from scipy.stats import ks_2samp
 
     checks, rows = [], []
-    keep = None
     r0sq = float((grp.horizontal(grp.mul(grp.inverse(p["a"]), p["aprime"])) ** 2).sum())
-    for name in ("synchronous", "reflection", "perverse", "kendall"):
-        full, red = _scheme_pair(name, p, threads)
+    kw = dict(a=p["a"], aprime=p["aprime"], T=p["horizon"], n_paths=p["n_paths"], dt=p["dt"],
+              checkpoints=[p["horizon"]], threads=threads)
+    for name in ("reflection", "kendall"):
+        pol = cpl.CouplingPolicy(name, p["kappa"], p["epsilon"])
+        full = simulate_ensemble(pol, scheme="full", seed=p["seed"], **kw)
+        red = simulate_ensemble(pol, scheme="reduced", seed=p["seed"] + 1, **kw)
         ks_r = ks_2samp(full.r2[-1], red.r2[-1], method="asymp")
         ks_z = ks_2samp(full.z[-1], red.z[-1], method="asymp")
         checks.append(_check(f"{name}/ks_r2_pvalue", ks_r.pvalue, ks_r.pvalue > KS_PVALUE_MIN))
@@ -157,16 +152,12 @@ def _run_scheme_consistency(p, threads):
             se = gap.std(ddof=1) / math.sqrt(ens.n_paths)
             ok = abs(gap.mean()) <= 3 * se or np.allclose(gap, 0.0)
             checks.append(_check(f"{name}/{tag}/r2_identity_gap", gap.mean(), ok, se))
-            cf = ens.meta["clamp_fraction"]
-            checks.append(_check(f"{name}/{tag}/clamp_fraction", cf, cf < MAX_CLAMP_FRACTION))
             for stat, x in (("r2", ens.r2[-1]), ("z", ens.z[-1])):
                 rows.append((p["horizon"], f"{name}/{tag}/mean_{stat}", float(x.mean()),
                              float(x.std(ddof=1) / math.sqrt(ens.n_paths)), ens.n_paths))
-        if name == "kendall":
-            keep = full
         rows.append((p["horizon"], f"{name}/ks_r2_pvalue", float(ks_r.pvalue), float("nan"), p["n_paths"]))
         rows.append((p["horizon"], f"{name}/ks_z_pvalue", float(ks_z.pvalue), float("nan"), p["n_paths"]))
-    return checks, rows, keep
+    return checks, rows, full  # the kendall full ensemble
 
 
 def _run_blowup(strategy):
@@ -205,17 +196,13 @@ def _run_kendall_success(p, threads):
         n_paths=p["n_paths"], alpha=p["alpha"], success_dh=p["success_dh"],
         seed=p["seed"],
     )
-    fracs, rows = [], []
+    rows = []
     for t in sorted(p["checkpoints"]):
         f = float((times <= t).mean())
         se = math.sqrt(max(f * (1 - f), 1e-12) / p["n_paths"])
-        fracs.append(f)
         rows.append((t, "success_fraction", f, se, p["n_paths"]))
-    increasing = all(b >= a for a, b in zip(fracs, fracs[1:]))
-    checks = [
-        _check("success_fraction_increasing", float(increasing), increasing),
-        _check("success_fraction_final", fracs[-1], fracs[-1] > 0.8, rows[-1][3]),
-    ]
+    f, se = rows[-1][2:4]
+    checks = [_check("success_fraction_final", f, f > 0.8, se)]
     return checks, rows, _NO_ENSEMBLE
 
 
@@ -373,8 +360,6 @@ def _run_excursion_moments(p, threads):
     rows = [(1.0, "E2_bessel", e2.estimate, e2.stderr, e2.n_paths),
             (1.0, "E2_rejection_extrapolated", extrap, se, rej_hi.n_paths)]
     rows += [(1.0, f"E_p{pw}", m.estimate, m.stderr, m.n_paths) for pw, m in mm.items()]
-    jensen = mm[0.5].estimate ** 2 <= mm[1.0].estimate <= math.sqrt(mm[2.0].estimate)
-    checks.append(_check("jensen_monotone", float(jensen), jensen))
     return checks, rows, _NO_ENSEMBLE
 
 

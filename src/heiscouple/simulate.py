@@ -23,12 +23,14 @@ the others are gathered per path by regime code.
 
 The reduced engine gives each built-in regime its exact radial update
 (reflection: R/2 is a Brownian motion; perverse: R^2 += 4 dt; synchronous:
-R frozen) and steps only custom K by Euler.  For synchronous and perverse K
-(var_r = 0) the Euler formula gives the same bits, but routing those regimes
-through it measured 31-43 % slower per path-step.  The full engine steps the
-perverse regime by the same exact law (R^2 += 4 dt, Z fixed), so the two
-schemes give it the same bits, and neither draws noise for the perverse
-policy.
+R frozen) and steps only custom K by Euler; routing the var_r = 0 regimes
+through the Euler formula gives the same bits but measured 31-43 % slower.
+It draws only what a reachable regime reads: the radial normal g1 iff the
+reflection or custom regime is reachable, the vertical normal g2 iff some
+regime has var_z > 0.  The full engine steps the perverse regime by the same
+exact law (R^2 += 4 dt, Z fixed) and draws nothing for it either.  As both
+engines step synchronous and perverse by closed-form (R^2, Z) laws,
+scheme-consistency compares the engines only under reflection and kendall.
 
 Boundary behaviour at R = 0 is policy-dependent and identical in both
 schemes:
@@ -554,13 +556,17 @@ def _run_reduced_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps
     sdt = math.sqrt(dt)
     rec = _Recorder(ck_steps, m)
     g1, g2, u = np.empty(m), np.empty(m), np.empty(m)
-    noise = regimes != (cpl.REGIME_PERVERSE,)  # the perverse law reads no normal
+    # draw only what a reachable regime reads: g1 drives the reflected and
+    # custom radial steps (and custom's correlated Z), g2 the vertical step
+    draw_g1 = cpl.REGIME_REFLECT in regimes or cpl.REGIME_CUSTOM in regimes
+    draw_g2 = _nonzero(sd_z)
 
     rec(0, r2, z)
     for k in range(1, n_steps + 1):
         regime = policy.next_regime(r2, z, regime)
-        if noise:
+        if draw_g1:
             rng.normal(g1)
+        if draw_g2:
             rng.normal(g2)
         if absorbing:
             rng.uniform(u)

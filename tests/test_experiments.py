@@ -497,17 +497,17 @@ _EMPTY_ENSEMBLE = "e81eb7066f3d56a4"  # the header line alone
 _ARTIFACT_GOLDEN = {
     "algebra-suite": (_EMPTY_ENSEMBLE, "3db50bce0d3f15c8", "48b61e6fc7d7bc5b"),
     "matrix-lemmas": (_EMPTY_ENSEMBLE, "d84b1fbcf1421234", "31e71db452590051"),
-    "scheme-consistency": ("ecdc8bd5f382e92c", "c8cdde79d06d7475", "acd12a3adfaaa284"),
-    "blowup-synchronous": ("aea7e102e6bf692e", "98da8c81201b036e", "e8bfd89a4c887d9b"),
+    "scheme-consistency": ("ecdc8bd5f382e92c", "f9450dc896d9db90", "15f72f2df343e4c3"),
+    "blowup-synchronous": ("1938ab468890f0ef", "dc0368ebdc29a814", "847c574e08b65a0a"),
     "blowup-reflection": ("7737526ba308741f", "72661c19bd1872fd", "35afcd5dd7be3980"),
     "blowup-perverse": ("8d9def53a90c6459", "565b48be78a0a76e", "baaff204b3bc641a"),
-    "kendall-success": (_EMPTY_ENSEMBLE, "b05d62851bfe691e", "4f255a183c7ef8c3"),
+    "kendall-success": (_EMPTY_ENSEMBLE, "b05d62851bfe691e", "1d218b1acaab61cc"),
     "reflection-exponents": ("e8ecaf337f6e32c8", "3de3f6f6650d9680", "7ed800c3bda74f10"),
     "reflection-hitting": ("987eed546a1b2783", "437aacc5402d8c18", "3821c85f81ef26ef"),
     "static-ratio": (_EMPTY_ENSEMBLE, "40db01ac71cd89c5", "f77b570aff072fed"),
     "static-baseline": (_EMPTY_ENSEMBLE, "cecef4a1ecaa2dec", "525a420adfa29989"),
     "mg-lemma": (_EMPTY_ENSEMBLE, "b7dca7bd090dc6a8", "2a8414a5fcec821e"),
-    "excursion-moments": (_EMPTY_ENSEMBLE, "e4e58fadc5ac22b7", "42a894ed975cbff2"),
+    "excursion-moments": (_EMPTY_ENSEMBLE, "e4e58fadc5ac22b7", "f8355d81f3439011"),
 }
 
 

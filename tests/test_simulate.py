@@ -403,8 +403,8 @@ _GOLDEN = {
     "reduced/reflection/n1": "802261d172eca0e1",
     "reduced/reflection/n1/absorbing": "17e31be7168a11f6",
     "reduced/reflection/n2": "802261d172eca0e1",
-    "reduced/synchronous/n1": "8ba9d754345f6277",
-    "reduced/synchronous/n2": "8ba9d754345f6277",
+    "reduced/synchronous/n1": "a0c3a28adbe388ac",
+    "reduced/synchronous/n2": "a0c3a28adbe388ac",
 }
 
 
