@@ -72,15 +72,16 @@ def test_synchronous_closed_form():
     assert abs(var - 1.0) <= 3 * se
 
 
-def test_perverse_closed_form():
-    # reduced simulation integrates the radial law dR^2 = 4 dt directly:
+@pytest.mark.parametrize("scheme", ["full", "reduced"])
+def test_perverse_closed_form(scheme):
+    # both schemes integrate the radial law dR^2 = 4 dt directly:
     # R_T = sqrt(R0^2 + 4T) to well under the 5 dt T allowance, Z frozen
     T, dt = 1.0, 1e-3
     a = grp.identity(1)
     ap = grp.point([1.0], [0.0], 0.0)
     ens = simulate_ensemble(
         cpl.perverse_policy(), a, ap, T=T, n_paths=10_000, dt=dt,
-        seed=12, scheme="reduced", checkpoints=[T], threads=4,
+        seed=12, scheme=scheme, checkpoints=[T], threads=4,
     )
     r_err = np.abs(np.sqrt(ens.r2[-1]) - math.sqrt(1.0 + 4.0 * T))
     assert r_err.max() < 5.0 * dt * T

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from heiscouple import cli
 from heiscouple import estimators as est
 from heiscouple import experiments as exp
+from heiscouple import simulate as sim
 from heiscouple.constants import MAX_MAGNITUDE
 
 
@@ -129,6 +130,31 @@ def test_run_experiment_reproducible_bodies(tmp_path):
         fb = (tmp_path / "b" / "scheme-consistency" / fname).read_text().splitlines()
         skip = 1 if fname.endswith(".csv") else 0  # timestamp header line
         assert fa[skip:] == fb[skip:]
+
+
+_SCHEME_CHECKS = {f"{name}/{q}" for name in ("reflection", "kendall")
+                  for q in ("ks_r2_pvalue", "ks_z_pvalue", "full/r2_identity_gap",
+                            "reduced/r2_identity_gap")}
+
+
+def test_scheme_consistency_checks_can_fail(tmp_path, monkeypatch):
+    # a bias planted in the reduced engine's R^2 must fail the checks that
+    # compare it: both KS tests on R^2 and the reduced drift identity
+    params = {"n_paths": 300, "horizon": 0.05, "dt": 0.01, "seed": 7}
+    ok, checks = exp.run_experiment("scheme-consistency", params, out=tmp_path / "clean")
+    assert ok and {c.quantity for c in checks} == _SCHEME_CHECKS
+    engine = sim._run_reduced_block
+
+    def biased(*args):
+        out = engine(*args)
+        out["r2"] += 0.3  # over 5 standard errors of the mean R^2_T here
+        return out
+
+    monkeypatch.setattr(sim, "_run_reduced_block", biased)
+    _, checks = exp.run_experiment("scheme-consistency", params, out=tmp_path / "biased")
+    failed = {c.quantity for c in checks if not c.ok}
+    assert failed == {q for q in _SCHEME_CHECKS
+                      if q.endswith(("ks_r2_pvalue", "reduced/r2_identity_gap"))}
 
 
 def test_cli_list_and_exit_codes(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Simulation engines: streams, steps, ensembles, and the exact runner."""
 
+import collections
 import functools
 import hashlib
 import math
@@ -170,11 +171,12 @@ def test_reflection_absorption_freezes_state(scheme):
     assert np.array_equal(ens.z[0][merged_by_2], ens.z[1][merged_by_2])
 
 
-def test_full_scheme_synchronous_variance_identity():
+@pytest.mark.parametrize("scheme", ["full", "reduced"])
+def test_synchronous_variance_identity(scheme):
     pol = cpl.synchronous_policy()
     ens = sim.simulate_ensemble(
         pol, grp.identity(1), grp.point([1.0], [0.0], 0.0),
-        T=1.0, n_paths=4000, dt=1e-3, seed=7, scheme="full", checkpoints=[1.0],
+        T=1.0, n_paths=4000, dt=1e-3, seed=7, scheme=scheme, checkpoints=[1.0],
     )
     # Var(Z_T) = R0^2 T for synchronous; sample-variance 3 sigma band
     v = ens.z[-1].var(ddof=1)
@@ -484,18 +486,29 @@ def test_runs_report_the_groups_they_used():
 
 @pytest.mark.parametrize("scheme", ["reduced", "full"])
 def test_perverse_runs_draw_no_noise(monkeypatch, scheme):
-    draws, real = [], sim._Streams._fill
+    draws, real = collections.Counter(), sim._Streams._fill
     monkeypatch.setattr(sim._Streams, "_fill",
-                        lambda self, method, out, idx: draws.append(method)
+                        lambda self, method, out, idx: draws.update({method: out.size})
                         or real(self, method, out, idx))
     kw = dict(a=grp.identity(1), aprime=grp.point([1.0], [0.0], 0.3), T=0.1, n_paths=1500,
               dt=0.01, scheme=scheme, checkpoints=[0.1])
-    ens = sim.simulate_ensemble(cpl.perverse_policy(), **kw)
-    assert draws == []
+    path_steps = 1500 * 10
+
+    def per_path_step(policy):
+        draws.clear()
+        ens = sim.simulate_ensemble(policy, **kw)
+        return ens, {method: count / path_steps for method, count in draws.items()}
+
+    ens, per_step = per_path_step(cpl.perverse_policy())
+    assert per_step == {}
     assert np.all(ens.r2 == ens.r2[0, 0]) and np.all(ens.z == ens.z[0, 0])
-    # the spy sees the draws of a run that has noise
-    sim.simulate_ensemble(cpl.synchronous_policy(), **kw)
-    assert draws
+    # the spy sees the draws of runs that have noise: on H^1 the full engine
+    # draws dW (2 normals); the reduced synchronous step reads only its
+    # vertical normal, and reflection both normals and the crossing uniform
+    _, per_step = per_path_step(cpl.synchronous_policy())
+    assert per_step == {"standard_normal": 1 if scheme == "reduced" else 2}
+    _, per_step = per_path_step(cpl.reflection_policy())
+    assert per_step == {"standard_normal": 2, "random": 1}
 
 
 class _CountingStream:
