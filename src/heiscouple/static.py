@@ -79,6 +79,12 @@ _G_CELLS = 1024
 _SURV_FLOOR = 1e-14
 # s-nodes per step of the table build; a block's temporaries fit in L2.
 _LAW_BLOCK = 8
+# Normal-tail table behind the normal score (`_normal_tail`): -log Phi(-g) on
+# _TAIL_CELLS uniform cells of g in [0, _TAIL_G_MAX].  Phi(-_TAIL_G_MAX) =
+# 6.2e-16 lies below _SURV_FLOOR, so every kept survival value is inside the
+# table; linear interpolation in -log S is then within 2.4e-8 of the exact score.
+_TAIL_G_MAX = 8.0
+_TAIL_CELLS = 2**14
 
 
 @dataclass
@@ -265,6 +271,24 @@ class _Law(NamedTuple):
     score: np.ndarray  # (nodes, _G_CELLS + 1): T_s(g_k), g_k = k _G_MAX/_G_CELLS
 
 
+@functools.cache
+def _normal_tail():
+    """(-log Phi(-g), g) on the _TAIL_CELLS cells of [0, _TAIL_G_MAX], built on first use."""
+    g = np.linspace(0.0, _TAIL_G_MAX, _TAIL_CELLS + 1)
+    neg_log_tail = -np.log([0.5 * math.erfc(x / math.sqrt(2.0)) for x in g])
+    return neg_log_tail, g
+
+
+def _normal_score(surv):
+    """The normal score g = Phi^{-1}(1 - S) of survival values S in [_SURV_FLOOR, 1/2].
+
+    Read from `_normal_tail` by linear interpolation in -log S, where the
+    score is smooth and nearly linear; within 2.4e-8 of the exact inverse.
+    """
+    neg_log_tail, g = _normal_tail()
+    return np.interp(-np.log(surv), neg_log_tail, g)
+
+
 @functools.lru_cache(maxsize=4)
 def _law_table(n):
     """The conditional vertical law of H^n, tabulated once on first use.
@@ -280,12 +304,11 @@ def _law_table(n):
     Integrating the density's trigonometric sum term by term gives the
     survival function on the grid,
     S(z) = 1/2 - (dv/pi) (z/2 + sum_j phi_j sin(v_j z)/v_j).  T_s is the
-    inverse of z -> -ndtri(S(z)), linear between grid points in the normal
-    score; at s = 1 it is the identity to within 1e-5, the effect of
-    rounding in the far tail of S.
+    inverse of z -> Phi^{-1}(1 - S(z)), linear between grid points in the
+    normal score, which `_normal_score` reads from a tabulated normal tail;
+    at s = 1 it is the identity to within 1e-5, the effect of rounding in
+    the far tail of S.
     """
-    from scipy.special import ndtri
-
     nodes = np.linspace(0.0, 1.0, _LAW_CELLS + 1)
     v = np.arange(1, _M_GRID) * _DV
     z = np.arange(_M_GRID // 2 + 1) * (2.0 * math.pi / (_M_GRID * _DV))
@@ -298,7 +321,7 @@ def _law_table(n):
         surv = 0.5 - (_DV / math.pi) * (0.5 * z - np.fft.rfft(phi, axis=1).imag)
         for k, row in enumerate(np.minimum.accumulate(surv, axis=1), lo):
             keep = row > _SURV_FLOOR
-            score[k] = np.interp(g, -ndtri(row[keep]), z[keep])
+            score[k] = np.interp(g, _normal_score(row[keep]), z[keep])
     law = _Law(density, score)
     for arr in law:
         arr.flags.writeable = False

@@ -530,7 +530,7 @@ _ARTIFACT_GOLDEN = {
     "kendall-success": (_EMPTY_ENSEMBLE, "b05d62851bfe691e", "1d218b1acaab61cc"),
     "reflection-exponents": ("e8ecaf337f6e32c8", "3de3f6f6650d9680", "7ed800c3bda74f10"),
     "reflection-hitting": ("987eed546a1b2783", "437aacc5402d8c18", "3821c85f81ef26ef"),
-    "static-ratio": (_EMPTY_ENSEMBLE, "40db01ac71cd89c5", "f77b570aff072fed"),
+    "static-ratio": (_EMPTY_ENSEMBLE, "b513e0adcdc444f6", "c6f74f54b4a251b7"),
     "static-baseline": (_EMPTY_ENSEMBLE, "cecef4a1ecaa2dec", "525a420adfa29989"),
     "mg-lemma": (_EMPTY_ENSEMBLE, "b7dca7bd090dc6a8", "2a8414a5fcec821e"),
     "excursion-moments": (_EMPTY_ENSEMBLE, "e4e58fadc5ac22b7", "f8355d81f3439011"),
