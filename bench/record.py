@@ -23,7 +23,11 @@ the run's traced passes that its ``# perfbench`` record gives for a metric,
 so a per-layer difference can be read against its spread.
 Under "wins" it counts, for every side but the first ``--side`` (the "base"),
 per workload and metric, the seeds on which that side did better than the
-base, by the direction BENCHMARK.json gives.
+base, by the direction BENCHMARK.json gives.  Beside each count it states the
+claim rule: "claimable" when the side did better on at least 9 of 10 pairs
+and its median beats the base median by more than the base IQR, and
+"regressed" when its median is worse than the base median by more than the
+metric's ``bound`` in BENCHMARK.json, as a fraction of the base median.
 """
 
 import argparse
@@ -38,6 +42,7 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SECONDS = BENCHMARK["run_seconds"]
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 DIRECTIONS = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 PREFIX = "# perfbench "
 
 
@@ -68,16 +73,22 @@ def summary(values):
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
 
 
-def wins(runs, base_runs):
-    """Per workload and metric, the seeds on which runs beat base_runs."""
+def wins(side, base):
+    """Per workload and metric, the seeds on which side beat base, and the claim rule."""
     out = {}
-    for work, by_seed in runs.items():
+    for work, by_seed in side["runs"].items():
         out[work] = {}
         for metric, better in DIRECTIONS.items():
             sign = 1.0 if better == "higher" else -1.0
-            won = sum(sign * (run["metrics"][metric] - base_runs[work][seed]["metrics"][metric]) > 0
+            won = sum(sign * (run["metrics"][metric] - base["runs"][work][seed]["metrics"][metric]) > 0
                       for seed, run in by_seed.items())
-            out[work][metric] = {"better": won, "pairs": len(by_seed)}
+            ours, theirs = side["metrics"][work][metric], base["metrics"][work][metric]
+            gain = sign * (ours["median"] - theirs["median"])
+            out[work][metric] = {
+                "better": won, "pairs": len(by_seed),
+                "claimable": 10 * won >= 9 * len(by_seed) and gain > theirs["iqr"],
+                "regressed": -gain > BOUNDS[metric] * abs(theirs["median"]),
+            }
     return out
 
 
@@ -124,9 +135,16 @@ def main(argv=None):
                    for metric in DIRECTIONS}
             for work, by_seed in side["runs"].items()
         }
-    base_runs = out["sides"][out["base"]]["runs"]
-    out["wins"] = {name: wins(side["runs"], base_runs)
+    base = out["sides"][out["base"]]
+    out["wins"] = {name: wins(side, base)
                    for name, side in out["sides"].items() if name != out["base"]}
+    for name, by_work in out["wins"].items():
+        for work, by_metric in by_work.items():
+            for metric, w in by_metric.items():
+                if w["claimable"] or w["regressed"]:
+                    state = "claimable" if w["claimable"] else "REGRESSED"
+                    print(f"{name} {work} {metric}: {state} ({w['better']}/{w['pairs']} better)",
+                          flush=True)
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -191,11 +191,17 @@ def _run_blowup(strategy):
 
 def _run_kendall_success(p, threads):
     pol = cpl.kendall_policy(kappa=p["kappa"], epsilon=p["epsilon"])
-    times = kendall_success_times(
-        pol, r2_0=p["r0"] ** 2, z_0=p["z0"], t_max=max(p["checkpoints"]),
-        n_paths=p["n_paths"], alpha=p["alpha"], success_dh=p["success_dh"],
-        seed=p["seed"],
-    )
+    try:
+        times = kendall_success_times(
+            pol, r2_0=p["r0"] ** 2, z_0=p["z0"], t_max=max(p["checkpoints"]),
+            n_paths=p["n_paths"], alpha=p["alpha"], success_dh=p["success_dh"],
+            seed=p["seed"],
+        )
+    except RuntimeError as err:
+        # the runner's only RuntimeError is its phase-update cap; alpha sets
+        # the reflection step, so a larger alpha takes fewer updates
+        raise ConfigError(f"section [kendall-success], key 'alpha': too small for this run "
+                          f"({err})") from err
     rows = []
     for t in sorted(p["checkpoints"]):
         f = float((times <= t).mean())

@@ -273,6 +273,22 @@ def test_cli_non_finite_config_value_exits_two(tmp_path, capsys, section, line, 
     assert not (tmp_path / "art").exists()
 
 
+def test_kendall_iteration_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the runner's phase-update cap names alpha, at both levels, with no traceback
+    monkeypatch.setattr(sim, "KENDALL_MAX_ITERS", 5)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[kendall-success]\nn_paths = 16\ncheckpoints = 1, 2\n")
+    with pytest.raises(exp.ConfigError, match=r"^section \[kendall-success\], key 'alpha': "):
+        exp.run_experiment("kendall-success", {"n_paths": 16, "checkpoints": (1.0, 2.0)},
+                           out=tmp_path / "direct")
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "art")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("config error: section [kendall-success], key 'alpha': ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "art").exists() and not (tmp_path / "direct").exists()
+
+
 def test_run_experiment_accepts_array_checkpoints(tmp_path):
     params = {"checkpoints": np.array([5.0, 10.0]), "n_paths": 50}
     exp.run_experiment("kendall-success", params, out=tmp_path)

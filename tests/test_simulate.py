@@ -896,6 +896,12 @@ def test_kendall_success_times_rejects_bad_input(arg, bad):
         sim.kendall_success_times(cpl.kendall_policy(), **kw)
 
 
+def test_kendall_success_times_raises_past_its_iteration_cap(monkeypatch):
+    monkeypatch.setattr(sim, "KENDALL_MAX_ITERS", 5)
+    with pytest.raises(RuntimeError, match="exceeded KENDALL_MAX_ITERS"):
+        sim.kendall_success_times(cpl.kendall_policy(), 1.0, 0.0, 2.0, 16)
+
+
 _BAD_SEEDS = [
     pytest.param(1.5, id="seed=1.5"),
     pytest.param(-1, id="seed=-1"),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, quad
 from scipy.optimize import linear_sum_assignment
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 from scipy.stats import ks_2samp, kstest
 
 from heiscouple import estimators as est
@@ -144,20 +144,29 @@ def test_law_table_retains_little_and_is_built_lazily():
     assert peak < 16 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
     assert not any(arr.flags.writeable for arr in law)
     code = ("import heiscouple.static as s; "
-            "assert s._law_table.cache_info().currsize == 0")
+            "assert s._law_table.cache_info().currsize == 0; "
+            "assert s._normal_tail.cache_info().currsize == 0")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
+def test_normal_score_matches_ndtri():
+    # scipy's ndtri is the oracle for the tabulated normal tail, over every
+    # survival value the law table keeps
+    surv = np.concatenate([np.geomspace(stc._SURV_FLOOR, 0.5, 20001),
+                           np.linspace(1e-3, 0.5, 20001)])
+    assert np.abs(stc._normal_score(surv) + ndtri(surv)).max() < 1e-7
+
+
 def test_scipy_loads_only_where_it_is_used():
-    # the Euler engines, the exact reflection runner and `--list` need numpy
-    # alone; the assignment plan and the Hungarian estimator load scipy then
+    # the Euler engines, the exact reflection runner, `--list` and the density
+    # and translation plans need numpy alone; the assignment plan and the
+    # Hungarian estimator load scipy then
     code = """
 import contextlib, io, sys
 import numpy as np
 import heiscouple
 from heiscouple import cli, coupling, estimators, simulate, static
-subs = ("scipy.special", "scipy.optimize", "scipy.stats", "scipy.integrate")
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["--list"]) == 0
 a, ap = np.zeros(3), np.array([1.0, 0.0, 0.5])
@@ -165,7 +174,11 @@ for scheme in ("reduced", "full"):
     simulate.simulate_ensemble(coupling.reflection_policy(), a, ap, T=0.1, n_paths=8,
                                dt=0.01, scheme=scheme)
 simulate.simulate_reflection_exact(r0=1.0, T=0.1, n_paths=8)
-loaded = [m for m in subs if m in sys.modules]
+for n in (1, 2):
+    b, bp = np.zeros(2 * n + 1), np.r_[1.0, np.zeros(2 * n - 1), 0.5]
+    static.static_couple(b, bp, n_samples=4, plan="density")
+    static.baseline_translation_couple(b, bp, n_samples=4)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, f"loaded {loaded}"
 smp = static.static_couple(a, ap, n_samples=4, m_bridge=4, plan="assignment")
 assert smp.n_samples == 4
