@@ -29,6 +29,9 @@ tabulated once per n (`_law_table`): by Levy's area formula the law of
 Z / sigma given the endpoint b depends only on (n, |b|^2 / t), so one table
 of densities and normal-score maps covers every endpoint and horizon, with no
 bridge discretization bias (the interpolation error is ~1e-5 in Z / sigma).
+The normal score of each survival value is read from a tabulated normal tail
+(`_normal_score`, built once from `math.erfc`), not from scipy, so the density
+and translation plans run on numpy alone.
 That law is read at the canonical endpoints once per call (`_law_at`) and
 handed to the plan: the density plan's keep/reflect probability reads it, and
 the assignment plan's atoms are drawn from it too, one normal each.  No plan
@@ -276,6 +279,8 @@ def _normal_tail():
     """(-log Phi(-g), g) on the _TAIL_CELLS cells of [0, _TAIL_G_MAX], built on first use."""
     g = np.linspace(0.0, _TAIL_G_MAX, _TAIL_CELLS + 1)
     neg_log_tail = -np.log([0.5 * math.erfc(x / math.sqrt(2.0)) for x in g])
+    for arr in (neg_log_tail, g):
+        arr.flags.writeable = False
     return neg_log_tail, g
 
 
