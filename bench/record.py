@@ -138,13 +138,6 @@ def main(argv=None):
     base = out["sides"][out["base"]]
     out["wins"] = {name: wins(side, base)
                    for name, side in out["sides"].items() if name != out["base"]}
-    for name, by_work in out["wins"].items():
-        for work, by_metric in by_work.items():
-            for metric, w in by_metric.items():
-                if w["claimable"] or w["regressed"]:
-                    state = "claimable" if w["claimable"] else "REGRESSED"
-                    print(f"{name} {work} {metric}: {state} ({w['better']}/{w['pairs']} better)",
-                          flush=True)
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
 
