@@ -321,7 +321,7 @@ def hitting_density(u, r0):
 
 
 def hitting_cdf(t, r0):
-    """P(tau <= t) = 2 (1 - Phi(r0 / (2 sqrt(t)))); vectorised in t.
+    """P(tau <= t) = 2 Phi(-r0 / (2 sqrt(t))); vectorised in t.
 
     `r0` must be positive and finite and `t` hold no NaN; t <= 0 gives 0
     and t = +inf gives 1.
@@ -333,7 +333,8 @@ def hitting_cdf(t, r0):
     _check_not_nan("t", t)
     out = np.zeros_like(t, dtype=float)
     pos = t > 0
-    out[pos] = 2.0 * (1.0 - ndtr(r0 / (2.0 * np.sqrt(t[pos]))))
+    # the lower tail, not 1 - Phi: that cancels for small t and returned 0
+    out[pos] = 2.0 * ndtr(-r0 / (2.0 * np.sqrt(t[pos])))
     return out if out.ndim else float(out)
 
 

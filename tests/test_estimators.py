@@ -317,6 +317,18 @@ def test_hitting_cdf_shape():
             est.hitting_cdf(bad_t, 1.0)
 
 
+def test_hitting_cdf_keeps_its_tail():
+    # 2 (1 - Phi(x)) cancelled: at r0 = 2 it was 1.5e-5 off (relative) at
+    # t = 0.02 and exactly 0.0 at t = 0.01, where the law gives 1.52e-23
+    # erfc's argument is x * sqrt(1/2), rounded as ndtr rounds it: near
+    # x = 30 one ulp of the argument moves erfc by about 1e-13 (relative)
+    t = np.geomspace(1e-3, 1e3, 241)
+    for r0 in (1.0, 2.0):
+        exact = np.array([math.erfc(r0 / (2.0 * math.sqrt(u)) * math.sqrt(0.5)) for u in t])
+        np.testing.assert_allclose(est.hitting_cdf(t, r0), exact, rtol=1e-13, atol=0)
+    assert est.hitting_cdf(0.01, 2.0) == pytest.approx(1.52e-23, rel=1e-2)
+
+
 def _bessel_moment(p, n_samples, m_steps, seed):
     """E[Y^{p/2}] over the Bessel-bridge samples of Y = int X^2."""
     return est._moment(est.excursion_integrals(n_samples, m_steps, seed) ** (p / 2), p)
