@@ -1,7 +1,10 @@
 """Shared numeric tolerances and defaults, kept in one place on purpose.
 
 Tightening or loosening a gate should be a one-line diff that reviewers can
-see, not a hunt through call sites.
+see, not a hunt through call sites.  Every pass threshold an experiment check
+applies has one name here: ALGEBRA_TOL, MATRIX_TOL and KS_PVALUE_MIN, and the
+gate block after KS_PVALUE_MIN.  `experiments` writes each check's pass
+expression from these names, with no numeric literal but 0 and 1.
 """
 
 import math
@@ -26,6 +29,29 @@ DEFAULT_DT = 1e-3
 
 # KS gates in the experiments reject below this p-value
 KS_PVALUE_MIN = 1e-3
+
+# the other experiment gates.  A Monte Carlo check passes within SIGMA_GATE
+# standard errors.  The blow-up gate is one-sided, ratio + 3 sigma > 10,
+# because for reflection the true ratio at T=100 sits essentially on the
+# threshold itself
+SIGMA_GATE = 3.0
+# no co-adapted coupling keeps E d_H^2 bounded: from t = 1 to the horizon it
+# grows by an order of magnitude, and so does static-baseline's cost per unit
+# offset from offset 1 to its smallest offset
+BLOWUP_RATIO_MIN = 10.0
+SUCCESS_FRACTION_MIN = 0.8  # kendall-success, final fraction coupled
+# reflection: E|Z| grows like t^(1/2) and E|Z|^(1/4) stays flat (fitted
+# log-log slopes); the translation baseline's cost grows like offset^(1/2)
+EXPONENT_P1_BAND = (0.40, 0.60)
+EXPONENT_P025_BAND = (-0.07, 0.07)
+BASELINE_SLOPE_BAND = (0.4, 0.6)
+TAU_KS_MAX = 0.01  # reflection-hitting, KS statistic of the absorbed times
+COST_SPREAD_MAX = 3.0  # static-ratio, max/min cost per unit offset
+QUADRATURE_TOL = 1e-8  # mg-lemma, a_p against quadrature
+# excursion-moments' rejection oracle, in units of 1/m on its coarse grid:
+# the next-order O(1/m) discretization allowance left after Richardson
+# extrapolation of the ~1/sqrt(m) positivity bias
+EXCURSION_BIAS_ALLOWANCE = 2.0
 
 # Kendall-policy defaults (hysteresis thresholds, see coupling.kendall_policy)
 KENDALL_KAPPA = 1.0

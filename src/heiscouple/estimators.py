@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from heiscouple import group as grp
+from heiscouple.constants import SIGMA_GATE
 from heiscouple.simulate import _check, _check_count, _check_finite, philox_stream
 
 
@@ -338,6 +339,10 @@ def hitting_cdf(t, r0):
     return out if out.ndim else float(out)
 
 
+# E Y for Y = int_0^1 X_s^2 ds of a normalized excursion: E X_s^2 = 3 s (1 - s)
+EXCURSION_MEAN = 0.5
+
+
 def excursion_integrals(n_samples, m_steps, seed):
     """(n_samples,) samples of Y = int_0^1 X_s^2 ds for a normalized Brownian
     excursion X, as a 3-d Bessel bridge 0 -> 0 on [0,1] (the norm of three
@@ -423,7 +428,8 @@ def martingale_lower_bound_check(terminal, quad_var, beta, p):
     Returns:
         MartingaleBoundCheck; `premise_ok` reports whether the empirical
         P(<N>_h >= beta) reaches p (a failed premise is reported, not
-        raised), and `ok` whether the bound holds within 3 stderr.
+        raised), and `ok` whether the bound holds within `SIGMA_GATE`
+        standard errors.
     """
     nh = np.abs(np.asarray(terminal, dtype=float))
     qv = np.asarray(quad_var, dtype=float)
@@ -440,7 +446,7 @@ def martingale_lower_bound_check(terminal, quad_var, beta, p):
     est = float(nh.mean())
     se = jackknife_stderr(nh)
     bound = a_p_constant(p) * math.sqrt(beta) if beta > 0 else 0.0
-    ok = est >= bound - 3.0 * se
+    ok = est >= bound - SIGMA_GATE * se
     return MartingaleBoundCheck(
         ok=bool(ok),
         premise_ok=bool(premise_ok),

@@ -21,8 +21,10 @@ from heiscouple import estimators as est
 from heiscouple import group as grp
 from heiscouple import static as stc
 from heiscouple.constants import (
-    ALGEBRA_TOL, KENDALL_EPSILON, KENDALL_KAPPA, KENDALL_SUCCESS_DH,
-    KS_PVALUE_MIN, MATRIX_TOL, MAX_MAGNITUDE, STATIC_T_RANGE,
+    ALGEBRA_TOL, BASELINE_SLOPE_BAND, BLOWUP_RATIO_MIN, COST_SPREAD_MAX,
+    EXCURSION_BIAS_ALLOWANCE, EXPONENT_P025_BAND, EXPONENT_P1_BAND, KENDALL_EPSILON,
+    KENDALL_KAPPA, KENDALL_SUCCESS_DH, KS_PVALUE_MIN, MATRIX_TOL, MAX_MAGNITUDE,
+    QUADRATURE_TOL, SIGMA_GATE, STATIC_T_RANGE, SUCCESS_FRACTION_MIN, TAU_KS_MAX,
 )
 from heiscouple.simulate import (
     PathEnsemble,
@@ -147,11 +149,12 @@ def _run_scheme_consistency(p, threads):
         checks.append(_check(f"{name}/ks_r2_pvalue", ks_r.pvalue, ks_r.pvalue > KS_PVALUE_MIN))
         checks.append(_check(f"{name}/ks_z_pvalue", ks_z.pvalue, ks_z.pvalue > KS_PVALUE_MIN))
         for tag, ens in (("full", full), ("reduced", red)):
-            # E[R^2_T] - R0^2 = E[int 2 tr(I-K) ds], within 3 sigma
+            # E[R^2_T] - R0^2 = E[int 2 tr(I-K) ds], within SIGMA_GATE sigma
             gap = ens.r2[-1] - r0sq - ens.drift_int[-1]
             se = gap.std(ddof=1) / math.sqrt(ens.n_paths)
-            ok = abs(gap.mean()) <= 3 * se or np.allclose(gap, 0.0)
-            checks.append(_check(f"{name}/{tag}/r2_identity_gap", gap.mean(), ok, se))
+            checks.append(_check(f"{name}/{tag}/r2_identity_gap", gap.mean(),
+                                 abs(gap.mean()) <= SIGMA_GATE * se or np.allclose(gap, 0.0),
+                                 se))
             for stat, x in (("r2", ens.r2[-1]), ("z", ens.z[-1])):
                 rows.append((p["horizon"], f"{name}/{tag}/mean_{stat}", float(x.mean()),
                              float(x.std(ddof=1) / math.sqrt(ens.n_paths)), ens.n_paths))
@@ -171,18 +174,18 @@ def _run_blowup(strategy):
         moms = est.estimate_moment(ens, p=2, metric="d_h")
         lo = min(moms, key=lambda m: abs(m.time - 1.0))
         hi = min(moms, key=lambda m: abs(m.time - p["horizon"]))
-        # delta-method error on the ratio from the two MC stderrs; the gate
-        # is one-sided at 3 sigma because for reflection the true ratio at
-        # T=100 sits essentially on the threshold itself.  With a zero mean
-        # (a = a' under synchronous: the legs never part) there is no ratio:
-        # a failed, NaN check
+        # delta-method error on the ratio from the two MC stderrs (its
+        # one-sided gate is in constants).  With a zero mean (a = a' under
+        # synchronous: the legs never part) there is no ratio: a failed, NaN
+        # check
         if lo.estimate > 0 and hi.estimate > 0:
             ratio = hi.estimate / lo.estimate
             se = ratio * math.sqrt((hi.stderr / hi.estimate) ** 2
                                    + (lo.stderr / lo.estimate) ** 2)
         else:
             ratio = se = float("nan")
-        checks = [_check("dh2_ratio_T_over_1", ratio, ratio + 3 * se > 10.0, se)]
+        checks = [_check("dh2_ratio_T_over_1", ratio,
+                         ratio + SIGMA_GATE * se > BLOWUP_RATIO_MIN, se)]
         rows = [(m.time, "mean_dh2", m.estimate, m.stderr, m.n_paths) for m in moms]
         return checks, rows, ens
 
@@ -208,7 +211,7 @@ def _run_kendall_success(p, threads):
         se = math.sqrt(max(f * (1 - f), 1e-12) / p["n_paths"])
         rows.append((t, "success_fraction", f, se, p["n_paths"]))
     f, se = rows[-1][2:4]
-    checks = [_check("success_fraction_final", f, f > 0.8, se)]
+    checks = [_check("success_fraction_final", f, f > SUCCESS_FRACTION_MIN, se)]
     return checks, rows, _NO_ENSEMBLE
 
 
@@ -232,8 +235,10 @@ def _run_reflection_exponents(p, threads):
         fits[pw] = (moms, slope)
         rows += [(m.time, f"abs_z_p{pw}", m.estimate, m.stderr, m.n_paths) for m in moms]
         rows.append((float("nan"), f"exponent_p{pw}", slope, float("nan"), p["n_paths"]))
-    checks.append(_check("exponent_p1", fits[1.0][1], 0.40 <= fits[1.0][1] <= 0.60))
-    checks.append(_check("exponent_p025", fits[0.25][1], -0.07 <= fits[0.25][1] <= 0.07))
+    p1, p025 = fits[1.0][1], fits[0.25][1]
+    checks.append(_check("exponent_p1", p1, EXPONENT_P1_BAND[0] <= p1 <= EXPONENT_P1_BAND[1]))
+    checks.append(_check("exponent_p025", p025,
+                         EXPONENT_P025_BAND[0] <= p025 <= EXPONENT_P025_BAND[1]))
     moms = fits[0.5][0]
     prefer = (float(est.compare_log_vs_power([m.time for m in moms], [m.estimate for m in moms])
                     ["prefer_log"]) if math.isfinite(fits[0.5][1]) else float("nan"))
@@ -244,7 +249,7 @@ def _run_reflection_exponents(p, threads):
     # to count the deviation in: a failed, NaN check
     worst = (max(abs(m.estimate - p["r0"]) / m.stderr for m in r_moms)
              if all(m.stderr > 0 for m in r_moms) else float("nan"))
-    checks.append(_check("radial_martingale_max_sigma", worst, worst <= 3.0))
+    checks.append(_check("radial_martingale_max_sigma", worst, worst <= SIGMA_GATE))
     rows += [(m.time, "mean_r", m.estimate, m.stderr, m.n_paths) for m in r_moms]
     return checks, rows, ens
 
@@ -265,8 +270,9 @@ def _run_reflection_hitting(p, threads):
           if hit.any() else float("nan"))
     se = math.sqrt(ft * (1 - ft) / p["n_paths"])
     checks = [
-        _check("tau_ks_statistic", ks, ks < 0.01),
-        _check("absorbed_fraction_vs_cdf", float(hit.mean()), abs(hit.mean() - ft) <= 3 * se, se),
+        _check("tau_ks_statistic", ks, ks < TAU_KS_MAX),
+        _check("absorbed_fraction_vs_cdf", float(hit.mean()),
+               abs(hit.mean() - ft) <= SIGMA_GATE * se, se),
     ]
     rows = [
         (p["horizon"], "absorbed_fraction", float(hit.mean()), se, p["n_paths"]),
@@ -295,7 +301,7 @@ def _run_static_ratio(p, threads):
     # a zero cost (an offset so small the plan keeps every vertical) has no
     # ratio to compare: a failed, NaN check
     spread = max(ratios) / min(ratios) if min(ratios) > 0 else float("nan")
-    checks = [_check("cost_ratio_spread", spread, spread < 3.0)]
+    checks = [_check("cost_ratio_spread", spread, spread < COST_SPREAD_MAX)]
     return checks, rows, _NO_ENSEMBLE
 
 
@@ -308,8 +314,9 @@ def _run_static_baseline(p, threads):
     xp, cost = min(zip(p["offsets"], costs))  # the smallest offset and its cost
     blow = (cost / xp) / ref
     checks = [
-        _check("baseline_exponent", float(slope), 0.4 <= slope <= 0.6),
-        _check("ratio_blowup_smallest_over_unit", blow, blow > 10.0),
+        _check("baseline_exponent", float(slope),
+               BASELINE_SLOPE_BAND[0] <= slope <= BASELINE_SLOPE_BAND[1]),
+        _check("ratio_blowup_smallest_over_unit", blow, blow > BLOWUP_RATIO_MIN),
     ]
     rows.append((float("nan"), "baseline_exponent", float(slope), float("nan"), p["n_samples"]))
     return checks, rows, _NO_ENSEMBLE
@@ -328,7 +335,7 @@ def _run_mg_lemma(p, threads):
             -ndtri((1 + pp) / 2), ndtri((1 + pp) / 2),
         )
         worst = max(worst, abs(qq - ref))
-    checks.append(_check("a_p_quadrature_max_err", worst, worst < 1e-8))
+    checks.append(_check("a_p_quadrature_max_err", worst, worst < QUADRATURE_TOL))
     rng = philox_stream(p["seed"], 0)
     m = p["n_paths"]
     # Brownian motion at h=1: <N>_1 = 1 surely, premise holds for any p
@@ -353,16 +360,16 @@ def _run_excursion_moments(p, threads):
     y = est.excursion_integrals(p["n_samples"], p["m_steps"], p["seed"])
     mm = {pw: est._moment(y ** (pw / 2), pw) for pw in (0.5, 1.0, 2.0)}
     e2 = mm[2.0]
-    checks = [_check("excursion_E2", e2.estimate, abs(e2.estimate - 0.5) <= 3 * e2.stderr, e2.stderr)]
+    checks = [_check("excursion_E2", e2.estimate,
+                     abs(e2.estimate - est.EXCURSION_MEAN) <= SIGMA_GATE * e2.stderr, e2.stderr)]
     m_lo, m_hi = 256, 1024  # the cyclic-shift oracle's two grids
     rej_lo = est.excursion_moment_rejection(2.0, n_samples=p["n_samples"] // 2, m_steps=m_lo, seed=p["seed"])
     rej_hi = est.excursion_moment_rejection(2.0, n_samples=p["n_samples"] // 2, m_steps=m_hi, seed=p["seed"] + 1)
     extrap = 2 * rej_hi.estimate - rej_lo.estimate
     se = math.sqrt(4 * rej_hi.stderr**2 + rej_lo.stderr**2)
-    # gate includes the next-order O(1/m) discretization allowance left
-    # after Richardson extrapolation of the ~1/sqrt(m) positivity bias
     checks.append(_check("excursion_E2_rejection_extrapolated", extrap,
-                         abs(extrap - 0.5) <= 3 * se + 2.0 / m_lo, se))
+                         abs(extrap - est.EXCURSION_MEAN)
+                         <= SIGMA_GATE * se + EXCURSION_BIAS_ALLOWANCE / m_lo, se))
     rows = [(1.0, "E2_bessel", e2.estimate, e2.stderr, e2.n_paths),
             (1.0, "E2_rejection_extrapolated", extrap, se, rej_hi.n_paths)]
     rows += [(1.0, f"E_p{pw}", m.estimate, m.stderr, m.n_paths) for pw, m in mm.items()]
