@@ -389,26 +389,26 @@ _COMMON = {
     # experiments key Philox streams (uint64) with seed up to seed + 1
     "seed": (int, 0, (0, 2**64 - 2, "in [0, 2**64 - 2]")),
 }
+# one sample has no standard error, so the ensemble and static sample counts
+# start at 2
 _ENSEMBLE = {
     "a": (_floats, (0.0, 0.0, 0.0), (None, 0, "")),
     "aprime": (_floats, (1.0, 0.0, 0.0), (None, 0, "")),
     "horizon": (float, 1.0, 0.0),
     "dt": (float, 1e-3, 0.0),
-    "n_paths": (int, 10000, 1),
+    "n_paths": (int, 10000, 2),
 }
 # the hysteresis thresholds, read only by the kendall policy
 _KENDALL = {"kappa": (float, KENDALL_KAPPA, 0.0), "epsilon": (float, KENDALL_EPSILON, 0.0)}
 _BLOWUP = {**_ENSEMBLE, "horizon": (float, 100.0, 0.0), "dt": (float, 0.01, 0.0),
            "scheme": (str, "reduced", ("reduced", "full"))}
-# one sample has no standard error
 _STATIC = {"t": (float, 1.0, STATIC_T_RANGE[0]), "n_samples": (int, 10000, 2),
            "m_steps": (int, 1024, 1)}
 
 EXPERIMENTS = {
     "algebra-suite": ({"n_cases": (int, 10000, 1)}, _run_algebra_suite),
     "matrix-lemmas": ({"n_cases": (int, 10000, 2)}, _run_matrix_lemmas),
-    "scheme-consistency": ({**_ENSEMBLE, "n_paths": (int, 10000, 2), **_KENDALL},
-                           _run_scheme_consistency),
+    "scheme-consistency": ({**_ENSEMBLE, **_KENDALL}, _run_scheme_consistency),
     **{f"blowup-{kind}": (_BLOWUP, _run_blowup(kind))
        for kind in ("synchronous", "reflection", "perverse")},
     "kendall-success": (
@@ -419,7 +419,7 @@ EXPERIMENTS = {
         _run_kendall_success,
     ),
     "reflection-exponents": (
-        {"r0": (float, 1.0, 0.0), "n_paths": (int, 100000, 1),
+        {"r0": (float, 1.0, 0.0), "n_paths": (int, 100000, 2),
          "checkpoints": (_floats, tuple(np.geomspace(100.0, 10000.0, 9)),
                          (0.0, 3, "times for the power-law fit"))},
         _run_reflection_exponents,
@@ -441,9 +441,9 @@ EXPERIMENTS = {
     ),
     # martingale_lower_bound_check needs 2 samples
     "mg-lemma": ({"n_paths": (int, 100000, 2)}, _run_mg_lemma),
-    # the oracle runs at n_samples // 2
+    # the oracle runs at n_samples // 2, so 2 samples at the floor
     "excursion-moments": (
-        {"n_samples": (int, 4096, 2), "m_steps": (int, 2048, 2)}, _run_excursion_moments
+        {"n_samples": (int, 4096, 4), "m_steps": (int, 2048, 2)}, _run_excursion_moments
     ),
 }
 

@@ -507,17 +507,20 @@ def test_degenerate_ratio_fails_its_check(tmp_path, capsys, section, lines, quan
     assert row["value"] is None and row["pass"] is False
 
 
-@pytest.mark.parametrize("key", ["n_samples", "m_steps"])
-def test_excursion_moments_needs_two_samples_and_two_steps(tmp_path, capsys, key):
+@pytest.mark.parametrize("key,least", [("n_samples", 4), ("m_steps", 2)], ids=["n_samples", "m_steps"])
+def test_excursion_moments_needs_four_samples_and_two_steps(tmp_path, capsys, key, least):
+    # the oracle runs at n_samples // 2: at n_samples = 3 it drew one sample
+    # and its check read 1.004 with a NaN stderr, which failed it
     cfg = tmp_path / "bad.ini"
-    cfg.write_text(f"[excursion-moments]\n{key} = 1\n")
+    cfg.write_text(f"[excursion-moments]\n{key} = {least - 1}\n")
     code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "art")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == f"config error: section [excursion-moments], key '{key}': must be at least 2\n"
+    assert err == (f"config error: section [excursion-moments], key '{key}': "
+                   f"must be at least {least}\n")
     assert not (tmp_path / "art").exists()
-    with pytest.raises(exp.ConfigError, match=f"'{key}': must be at least 2$"):
-        exp.run_experiment("excursion-moments", {key: 1}, out=tmp_path / "api")
+    with pytest.raises(exp.ConfigError, match=f"'{key}': must be at least {least}$"):
+        exp.run_experiment("excursion-moments", {key: least - 1}, out=tmp_path / "api")
 
 
 @pytest.mark.parametrize("section,line,key,why", [
@@ -532,11 +535,16 @@ def test_excursion_moments_needs_two_samples_and_two_steps(tmp_path, capsys, key
     pytest.param("static-baseline", "offsets = 0.1, 0.1", "offsets",
                  "needs at least 2 distinct offsets for the slope fit", id="offsets"),
     pytest.param("mg-lemma", "n_paths = 1", "n_paths", "must be at least 2", id="mg-lemma"),
+    *[pytest.param(f"blowup-{kind}", "n_paths = 1", "n_paths", "must be at least 2",
+                   id=f"blowup-{kind}") for kind in ("synchronous", "reflection", "perverse")],
+    pytest.param("reflection-exponents", "n_paths = 1", "n_paths", "must be at least 2",
+                 id="reflection-exponents"),
 ])
 def test_cli_one_sample_or_offset_exits_two(tmp_path, capsys, section, line, key, why):
     # each gave a RuntimeWarning (divide by zero, mean of an empty slice,
     # degrees of freedom <= 0), a slope fitted through one point, or a NaN
-    # stderr that failed the martingale checks
+    # stderr that failed its check whatever its value (blowup-reflection
+    # read 9.83 +- NaN at n_paths = 1)
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[{section}]\n{line}\n")
     code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "art")])
@@ -594,6 +602,19 @@ def test_artifact_digests(tmp_path, name):
     assert got == _ARTIFACT_GOLDEN[name]
 
 
+@pytest.mark.parametrize("name,gate", [("kendall-success", "SUCCESS_FRACTION_MIN"),
+                                       ("blowup-perverse", "BLOWUP_RATIO_MIN")])
+def test_named_gates_are_read_at_call_time(tmp_path, monkeypatch, name, gate):
+    # a runner reads its gate from the module at call time, so patching the
+    # name flips a failing check; the value it reports stays the same
+    params = {**_ARTIFACT_CASES[name], "seed": 7}
+    (before,) = exp.run_experiment(name, params, out=tmp_path / "before")[1]
+    assert not before.ok and before.value > 0
+    monkeypatch.setattr(exp, gate, before.value / 2)
+    (after,) = exp.run_experiment(name, params, out=tmp_path / "after")[1]
+    assert after.ok and after.value == before.value
+
+
 @pytest.mark.parametrize("name,key", [
     ("kendall-success", "checkpoints"), ("reflection-exponents", "checkpoints"),
     ("static-ratio", "offsets"), ("static-baseline", "offsets"),
@@ -645,6 +666,24 @@ _SMALL = {
     "mg-lemma": {"n_paths": 64},
     "excursion-moments": {"n_samples": 4, "m_steps": 16},
 }
+
+
+@pytest.mark.parametrize("name,key", [
+    *[(f"blowup-{kind}", "n_paths") for kind in ("synchronous", "reflection", "perverse")],
+    ("reflection-exponents", "n_paths"), ("excursion-moments", "n_samples"),
+])
+def test_checks_at_the_sample_floor_have_standard_errors(tmp_path, name, key):
+    least = exp._schema(name)[key][2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, checks = exp.run_experiment(name, {**_SMALL[name], key: least}, out=tmp_path)
+    if name == "reflection-exponents":  # its one Monte Carlo check counts stderrs
+        (radial,) = [c for c in checks if c.quantity == "radial_martingale_max_sigma"]
+        assert math.isfinite(radial.value)
+    else:
+        assert all(math.isfinite(c.stderr) for c in checks), checks
+
+
 # what the rules that join keys say when they refuse a value the table keeps
 _JOINED = ("must divide 'horizon'", "must be less than 'kappa'",
            "must be a group point", "must be as long as 'a'")
@@ -725,6 +764,9 @@ def _ini(v):
 @example(case=("scheme-consistency", "dt", 1e-300, True))
 @example(case=("scheme-consistency", "n_paths", 1, False))
 @example(case=("matrix-lemmas", "n_cases", 1, False))
+@example(case=("blowup-reflection", "n_paths", 1, False))
+@example(case=("reflection-exponents", "n_paths", 1, False))
+@example(case=("excursion-moments", "n_samples", 3, False))
 @example(case=("static-ratio", "n_samples", 1, False))
 @example(case=("static-baseline", "n_samples", 1, False))
 @example(case=("static-baseline", "offsets", (0.01,), False))
