@@ -27,7 +27,10 @@ base, by the direction BENCHMARK.json gives.  Beside each count it states the
 claim rule: "claimable" when the side did better on at least 9 of 10 pairs
 and its median beats the base median by more than the base IQR, and
 "regressed" when its median is worse than the base median by more than the
-metric's ``bound`` in BENCHMARK.json, as a fraction of the base median.
+metric's ``bound`` in BENCHMARK.json, as a fraction of the base median, and
+"unresolved" when the base's own IQR is wider than that bound, as a fraction
+of the base median: its runs spread too far to tell a move of the bound's
+size from noise.
 """
 
 import argparse
@@ -88,6 +91,7 @@ def wins(side, base):
                 "better": won, "pairs": len(by_seed),
                 "claimable": 10 * won >= 9 * len(by_seed) and gain > theirs["iqr"],
                 "regressed": -gain > BOUNDS[metric] * abs(theirs["median"]),
+                "unresolved": theirs["iqr"] > BOUNDS[metric] * abs(theirs["median"]),
             }
     return out
 

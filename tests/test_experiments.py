@@ -158,25 +158,17 @@ def test_scheme_consistency_checks_can_fail(tmp_path, monkeypatch):
                       if q.endswith(("ks_r2_pvalue", "reduced/r2_identity_gap"))}
 
 
-def _pass_expressions():
-    """{runner name: [pass argument of each _check call in it]} of experiments.py."""
-    tree = ast.parse(pathlib.Path(exp.__file__).read_text())
-    found = {}
-    for fn in tree.body:
-        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_run_"):
-            found[fn.name] = [
-                call.args[2] if len(call.args) > 2 else
-                next(k.value for k in call.keywords if k.arg == "ok")
-                for call in ast.walk(fn)
-                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_check"]
-    return found
-
-
 def test_every_pass_expression_names_its_gate():
     # a gate is a name from constants, so a pass expression holds no numeric
     # literal but 0 and 1 (band indices, allclose(gap, 0.0), "all agree")
     # and is not a bare name that hides where its comparison was made
-    found = _pass_expressions()
+    tree = ast.parse(pathlib.Path(exp.__file__).read_text())
+    found = {fn.name: [call.args[2] if len(call.args) > 2 else
+                       next(k.value for k in call.keywords if k.arg == "ok")
+                       for call in ast.walk(fn) if isinstance(call, ast.Call)
+                       and getattr(call.func, "id", None) == "_check"]
+             for fn in tree.body
+             if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_run_")}
     assert len(found) == len(exp.EXPERIMENTS) - 2  # the blow-ups share one runner
     for runner, exprs in found.items():
         assert exprs, runner
