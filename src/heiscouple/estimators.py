@@ -334,7 +334,8 @@ def hitting_cdf(t, r0):
     _check_not_nan("t", t)
     out = np.zeros_like(t, dtype=float)
     pos = t > 0
-    # the lower tail, not 1 - Phi: that cancels for small t and returned 0
+    # the lower tail: 1 - Phi(x) cancels for small t, down to 0.0 at t = 0.01
+    # when r0 = 2, where the law gives 1.5e-23
     out[pos] = 2.0 * ndtr(-r0 / (2.0 * np.sqrt(t[pos])))
     return out if out.ndim else float(out)
 

@@ -499,10 +499,11 @@ def test_degenerate_ratio_fails_its_check(tmp_path, capsys, section, lines, quan
     assert row["value"] is None and row["pass"] is False
 
 
-@pytest.mark.parametrize("key,least", [("n_samples", 4), ("m_steps", 2)], ids=["n_samples", "m_steps"])
+@pytest.mark.parametrize("key,least", [("n_samples", 4), ("m_steps", 2)],
+                         ids=["n_samples", "m_steps"])
 def test_excursion_moments_needs_four_samples_and_two_steps(tmp_path, capsys, key, least):
-    # the oracle runs at n_samples // 2: at n_samples = 3 it drew one sample
-    # and its check read 1.004 with a NaN stderr, which failed it
+    # the oracle runs at n_samples // 2: at n_samples = 3 it drew one sample,
+    # and its check failed on a NaN stderr whatever its value
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[excursion-moments]\n{key} = {least - 1}\n")
     code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "art")])
@@ -535,8 +536,8 @@ def test_excursion_moments_needs_four_samples_and_two_steps(tmp_path, capsys, ke
 def test_cli_one_sample_or_offset_exits_two(tmp_path, capsys, section, line, key, why):
     # each gave a RuntimeWarning (divide by zero, mean of an empty slice,
     # degrees of freedom <= 0), a slope fitted through one point, or a NaN
-    # stderr that failed its check whatever its value (blowup-reflection
-    # read 9.83 +- NaN at n_paths = 1)
+    # stderr that failed its check whatever its value (the blow-ups and
+    # reflection-exponents at n_paths = 1)
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[{section}]\n{line}\n")
     code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "art")])
