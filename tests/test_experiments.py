@@ -571,7 +571,7 @@ _EMPTY_ENSEMBLE = "e81eb7066f3d56a4"  # the header line alone
 _ARTIFACT_GOLDEN = {
     "algebra-suite": (_EMPTY_ENSEMBLE, "3db50bce0d3f15c8", "48b61e6fc7d7bc5b"),
     "matrix-lemmas": (_EMPTY_ENSEMBLE, "d84b1fbcf1421234", "31e71db452590051"),
-    "scheme-consistency": ("ecdc8bd5f382e92c", "f9450dc896d9db90", "15f72f2df343e4c3"),
+    "scheme-consistency": ("ecdc8bd5f382e92c", "56462fcf25e53568", "3af70e037f3b3926"),
     "blowup-synchronous": ("1938ab468890f0ef", "dc0368ebdc29a814", "847c574e08b65a0a"),
     "blowup-reflection": ("7737526ba308741f", "72661c19bd1872fd", "35afcd5dd7be3980"),
     "blowup-perverse": ("8d9def53a90c6459", "565b48be78a0a76e", "baaff204b3bc641a"),
@@ -580,7 +580,7 @@ _ARTIFACT_GOLDEN = {
     "reflection-hitting": ("987eed546a1b2783", "034aa5bfa8a39942", "7df37e9168612d94"),
     "static-ratio": (_EMPTY_ENSEMBLE, "b513e0adcdc444f6", "c6f74f54b4a251b7"),
     "static-baseline": (_EMPTY_ENSEMBLE, "cecef4a1ecaa2dec", "525a420adfa29989"),
-    "mg-lemma": (_EMPTY_ENSEMBLE, "b7dca7bd090dc6a8", "2a8414a5fcec821e"),
+    "mg-lemma": (_EMPTY_ENSEMBLE, "33927965c7b53b87", "879a1ead2a164757"),
     "excursion-moments": (_EMPTY_ENSEMBLE, "e4e58fadc5ac22b7", "f8355d81f3439011"),
 }
 
