@@ -241,13 +241,12 @@ def ks_two_sample(x, y):
     """(d, p): the two-sided two-sample Kolmogorov-Smirnov statistic and p-value.
 
     d repeats the arithmetic of scipy 1.17's `ks_2samp`, so it is the same
-    float.  p = min(1, 2 smirnov(round(en), d)) with en = n1 n2 / (n1 + n2):
-    the exact law of the one-sample statistic at round(en), which is what
-    `ks_2samp(method="asymp")` returns; for en > 140 and en d^2 >= 2.2 its
-    `kolmogn` evaluates exactly this expression.  Elsewhere the two differ
-    slightly (within 1e-6 relative for p <= 0.02).  Not the limit law
-    kolmogorov(sqrt(en) d): at small en that reads several times too large
-    in the tail.  A round(en) of 0 (one sample each) gives a NaN p.
+    float.  p = min(1, 2 smirnov(n, d)), n = round(n1 n2 / (n1 + n2)).
+    `ks_2samp(method="asymp")` returns the exact one-sample law at n, and for
+    n > 140 and n d^2 >= 2.2 evaluates it as exactly this expression;
+    elsewhere the two agree within 1e-6 relative for p <= 0.02.  Not the
+    limit law kolmogorov(sqrt(n) d): at small n its tail reads several times
+    too large.  n = 0 (one value each) gives a NaN p.
     """
     from scipy.special import smirnov
 

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import linear_sum_assignment
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
+from scipy.stats import ks_2samp, kstest
 
 from heiscouple import estimators as est
 from heiscouple import group as grp
+from heiscouple.constants import KS_PVALUE_MIN
 from heiscouple.simulate import PathEnsemble
 
 
@@ -143,6 +145,71 @@ def test_compare_log_vs_power_rejects_bad_input(times, values, arg):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^{arg} must be"):
             est.compare_log_vs_power(times, values)
+
+
+def _same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _ks_cases(rng):
+    """(x, y) pairs: unequal normal samples, tied integers, all-equal, sizes 1 and 2."""
+    for _ in range(300):
+        n1, n2 = rng.integers(1, 300, 2)
+        yield rng.standard_normal(n1), rng.normal(rng.uniform(-0.5, 0.5), 1.2, n2)
+        yield rng.integers(0, 5, n1).astype(float), rng.integers(0, 6, n2).astype(float)
+    for n1, n2 in itertools.product((1, 2, 7), repeat=2):
+        yield np.full(n1, 3.0), np.full(n2, 3.0)
+        yield rng.standard_normal(n1), rng.standard_normal(n2)
+        yield np.arange(n1, dtype=float), np.arange(n2, dtype=float) + 0.5
+
+
+def test_ks_statistics_match_scipy():
+    # scipy.stats is the named oracle: the same float, the sign of a zero too
+    rng = np.random.default_rng(11)
+    for x, y in _ks_cases(rng):
+        with warnings.catch_warnings():  # scipy divides by round(en) = 0 at sizes 1 and 1
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = ks_2samp(x, y, method="asymp").statistic
+        assert _same_float(est.ks_two_sample(x, y)[0], want), (x, y)
+        assert _same_float(est.ks_statistic(x, ndtr), kstest(x, ndtr).statistic), x
+
+
+def test_ks_two_sample_pvalue_matches_scipy():
+    # scipy's asymp p-value is kstwo.sf(d, n), n = round(en); its kolmogn
+    # evaluates 2 smirnov(n, d) once n > 140 and n d^2 >= 2.2 (p <~ 0.026)
+    rng = np.random.default_rng(12)
+    exact = 0
+    for _ in range(1500):
+        n1, n2 = rng.integers(2, 600, 2)
+        x, y = rng.standard_normal(n1), rng.normal(rng.uniform(0.0, 0.4), 1.0, n2)
+        d, p = est.ks_two_sample(x, y)
+        want = ks_2samp(x, y, method="asymp").pvalue
+        assert (p > KS_PVALUE_MIN) == (want > KS_PVALUE_MIN), (n1, n2, d)
+        if want <= 0.02:
+            assert abs(p - want) <= 1e-6 * want, (n1, n2, d)
+            if round(n1 * n2 / (n1 + n2)) > 140:
+                exact += 1
+                assert _same_float(p, want), (n1, n2, d)
+    assert exact >= 100
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert math.isnan(ks_2samp([1.0], [2.0], method="asymp").pvalue)
+    d, p = est.ks_two_sample([1.0], [2.0])  # round(0.5) = 0
+    assert d == 1.0 and math.isnan(p)
+
+
+@pytest.mark.parametrize("x", [
+    pytest.param([], id="empty"),
+    pytest.param([1.0, np.nan], id="nan"),
+    pytest.param([[1.0, 2.0]], id="2-d"),
+])
+def test_ks_helpers_reject_bad_samples(x):
+    with pytest.raises(ValueError, match=r"^x must"):
+        est.ks_statistic(x, ndtr)
+    with pytest.raises(ValueError, match=r"^x must"):
+        est.ks_two_sample(x, [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"^y must"):
+        est.ks_two_sample([1.0, 2.0], x)
 
 
 def _brute_force_wp(x, y, p):

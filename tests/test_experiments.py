@@ -6,7 +6,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -14,6 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import ndtri
 
 from heiscouple import cli
 from heiscouple import estimators as est
@@ -156,6 +161,26 @@ def test_scheme_consistency_checks_can_fail(tmp_path, monkeypatch):
     failed = {c.quantity for c in checks if not c.ok}
     assert failed == {q for q in _SCHEME_CHECKS
                       if q.endswith(("ks_r2_pvalue", "reduced/r2_identity_gap"))}
+
+
+def test_mg_lemma_quadrature_oracle_is_live(tmp_path, monkeypatch):
+    # the Gauss-Legendre oracle agrees with scipy's adaptive quad to rounding
+    # at the 9 p's mg-lemma checks, and an a_p off by 1e-7 fails the check
+    ps = np.arange(0.1, 0.95, 0.1)
+    for p, got in zip(ps, exp._a_p_quadrature(ps)):
+        q = ndtri((1 + p) / 2)
+        ref, _ = quad(lambda x: abs(x) * math.exp(-x * x / 2) / math.sqrt(2 * math.pi), -q, q)
+        assert abs(got - ref) <= 1e-15, p
+
+    def a_p_err():
+        _, checks = exp.run_experiment("mg-lemma", {"n_paths": 64}, out=tmp_path)
+        return next(c for c in checks if c.quantity == "a_p_quadrature_max_err")
+
+    assert a_p_err().ok
+    closed = est.a_p_constant
+    monkeypatch.setattr(est, "a_p_constant", lambda p: closed(p) + 1e-7)
+    check = a_p_err()
+    assert not check.ok and check.value == pytest.approx(1e-7, rel=1e-6)
 
 
 def test_every_pass_expression_names_its_gate():
@@ -675,6 +700,24 @@ def test_checks_at_the_sample_floor_have_standard_errors(tmp_path, name, key):
         assert math.isfinite(radial.value)
     else:
         assert all(math.isfinite(c.stderr) for c in checks), checks
+
+
+def test_experiments_load_no_scipy_but_special(tmp_path):
+    # in a fresh process the 13 experiments, at small sizes and their default
+    # plans, load scipy.special and scipy's own top-level internals only:
+    # scipy.stats or scipy.integrate would pull in optimize, sparse, linalg
+    # and more, and cost every suite run about 0.6 s of start-up
+    code = f"""
+import sys
+from heiscouple import experiments as exp
+for name, params in {_SMALL!r}.items():
+    exp.run_experiment(name, params, out={str(tmp_path)!r})
+top = {{m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}}
+extra = sorted(t for t in top if t not in ("special", "version") and not t.startswith("_"))
+assert not extra, f"loaded scipy subpackages {{extra}}"
+"""
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
 # what the rules that join keys say when they refuse a value the table keeps
