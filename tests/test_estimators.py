@@ -152,7 +152,7 @@ def _same_float(a, b):
 
 
 def _ks_cases(rng):
-    """(x, y) pairs: unequal normal samples, tied integers, all-equal, sizes 1 and 2."""
+    """(x, y) pairs: unequal normal samples, tied integers, all-equal, sizes 1, 2 and 7."""
     for _ in range(300):
         n1, n2 = rng.integers(1, 300, 2)
         yield rng.standard_normal(n1), rng.normal(rng.uniform(-0.5, 0.5), 1.2, n2)
