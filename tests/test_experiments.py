@@ -596,7 +596,7 @@ _EMPTY_ENSEMBLE = "e81eb7066f3d56a4"  # the header line alone
 _ARTIFACT_GOLDEN = {
     "algebra-suite": (_EMPTY_ENSEMBLE, "3db50bce0d3f15c8", "48b61e6fc7d7bc5b"),
     "matrix-lemmas": (_EMPTY_ENSEMBLE, "d84b1fbcf1421234", "31e71db452590051"),
-    "scheme-consistency": ("ecdc8bd5f382e92c", "56462fcf25e53568", "3af70e037f3b3926"),
+    "scheme-consistency": ("ecdc8bd5f382e92c", "2a0ad1702c318872", "bd8dcf756b143f0b"),
     "blowup-synchronous": ("1938ab468890f0ef", "dc0368ebdc29a814", "847c574e08b65a0a"),
     "blowup-reflection": ("7737526ba308741f", "72661c19bd1872fd", "35afcd5dd7be3980"),
     "blowup-perverse": ("8d9def53a90c6459", "565b48be78a0a76e", "baaff204b3bc641a"),
