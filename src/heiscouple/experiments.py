@@ -21,7 +21,7 @@ from heiscouple import estimators as est
 from heiscouple import group as grp
 from heiscouple import static as stc
 from heiscouple.constants import (
-    ALGEBRA_TOL, BASELINE_SLOPE_BAND, BLOWUP_RATIO_MIN, COST_SPREAD_MAX,
+    ALGEBRA_TOL, BASELINE_SLOPE_BAND, BLOWUP_RATIO_MIN, COST_SPREAD_MAX, DEFAULT_DT,
     EXCURSION_BIAS_ALLOWANCE, EXPONENT_P025_BAND, EXPONENT_P1_BAND, KENDALL_EPSILON,
     KENDALL_KAPPA, KENDALL_SUCCESS_DH, KS_PVALUE_MIN, MATRIX_TOL, MAX_MAGNITUDE,
     QUADRATURE_TOL, SIGMA_GATE, STATIC_T_RANGE, SUCCESS_FRACTION_MIN, TAU_KS_MAX,
@@ -398,7 +398,7 @@ _ENSEMBLE = {
     "a": (_floats, (0.0, 0.0, 0.0), (None, 0, "")),
     "aprime": (_floats, (1.0, 0.0, 0.0), (None, 0, "")),
     "horizon": (float, 1.0, 0.0),
-    "dt": (float, 1e-3, 0.0),
+    "dt": (float, DEFAULT_DT, 0.0),
     "n_paths": (int, 10000, 2),
 }
 # the hysteresis thresholds, read only by the kendall policy

@@ -963,7 +963,7 @@ def simulate_reflection_exact(
                     c = drawn.size
                     rng.uniform(u, drawn)
                     draws += c
-                    crossed = u[:c] < np.exp(-x[drawn] / (2.0 * dtj))
+                    crossed = _bridge_hit(r[drawn], rn[drawn], dtj, u[:c])
                     hit = np.concatenate([hit, drawn[crossed]])
                 rn[hit] = 0.0
                 alive[hit] = False

@@ -38,11 +38,13 @@ the assignment plan's atoms are drawn from it too, one normal each.  No plan
 runs a Brownian bridge, so the `m_steps` argument is validated and otherwise
 unused.
 
-`sample_levy_area_given_endpoint`, the discrete-bridge area sampler, is kept
-as the independent oracle the tabulated law is tested against.  It streams
-through sample chunks sized for a core's L2 cache, so its working memory is
-O(chunk) beyond the O(n_samples) result arrays.  Draws are sample-major, so
-the chunk size never changes a sample's bits.
+`sample_levy_area_given_endpoint`, the discrete-bridge area sampler, and
+`conditional_vertical_density`, one FFT inversion per endpoint, are kept as
+the independent references the tabulated law is tested against; no coupling
+calls them.  The sampler streams through sample chunks of about
+_BRIDGE_CELLS bridge steps, so its working memory is O(chunk) beyond the
+O(n_samples) result arrays.  Draws are sample-major, so the chunk size never
+changes a sample's bits.
 """
 
 import functools
@@ -66,6 +68,8 @@ from heiscouple.simulate import _check, _check_count, _check_starts, philox_stre
 # spacing 2*pi/(_M_GRID*_DV) ~ sigma/50 and reach pi/_DV ~ 20 sigma.
 _M_GRID = 2048
 _DV = 0.15625
+# The half-line z-grid (in units of sigma) of the densities `_cf_rows` returns.
+_Z_HALF = np.arange(_M_GRID // 2 + 1) * (2.0 * math.pi / (_M_GRID * _DV))
 
 # Bridge steps per chunk of the area sampler (see the module docstring).
 _BRIDGE_CELLS = 2**14
@@ -126,8 +130,8 @@ def sample_levy_area_given_endpoint(b, t=1.0, m_steps=1024, seed=0):
     Builds the bridge from scaled increments and accumulates the left-endpoint
     area sum (1/2) sum omega(B_{j-1}, dB_j), which is the vertical coordinate
     of the group path at time t given its horizontal endpoint b.  Bridges are
-    built in place, a chunk of about _BRIDGE_CELLS steps (at least one bridge)
-    at a time, so working memory is O(chunk), not O(len(b) * m_steps).
+    built a chunk of about _BRIDGE_CELLS steps (at least one bridge) at a
+    time, so working memory is O(chunk), not O(len(b) * m_steps).
     Normals are drawn sample by sample, so an endpoint's area depends neither
     on the chunking nor on the endpoints after it.
 
@@ -152,27 +156,14 @@ def sample_levy_area_given_endpoint(b, t=1.0, m_steps=1024, seed=0):
     out = np.empty(m)
     chunk = max(1, min(m, _BRIDGE_CELLS // m_steps))
     sqdt = math.sqrt(t / m_steps)
-    frac = np.arange(1, m_steps + 1) / m_steps
-    # Normals arrive in draw order (sample, step, coordinate).  The path (led
-    # by B_0 = 0) and its increments are stored step-contiguous per
-    # coordinate, so the cumulative sums, the bridge correction and the
-    # symplectic products run along contiguous memory.  Each area is the sum
-    # of one contiguous row of m_steps products, whatever the chunk.
-    normals = np.empty((chunk, m_steps, d))
-    path = np.zeros((chunk, d, m_steps + 1))
-    db = np.empty((chunk, d, m_steps))
+    frac = (np.arange(1, m_steps + 1) / m_steps)[:, None]
     for lo in range(0, m, chunk):
         k = min(chunk, m - lo)
-        nk, pk, dbk = normals[:k], path[:k], db[:k]
-        w = pk[:, :, 1:]
-        rng.standard_normal(out=nk)
-        np.multiply(nk.transpose(0, 2, 1), sqdt, out=dbk)
-        np.cumsum(dbk, axis=2, out=w)
+        w = np.cumsum(rng.standard_normal((k, m_steps, d)) * sqdt, axis=1)
         # bridge: B_j = W_j - (j/m)(W_m - b)
-        w -= frac * (w[:, :, -1:] - flat[lo:lo + k, :, None])
-        np.subtract(w, pk[:, :, :-1], out=dbk)
-        area = grp.symplectic(pk[:, :, :-1].transpose(0, 2, 1), dbk.transpose(0, 2, 1))
-        out[lo:lo + k] = 0.5 * area.sum(axis=1)
+        w -= frac * (w[:, -1:] - flat[lo:lo + k, None])
+        prev = np.concatenate([np.zeros((k, 1, d)), w[:, :-1]], axis=1)
+        out[lo:lo + k] = 0.5 * grp.symplectic(prev, w - prev).sum(axis=1)
     return out.reshape(lead)
 
 
@@ -218,34 +209,14 @@ def _cf_rows(s, n):
     return phi, half
 
 
-def _density_rows(q, t, n):
-    """Standardized conditional vertical densities by FFT inversion.
-
-    Args:
-        q: (k,) squared endpoint norms.
-        t: horizon.
-        n: horizontal pairs.
-
-    Returns:
-        (z_grid, rows, sigma): z_grid (2*_M_GRID//2+1,) symmetric standardized
-        grid, rows (k, len(z_grid)) densities of Z/sigma, sigma (k,).
-    """
-    q = np.asarray(q, dtype=float)
-    sigma = np.sqrt((t / 12.0) * (n * t + q))
-    _, half = _cf_rows(q / (n * t + q), n)
-    rows = np.concatenate([half[:, -1:0:-1], half], axis=1)
-    dz = 2.0 * math.pi / (_M_GRID * _DV)
-    m_half = _M_GRID // 2
-    z_grid = np.arange(-m_half, m_half + 1) * dz
-    return z_grid, rows, sigma
-
-
 def conditional_vertical_density(z, b, t=1.0):
     """Density of the vertical coordinate given horizontal endpoint b.
 
     Fourier inversion of the conditional characteristic function
-    (x/sinh x)^n exp[(|b|^2/2t)(1 - x coth x)], x = ut/2, evaluated on a
-    standardized grid and interpolated at z.  Even and unimodal in z.
+    (x/sinh x)^n exp[(|b|^2/2t)(1 - x coth x)], x = ut/2: the half-line row
+    of `_cf_rows` on `_Z_HALF`, read at |z|/sigma and 0 past its 20 sigma.
+    Even and unimodal in z.  An independent reference for the tabulated law;
+    no coupling calls it.
 
     Args:
         z: evaluation points, any shape.
@@ -262,8 +233,10 @@ def conditional_vertical_density(z, b, t=1.0):
     _check(np.all(np.isfinite(b)), "b", b, "finite")
     _check_horizon(t)
     z = np.asarray(z, dtype=float)
-    grid, rows, sigma = _density_rows(np.array([b @ b]), t, b.size // 2)
-    out = np.interp(z / sigma[0], grid, rows[0], left=0.0, right=0.0) / sigma[0]
+    n, q = b.size // 2, b @ b
+    sigma = math.sqrt((t / 12.0) * (n * t + q))
+    _, half = _cf_rows(np.array([q / (n * t + q)]), n)
+    out = np.interp(np.abs(z) / sigma, _Z_HALF, half[0], right=0.0) / sigma
     return out if out.ndim else float(out)
 
 
@@ -302,7 +275,7 @@ def _law_table(n):
     sigma^2 = (t/12)(n t + |b|^2) has a law that depends only on (n, r) with
     r = |b|^2/t (Levy's area formula; see `_cf_rows`).  Nodes run uniformly
     in s = r/(n + r) over [0, 1]; s = 1 is the N(0, 1) limit.  Each stores
-    the even density on the half-line of `_density_rows`' z-grid and the odd
+    the even density on the half-line z-grid `_Z_HALF` and the odd
     map T_s = F_s^{-1} o Phi on g in [0, _G_MAX]; `_law_at` reads both by
     bilinear interpolation.  About 2 MB per n, read-only.
 
@@ -316,7 +289,7 @@ def _law_table(n):
     """
     nodes = np.linspace(0.0, 1.0, _LAW_CELLS + 1)
     v = np.arange(1, _M_GRID) * _DV
-    z = np.arange(_M_GRID // 2 + 1) * (2.0 * math.pi / (_M_GRID * _DV))
+    z = _Z_HALF
     g = np.linspace(0.0, _G_MAX, _G_CELLS + 1)
     density = np.empty((nodes.size, z.size))
     score = np.empty((nodes.size, g.size))

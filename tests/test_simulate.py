@@ -710,6 +710,82 @@ def _check_step_full(policy, n):
     return switches
 
 
+_SHARED_T, _SHARED_PATHS = 0.5, 2000
+
+
+def _reflection_on_shared_noise(monkeypatch, dt, plants):
+    """The full reflection run on H^1 from a' = (1, 0, 0), and reduced runs on its noise.
+
+    Under reflection the full step moves D only along e1, so D stays on the
+    x-axis with e1 = (-1, 0) until it is absorbed: e1.dW = -dW_x and
+    omega(e1, dW) = -dW_y.  The reduced engine is driven by exactly those,
+    g1 = -dW_x / sqrt(dt) and g2 = -dW_y / sqrt(dt), replayed from the full
+    engine's recorded draws together with its uniforms.  One reduced run per
+    factor in `plants`, which scales the reduced vertical coefficient sd_z.
+    """
+    draws = []
+
+    class Recording(sim._Streams):
+        def _fill(self, method, out, idx):
+            super()._fill(method, out, idx)
+            draws.append(out.copy())
+
+    class Replay:
+        def __init__(self, seed, spans):
+            self.m = _SHARED_PATHS
+            self.left = iter([x for dw, u in zip(draws[::2], draws[1::2])
+                              for x in (-dw[:, 0], -dw[:, 1], u)])
+            replays.append(self)
+
+        def normal(self, out, idx=None):
+            out[:] = next(self.left)
+
+        uniform = normal
+
+    run = functools.partial(sim.simulate_ensemble, cpl.reflection_policy(), np.zeros(3),
+                            np.array([1.0, 0.0, 0.0]), _SHARED_T, _SHARED_PATHS, dt=dt,
+                            seed=3, checkpoints=[_SHARED_T])
+    monkeypatch.setattr(sim, "_Streams", Recording)
+    full = run()
+    monkeypatch.setattr(sim, "_Streams", Replay)
+    tables, replays, reduced = sim._coefficient_tables, [], []
+    for plant in plants:
+        monkeypatch.setattr(sim, "_coefficient_tables", lambda policy, n: {
+            **tables(policy, n), "sd_z": plant * tables(policy, n)["sd_z"]})
+        reduced.append(run(scheme="reduced"))
+        assert next(replays[-1].left, None) is None  # every draw replayed once
+    return full, reduced
+
+
+def _rms_gap(full, reduced):
+    return math.sqrt(np.mean((full.z - reduced.z) ** 2))
+
+
+@pytest.mark.parametrize("dt", [4e-3, 1e-3, 2.5e-4])
+def test_full_and_reduced_reflection_agree_on_shared_noise(monkeypatch, dt):
+    # R follows the same path bit for bit, so the same paths are absorbed in
+    # the same step.  Per step the Z gap is (e1.dW) omega(e1, dW), a
+    # martingale increment of variance dt^2, until absorption freezes both
+    # legs; so its mean square is dt times the mean time alive (T for a path
+    # never absorbed, which gives sqrt(T dt) when none is).  About half the
+    # paths are absorbed by T.
+    full, (reduced,) = _reflection_on_shared_noise(monkeypatch, dt, [1.0])
+    assert np.array_equal(full.r2, reduced.r2)
+    assert np.array_equal(full.absorbed_at, reduced.absorbed_at, equal_nan=True)
+    absorbed = np.isfinite(full.absorbed_at)
+    assert 0.3 < absorbed.mean() < 0.7
+    alive = np.where(absorbed, full.absorbed_at + dt / 2.0, _SHARED_T)
+    assert abs(_rms_gap(full, reduced) / math.sqrt(dt * alive.mean()) - 1.0) < 0.1
+
+
+def test_shared_noise_gap_sees_a_planted_vertical_error(monkeypatch):
+    # a 1 % error on the reduced sd_z adds 0.01 R dCt per step to the gap;
+    # at dt = 1e-3 that raised its RMS by 13 % on these paths
+    full, (clean, planted) = _reflection_on_shared_noise(monkeypatch, 1e-3, [1.0, 1.01])
+    assert np.array_equal(clean.r2, planted.r2)
+    assert _rms_gap(full, planted) > 1.05 * _rms_gap(full, clean)
+
+
 def _signed_terms(rng, shape):
     """Normals over 60 orders of magnitude, a third of them +0.0 or -0.0, so
     a sum in the wrong grouping or with the wrong sign of zero shows."""

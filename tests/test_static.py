@@ -78,12 +78,13 @@ def _endpoints(r, t, n, m):
 @pytest.mark.parametrize("r", _LAW_R)
 def test_law_table_density_matches_direct_rows(n, r):
     t = 0.7
-    at = stc._law_at(_endpoints(r, t, n, 1), t)
+    b = _endpoints(r, t, n, 1)
+    at = stc._law_at(b, t)
     sigma = at.sigma[0]
-    z_grid, rows, _ = stc._density_rows(np.array([r * t]), t, n)
-    half = z_grid[stc._M_GRID // 2:]
-    table = at.density(sigma * half)
-    assert np.abs(table - rows[0, stc._M_GRID // 2:]).max() < 1e-5
+    # on the half-line z-grid the direct density reads its own FFT row
+    table = at.density(sigma * stc._Z_HALF)
+    direct = stc.conditional_vertical_density(sigma * stc._Z_HALF, b[0], t=t) * sigma
+    assert np.abs(table - direct).max() < 1e-5
     for zs in (0.0, 0.5, 1.5):
         f = at.density(np.array([zs * sigma]))[0] / sigma
         assert abs(f - _cf_density(zs * sigma, r * t, t, n)) < 2e-4
@@ -725,6 +726,21 @@ def test_bridge_sampler_prefix_is_stable(n):
     full = stc.sample_levy_area_given_endpoint(b, t=1.3, m_steps=1024, seed=43)
     head = stc.sample_levy_area_given_endpoint(b[:37], t=1.3, m_steps=1024, seed=43)
     assert np.array_equal(head, full[:37])
+
+
+def test_bridge_sampler_memory_is_bounded():
+    # 400 bridges of 8192 steps on H^1: one (400, 8192, 2) array of normals
+    # alone is 52 MB, but a chunk of _BRIDGE_CELLS steps holds about 0.26 MB
+    b = np.random.default_rng(52).standard_normal((400, 2))
+    unchunked = b.size * 8192 * 8
+    tracemalloc.start()
+    try:
+        stc.sample_levy_area_given_endpoint(b, t=1.0, m_steps=8192, seed=46)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert unchunked > 50e6
+    assert peak < unchunked / 20, f"peak traced allocation {peak / 2**20:.1f} MB"
 
 
 
