@@ -202,11 +202,11 @@ def test_ks_two_sample_pvalue_body_uses_the_limit_law():
     # for n > 140 and n d^2 < 2.2 the p-value is kolmogorov(sqrt(n) d); over
     # that region scipy's kstwo.sf differs from it by at most 1.144 / sqrt(n)
     # relative (at n = 141 and n d^2 -> 2.2, checked on a grid of n from 141
-    # to 2e4), so 1.2 / sqrt(n) bounds it
+    # to 2e4), so 1.2 / sqrt(n) bounds it.  Sizes of 300 or more keep n > 140.
     rng = np.random.default_rng(13)
     body = 0
     for _ in range(200):
-        n1, n2 = rng.integers(150, 4000, 2)
+        n1, n2 = rng.integers(300, 4000, 2)
         x, y = rng.standard_normal(n1), rng.normal(rng.uniform(0.0, 0.05), 1.0, n2)
         d, p = est.ks_two_sample(x, y)
         n = round(n1 * n2 / (n1 + n2))
