@@ -237,6 +237,25 @@ def _ks_sample(name, x):
     return np.sort(x)
 
 
+def _kolmogorov_sf(x):
+    """P(sup |B_t| > x) for a Brownian bridge B: the Kolmogorov limit law's tail.
+
+    The two Jacobi-theta forms of the series (Marsaglia, Tsang & Wang 2003):
+    1 - sqrt(2 pi) / x sum_k exp(-(2k-1)^2 pi^2 / (8 x^2)) below x = 1, and
+    2 sum_k (-1)^(k-1) exp(-2 k^2 x^2) from x = 1 on, each cut where its next
+    term is below 1e-20 of its first.  Below x = 0.1 the tail is 1 - 1e-52 or
+    closer to 1, so it is 1.0, as it is for x <= 0.
+    """
+    if x < 0.1:
+        return 1.0
+    if x < 1.0:
+        c = -(math.pi / x) ** 2 / 8.0
+        s = math.exp(c) + math.exp(9.0 * c) + math.exp(25.0 * c)
+        return 1.0 - math.sqrt(2.0 * math.pi) * s / x
+    c = -2.0 * x * x
+    return 2.0 * (math.exp(c) - math.exp(4.0 * c) + math.exp(9.0 * c) - math.exp(16.0 * c))
+
+
 def ks_two_sample(x, y):
     """(d, p): the two-sided two-sample Kolmogorov-Smirnov statistic and p-value.
 
@@ -245,14 +264,13 @@ def ks_two_sample(x, y):
     returns the exact one-sample law at n, and for n > 140 and n d^2 >= 2.2
     evaluates it as p = min(1, 2 smirnov(n, d)).  p is that expression
     there and wherever n <= 140, where it agrees with scipy within 1e-6
-    relative for p <= 0.02; the limit law kolmogorov(sqrt(n) d) would read
-    the small-n tail several times too large.  In the remaining body
-    (n > 140, n d^2 < 2.2, so p > 0.02) p = kolmogorov(sqrt(n) d), within
-    1.15 / sqrt(n) relative of scipy, in constant time where smirnov's
-    series costs O(n).  n = 0 (one value each) gives a NaN p.
+    relative for p <= 0.02; the limit law would read the small-n tail
+    several times too large.  Only this branch loads `scipy.special`.  In
+    the remaining body (n > 140, n d^2 < 2.2, so p > 0.02) p is the limit
+    law's tail `_kolmogorov_sf(sqrt(n) d)`, within 1.15 / sqrt(n) relative
+    of scipy, in constant time where smirnov's series costs O(n).  n = 0
+    (one value each) gives a NaN p.
     """
-    from scipy.special import kolmogorov, smirnov
-
     x, y = _ks_sample("x", x), _ks_sample("y", y)
     both = np.concatenate([x, y])
     diff = (np.searchsorted(x, both, side="right") / x.size
@@ -262,7 +280,9 @@ def ks_two_sample(x, y):
     d = max(float(diff.max()), float(np.clip(-diff.min(), 0, 1)))
     n = np.round(x.size * y.size / (x.size + y.size))
     if n > 140 and n * d * d < 2.2:
-        return d, float(kolmogorov(math.sqrt(n) * d))
+        return d, _kolmogorov_sf(math.sqrt(n) * d)
+    from scipy.special import smirnov
+
     return d, float(np.minimum(1.0, 2.0 * smirnov(n, d)))
 
 
@@ -337,18 +357,27 @@ def _quasidistance_matrix(x, y):
     return dmat
 
 
+def _ndtri(p):
+    """The standard normal quantile Phi^-1(p) for p in (0, 1).
+
+    The standard library's `NormalDist.inv_cdf`, Wichura's AS241 (1988);
+    within 8.4e-16 relative of `scipy.special.ndtri` on (0.5, 1).
+    """
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(p)
+
+
 def a_p_constant(p):
-    """The interval normal moment a_p = E[|G| ; |G| <= q], q = ndtri((1+p)/2).
+    """The interval normal moment a_p = E[|G| ; |G| <= q], q = Phi^-1((1+p)/2).
 
     Integrating |x| phi(x) over the symmetric interval gives the closed form
     sqrt(2/pi) (1 - exp(-q^2/2)).  Strictly increasing in p with limit
     E|G| = sqrt(2/pi) as p -> 1.
     """
-    from scipy.special import ndtri
-
     if not 0.0 < p < 1.0:
         raise ValueError("a_p defined for p in (0, 1)")
-    q = ndtri((1.0 + p) / 2.0)
+    q = _ndtri((1.0 + p) / 2.0)
     return math.sqrt(2.0 / math.pi) * (1.0 - math.exp(-q * q / 2.0))
 
 
@@ -371,21 +400,20 @@ def hitting_density(u, r0):
 
 
 def hitting_cdf(t, r0):
-    """P(tau <= t) = 2 Phi(-r0 / (2 sqrt(t))); vectorised in t.
+    """P(tau <= t) = 2 Phi(-x) = erfc(x / sqrt(2)), x = r0 / (2 sqrt(t)); vectorised in t.
 
     `r0` must be positive and finite and `t` hold no NaN; t <= 0 gives 0
     and t = +inf gives 1.
     """
-    from scipy.special import ndtr
-
     _check(0.0 < r0 < math.inf, "r0", r0, "positive and finite")
     t = np.asarray(t, dtype=float)
     _check_not_nan("t", t)
     out = np.zeros_like(t, dtype=float)
     pos = t > 0
     # the lower tail: 1 - Phi(x) cancels for small t, down to 0.0 at t = 0.01
-    # when r0 = 2, where the law gives 1.5e-23
-    out[pos] = 2.0 * ndtr(-r0 / (2.0 * np.sqrt(t[pos])))
+    # when r0 = 2, where the law gives 1.5e-23; erfc keeps it
+    x = r0 / (2.0 * np.sqrt(t[pos])) * math.sqrt(0.5)
+    out[pos] = np.fromiter(map(math.erfc, x.tolist()), float, x.size)
     return out if out.ndim else float(out)
 
 

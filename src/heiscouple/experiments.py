@@ -319,17 +319,16 @@ def _run_static_baseline(p, threads):
 
 
 def _a_p_quadrature(ps):
-    """a_p = 2 int_0^q x phi(x) dx, q = ndtri((1+p)/2), for each p of the array ps.
+    """a_p = 2 int_0^q x phi(x) dx, q = Phi^-1((1+p)/2), for each p of the array ps.
 
     mg-lemma's oracle for `est.a_p_constant`'s closed form, by one 32-point
     Gauss-Legendre rule.  The integrand is smooth on [0, q] (q < 2 for
     p <= 0.9), so the fixed rule is exact to rounding.
     """
     from numpy.polynomial.legendre import leggauss
-    from scipy.special import ndtri
 
     nodes, weights = leggauss(32)
-    q = ndtri((1.0 + ps) / 2.0)[:, None]
+    q = np.array([est._ndtri(v) for v in ((1.0 + ps) / 2.0).tolist()])[:, None]
     x = q / 2.0 * (nodes + 1.0)
     return q[:, 0] * (weights * x * np.exp(-x * x / 2.0)).sum(axis=1) / math.sqrt(2.0 * math.pi)
 

@@ -602,10 +602,10 @@ _ARTIFACT_GOLDEN = {
     "blowup-perverse": ("8d9def53a90c6459", "565b48be78a0a76e", "baaff204b3bc641a"),
     "kendall-success": (_EMPTY_ENSEMBLE, "b05d62851bfe691e", "1d218b1acaab61cc"),
     "reflection-exponents": ("e8ecaf337f6e32c8", "3de3f6f6650d9680", "7ed800c3bda74f10"),
-    "reflection-hitting": ("987eed546a1b2783", "034aa5bfa8a39942", "7df37e9168612d94"),
+    "reflection-hitting": ("987eed546a1b2783", "5f4f5590588c17c5", "27d00a64a764f86c"),
     "static-ratio": (_EMPTY_ENSEMBLE, "b513e0adcdc444f6", "c6f74f54b4a251b7"),
     "static-baseline": (_EMPTY_ENSEMBLE, "cecef4a1ecaa2dec", "525a420adfa29989"),
-    "mg-lemma": (_EMPTY_ENSEMBLE, "33927965c7b53b87", "879a1ead2a164757"),
+    "mg-lemma": (_EMPTY_ENSEMBLE, "48897ce0360c7954", "c62cd07fc57bb5f7"),
     "excursion-moments": (_EMPTY_ENSEMBLE, "e4e58fadc5ac22b7", "f8355d81f3439011"),
 }
 
