@@ -95,6 +95,7 @@ from heiscouple.constants import (
     POOL_MIN_BLOCKS,
     RNG_BLOCK,
 )
+from heiscouple.group import _sum_terms
 
 
 def philox_stream(seed, block):
@@ -608,20 +609,6 @@ def _run_reduced_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps
         rec(k, r2, z)
 
     return rec.result(clamps)
-
-
-def _sum_terms(terms):
-    """t_0 + t_1 + ... over the first axis of `terms`, in numpy's order.
-
-    Starting from +0.0, each term is added in turn.  For fewer than 8 terms
-    this is, bit for bit (signed zeros included), the order of numpy's
-    last-axis `sum`; from 8 terms on numpy sums pairwise and the last bit may
-    differ.
-    """
-    acc = terms[0] + 0.0
-    for t in terms[1:]:
-        acc += t
-    return acc
 
 
 def _symplectic(u, v):

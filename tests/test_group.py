@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from heiscouple import group as grp
 
@@ -121,6 +122,33 @@ def test_symplectic_form_properties():
     mv = np.concatenate([-v[:, 3:], v[:, :3]], axis=1)
     assert np.allclose(grp.symplectic(mu, mv), w, atol=1e-13)
     assert np.allclose(grp.symplectic(u, u), 0.0, atol=1e-14)
+
+
+def _symplectic_by_last_axis_sums(u, v):
+    # the oracle: the form as numpy's last-axis sums over (..., n) products
+    n = u.shape[-1] // 2
+    return (u[..., :n] * v[..., n:]).sum(axis=-1) - (u[..., n:] * v[..., :n]).sum(axis=-1)
+
+
+# exact zeros of both signs, so that sums of zeros and products that
+# underflow to a signed zero check the sign of the result
+_SIGNED = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3) | st.floats(-1e-170, 1e-170)
+
+
+@given(data=st.data(), n=st.integers(1, 7))
+@settings(max_examples=300, deadline=None)
+def test_symplectic_by_columns_is_the_last_axis_sum_bit_for_bit(data, n):
+    shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=4))
+    u, v = (data.draw(hnp.arrays(float, s + (2 * n,), elements=_SIGNED))
+            for s in shapes.input_shapes)
+    want = _symplectic_by_last_axis_sums(u, v)
+    got = grp.symplectic(u, v)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # the same on Fortran-ordered copies and on plain lists
+    f = grp.symplectic(np.asfortranarray(u), np.asfortranarray(v))
+    assert np.asarray(f).tobytes() == np.asarray(want).tobytes()
+    assert np.asarray(grp.symplectic(u.tolist(), v.tolist())).tobytes() == np.asarray(want).tobytes()
 
 
 def test_vertical_component_of_commutator():
