@@ -72,6 +72,12 @@ KENDALL_MAX_ITERS = 20_000_000
 MAX_MAGNITUDE = 1e50
 STATIC_T_RANGE = (1e-50, MAX_MAGNITUDE)
 
+# work budget of one Euler run in an experiment config: blocks of RNG_BLOCK
+# paths (a step's fixed cost dominates a narrow block, so paths count in
+# whole blocks) times round(horizon / dt) steps.  Above every default (the
+# blow-ups' 10240 x 10^4 ~ 1.0e8 is the largest) and every test size
+PATH_STEP_BUDGET = 10**9
+
 # RNG blocking: paths are carved into blocks of this size, each with its own
 # counter-based stream keyed (seed, block index).  A thread steps one
 # contiguous group of whole blocks as one array, each block's rows drawn from

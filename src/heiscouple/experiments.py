@@ -24,7 +24,8 @@ from heiscouple.constants import (
     ALGEBRA_TOL, BASELINE_SLOPE_BAND, BLOWUP_RATIO_MIN, COST_SPREAD_MAX, DEFAULT_DT,
     EXCURSION_BIAS_ALLOWANCE, EXPONENT_P025_BAND, EXPONENT_P1_BAND, KENDALL_EPSILON,
     KENDALL_KAPPA, KENDALL_SUCCESS_DH, KS_PVALUE_MIN, MATRIX_TOL, MAX_MAGNITUDE,
-    QUADRATURE_TOL, SIGMA_GATE, STATIC_T_RANGE, SUCCESS_FRACTION_MIN, TAU_KS_MAX,
+    PATH_STEP_BUDGET, QUADRATURE_TOL, RNG_BLOCK, SIGMA_GATE, STATIC_T_RANGE,
+    SUCCESS_FRACTION_MIN, TAU_KS_MAX,
 )
 from heiscouple.simulate import (
     PathEnsemble,
@@ -555,11 +556,18 @@ def _validate_params(section, params):
         why = _breaks(kind, bound, params[key]) if accepts(params[key]) else f"must be {name}"
         if why:
             raise ConfigError(f"section [{section}], key {key!r}: {why}")
-    # the rules that join keys: the Euler grid ends on the horizon, the
-    # kendall hysteresis needs epsilon < kappa, the start points share one H^n
-    if "dt" in params and _whole_steps(params["horizon"], params["dt"]) is None:
-        raise ConfigError(f"section [{section}], key 'dt': must divide 'horizon' into "
-                          "a whole number of steps")
+    # the rules that join keys: the Euler grid ends on the horizon within the
+    # work budget, the kendall hysteresis needs epsilon < kappa, the start
+    # points share one H^n
+    if "dt" in params:
+        n_steps = _whole_steps(params["horizon"], params["dt"])
+        if n_steps is None:
+            raise ConfigError(f"section [{section}], key 'dt': must divide 'horizon' into "
+                              "a whole number of steps")
+        work = -(-params["n_paths"] // RNG_BLOCK) * RNG_BLOCK * n_steps
+        if work > PATH_STEP_BUDGET:
+            raise ConfigError(f"section [{section}], key 'dt': asks for {work:.3g} path-steps "
+                              f"a run, more than the budget of {PATH_STEP_BUDGET:.0e}")
     if "kappa" in params and not params["epsilon"] < params["kappa"]:
         raise ConfigError(f"section [{section}], key 'epsilon': must be less than 'kappa'")
     if "a" in params:

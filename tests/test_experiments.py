@@ -11,6 +11,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from heiscouple import cli
 from heiscouple import estimators as est
 from heiscouple import experiments as exp
 from heiscouple import simulate as sim
-from heiscouple.constants import MAX_MAGNITUDE
+from heiscouple.constants import MAX_MAGNITUDE, PATH_STEP_BUDGET, RNG_BLOCK
 
 
 def test_registry_names():
@@ -335,6 +336,38 @@ def test_kendall_iteration_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert err.startswith("config error: section [kendall-success], key 'alpha': ")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "art").exists() and not (tmp_path / "direct").exists()
+
+
+def test_euler_work_budget_refuses_before_any_step(tmp_path, capsys, monkeypatch):
+    # dt = 2**-30 asks for 2**30 steps of one 1024-path block: the run would
+    # take hours; the config is refused at once, naming dt, with no traceback
+    monkeypatch.setattr(exp, "simulate_ensemble", None)  # any run would raise
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[scheme-consistency]\nn_paths = 16\ndt = {2.0**-30!r}\n")
+    t0 = time.perf_counter()
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "art")])
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and elapsed < 1.0
+    assert err == ("config error: section [scheme-consistency], key 'dt': asks for 1.1e+12 "
+                   "path-steps a run, more than the budget of 1e+09\n")
+    assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize("name", ["scheme-consistency", "blowup-reflection"])
+def test_euler_work_budget_counts_paths_in_whole_blocks(name):
+    # one block of RNG_BLOCK paths, or fewer, costs RNG_BLOCK path-steps a step
+    steps = PATH_STEP_BUDGET // RNG_BLOCK
+    dt = 2.0**-10
+    for n_paths in (2, RNG_BLOCK):
+        fits = {**exp.default_params(name), "n_paths": n_paths, "dt": dt, "horizon": steps * dt}
+        exp._validate_params(name, fits)
+        with pytest.raises(exp.ConfigError, match=rf"^section \[{name}\], key 'dt': asks for"):
+            exp._validate_params(name, {**fits, "horizon": (steps + 1) * dt})
+    with pytest.raises(exp.ConfigError, match=r"key 'dt': asks for"):
+        exp._validate_params(name, {**fits, "n_paths": RNG_BLOCK + 1})
+    # every default fits
+    exp._validate_params(name, exp.default_params(name))
 
 
 def test_run_experiment_accepts_array_checkpoints(tmp_path):
@@ -715,6 +748,35 @@ for name, params in {_SMALL!r}.items():
 top = {{m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}}
 extra = sorted(t for t in top if t not in ("special", "version") and not t.startswith("_"))
 assert not extra, f"loaded scipy subpackages {{extra}}"
+"""
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+# _SMALL with scheme-consistency at 300 paths: its KS tests then compare
+# samples of n = 150 > 140, and at seed 0 their n d^2 read 0.28, 0.17, 1.04
+# and 0.24, so all four p-values take the limit law's body (n d^2 < 2.2),
+# which needs no scipy.  At _SMALL's 16 paths (n = 8) they take smirnov.
+_BODY = {**_SMALL, "scheme-consistency": {**_SMALL["scheme-consistency"], "n_paths": 300}}
+
+
+def test_experiments_load_no_scipy_when_the_ks_tests_take_the_body(tmp_path):
+    code = f"""
+import math, sys
+from heiscouple import estimators as est
+from heiscouple import experiments as exp
+ks, seen = est.ks_two_sample, []
+def spy(x, y):
+    d, p = ks(x, y)
+    n = round(len(x) * len(y) / (len(x) + len(y)))
+    seen.append((n, n * d * d))
+    return d, p
+est.ks_two_sample = spy
+for name, params in {_BODY!r}.items():
+    exp.run_experiment(name, params, out={str(tmp_path)!r})
+assert len(seen) == 4 and all(n > 140 and v < 2.2 for n, v in seen), seen
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"loaded {{loaded}}"
 """
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
