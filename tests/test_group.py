@@ -142,13 +142,11 @@ def test_symplectic_by_columns_is_the_last_axis_sum_bit_for_bit(data, n):
     u, v = (data.draw(hnp.arrays(float, s + (2 * n,), elements=_SIGNED))
             for s in shapes.input_shapes)
     want = _symplectic_by_last_axis_sums(u, v)
-    got = grp.symplectic(u, v)
-    assert np.shape(got) == np.shape(want)
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-    # the same on Fortran-ordered copies and on plain lists
-    f = grp.symplectic(np.asfortranarray(u), np.asfortranarray(v))
-    assert np.asarray(f).tobytes() == np.asarray(want).tobytes()
-    assert np.asarray(grp.symplectic(u.tolist(), v.tolist())).tobytes() == np.asarray(want).tobytes()
+    # the same bytes and shape on C arrays, Fortran-ordered copies and lists
+    for x, y in ((u, v), (np.asfortranarray(u), np.asfortranarray(v)), (u.tolist(), v.tolist())):
+        got = grp.symplectic(x, y)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_vertical_component_of_commutator():
