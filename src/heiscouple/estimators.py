@@ -412,8 +412,8 @@ def hitting_cdf(t, r0):
     pos = t > 0
     # the lower tail: 1 - Phi(x) cancels for small t, down to 0.0 at t = 0.01
     # when r0 = 2, where the law gives 1.5e-23; erfc keeps it
-    x = r0 / (2.0 * np.sqrt(t[pos])) * math.sqrt(0.5)
-    out[pos] = np.fromiter(map(math.erfc, x.tolist()), float, x.size)
+    x = r0 / (2.0 * np.sqrt(t[pos]))
+    out[pos] = np.fromiter(map(math.erfc, (x * math.sqrt(0.5)).tolist()), float, x.size)
     return out if out.ndim else float(out)
 
 
