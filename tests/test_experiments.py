@@ -762,7 +762,7 @@ _BODY = {**_SMALL, "scheme-consistency": {**_SMALL["scheme-consistency"], "n_pat
 
 def test_experiments_load_no_scipy_when_the_ks_tests_take_the_body(tmp_path):
     code = f"""
-import math, sys
+import sys
 from heiscouple import estimators as est
 from heiscouple import experiments as exp
 ks, seen = est.ks_two_sample, []
