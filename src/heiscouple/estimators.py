@@ -8,6 +8,7 @@ in the test suite before anything downstream is allowed to trust it.
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -357,27 +358,17 @@ def _quasidistance_matrix(x, y):
     return dmat
 
 
-def _ndtri(p):
-    """The standard normal quantile Phi^-1(p) for p in (0, 1).
-
-    The standard library's `NormalDist.inv_cdf`, Wichura's AS241 (1988);
-    within 1.1e-15 relative of `scipy.special.ndtri` on (0.5, 1).
-    """
-    from statistics import NormalDist
-
-    return NormalDist().inv_cdf(p)
-
-
 def a_p_constant(p):
     """The interval normal moment a_p = E[|G| ; |G| <= q], q = Phi^-1((1+p)/2).
 
     Integrating |x| phi(x) over the symmetric interval gives the closed form
     sqrt(2/pi) (1 - exp(-q^2/2)).  Strictly increasing in p with limit
-    E|G| = sqrt(2/pi) as p -> 1.
+    E|G| = sqrt(2/pi) as p -> 1.  q is the standard library's
+    `NormalDist.inv_cdf`, Wichura's AS241 (1988).
     """
     if not 0.0 < p < 1.0:
         raise ValueError("a_p defined for p in (0, 1)")
-    q = _ndtri((1.0 + p) / 2.0)
+    q = NormalDist().inv_cdf((1.0 + p) / 2.0)
     return math.sqrt(2.0 / math.pi) * (1.0 - math.exp(-q * q / 2.0))
 
 

@@ -13,6 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -329,7 +330,7 @@ def _a_p_quadrature(ps):
     from numpy.polynomial.legendre import leggauss
 
     nodes, weights = leggauss(32)
-    q = np.array([est._ndtri(v) for v in ((1.0 + ps) / 2.0).tolist()])[:, None]
+    q = np.array([NormalDist().inv_cdf(v) for v in ((1.0 + ps) / 2.0).tolist()])[:, None]
     x = q / 2.0 * (nodes + 1.0)
     return q[:, 0] * (weights * x * np.exp(-x * x / 2.0)).sum(axis=1) / math.sqrt(2.0 * math.pi)
 

@@ -69,19 +69,20 @@ def _sum_terms(terms):
 def symplectic(u, v):
     """Standard symplectic form sum_i (u_x_i v_y_i - u_y_i v_x_i) on R^{2n}.
 
-    For last axes of length 2n with n < 8 each sum adds its n column
-    products by `_sum_terms`, the bits of numpy's last-axis sum without
-    reducing over a short last axis, which costs several times more.
+    Each sum adds its n column products u[..., i] * v[..., n + i] by
+    `_sum_terms`: for n < 8 the bits of numpy's last-axis sum, without
+    reducing over a short last axis, which costs several times more.  Both
+    last axes must have the same even length 2n >= 2.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    n = u.shape[-1] // 2
-    if 0 < n < 8 and u.shape[-1] == v.shape[-1] == 2 * n:
-        return (_sum_terms([u[..., i] * v[..., n + i] for i in range(n)])
-                - _sum_terms([u[..., n + i] * v[..., i] for i in range(n)]))
-    return (u[..., :n] * v[..., n:]).sum(axis=-1) - (
-        u[..., n:] * v[..., :n]
-    ).sum(axis=-1)
+    d = u.shape[-1] if u.ndim else 0
+    if d < 2 or d % 2 or v.shape[-1:] != (d,):
+        raise ValueError(f"symplectic needs last axes of one even length 2n >= 2, "
+                         f"got {u.shape} and {v.shape}")
+    n = d // 2
+    return (_sum_terms([u[..., i] * v[..., n + i] for i in range(n)])
+            - _sum_terms([u[..., n + i] * v[..., i] for i in range(n)]))
 
 
 def mul(a, b):

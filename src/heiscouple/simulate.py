@@ -611,12 +611,6 @@ def _run_reduced_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps
     return rec.result(clamps)
 
 
-def _symplectic(u, v):
-    """grp.symplectic on (2n, m) columns, bit for bit for n < 8."""
-    n = len(u) // 2
-    return _sum_terms(u[:n] * v[n:]) - _sum_terms(u[n:] * v[:n])
-
-
 def _matvec(a_t, x):
     """A x for (k, m) columns x, from a_t = A.T[..., None]: sum_j A[:, j] x_j."""
     return _sum_terms(a_t * x[:, None])
@@ -758,7 +752,7 @@ def _run_full_block(policy, coef, absorbing, a, aprime, n_steps, dt, ck_steps, s
                 y += _matvec(Khat_t, _frame_apply(axis, dwt_c, transpose=True))
             dbp = _pick(cust, _frame_apply(axis, y), dbp)
 
-        z = z + 0.5 * (_symplectic(d, dw_c + dbp) + _symplectic(dw_c, dbp))
+        z = z + 0.5 * (grp.symplectic(d.T, (dw_c + dbp).T) + grp.symplectic(dw_c.T, dbp.T))
         d += dw_c - dbp
         if absorbing and refl is not False:
             # radial walk is exactly linear under reflection; apply the

@@ -234,15 +234,6 @@ def test_kolmogorov_sf_matches_scipy():
     assert est._kolmogorov_sf(40.0) == 0.0 and math.isnan(est._kolmogorov_sf(math.nan))
 
 
-def test_ndtri_matches_scipy():
-    # scipy's ndtri is the oracle on (0.5, 1), where a_p takes its quantile.
-    # On this grid the worst error was 1.0e-15 relative (at p = 0.861)
-    p = np.concatenate([np.linspace(0.5, 1.0, 20001)[1:-1],
-                        1.0 - np.geomspace(1.2e-16, 0.5, 2001)[:-1]])
-    got = np.array([est._ndtri(v) for v in p.tolist()])
-    assert np.all(np.abs(got - ndtri(p)) <= 1.2e-15 * ndtri(p))
-
-
 def test_ks_two_sample_loads_scipy_special_only_on_the_exact_branch():
     # n = 200 > 140 with n d^2 = 0.5 < 2.2 takes the body, n = 8 the exact branch
     code = """
@@ -392,6 +383,12 @@ def test_a_p_constant_against_quadrature():
             -q, q,
         )
         assert abs(est.a_p_constant(p) - ref) < 1e-8 + 10 * err
+    # the same closed form with q from scipy's ndtri, on a grid over (0, 1)
+    # and toward 1: the worst gap was 5.0e-16, at p = 0.7226
+    p = np.concatenate([np.linspace(0.0, 1.0, 20001)[1:-1], 1.0 - np.geomspace(2.3e-16, 0.5, 2001)])
+    want = math.sqrt(2.0 / math.pi) * (1.0 - np.exp(-ndtri((1.0 + p) / 2.0) ** 2 / 2.0))
+    got = np.array([est.a_p_constant(v) for v in p.tolist()])
+    assert np.max(np.abs(got - want)) <= 6e-16
     for bad in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError):
             est.a_p_constant(bad)

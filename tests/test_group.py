@@ -149,6 +149,19 @@ def test_symplectic_by_columns_is_the_last_axis_sum_bit_for_bit(data, n):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+def test_symplectic_sums_columns_at_every_n_and_refuses_bad_lengths():
+    # from 8 terms numpy sums pairwise, so only the value is the oracle's
+    rng = np.random.default_rng(7)
+    for n in (8, 9, 16):
+        u, v = rng.standard_normal((2, 64, 2 * n))
+        assert np.allclose(grp.symplectic(u, v), _symplectic_by_last_axis_sums(u, v),
+                           rtol=0.0, atol=1e-13)
+    for u, v in ((np.zeros(4), np.zeros(6)), (np.zeros(3), np.zeros(3)),
+                 (np.zeros(0), np.zeros(0)), (np.zeros(4), np.zeros((2, 1))), (0.0, 0.0)):
+        with pytest.raises(ValueError, match="even length"):
+            grp.symplectic(u, v)
+
+
 def test_vertical_component_of_commutator():
     # [a, b] = a b a^-1 b^-1 is purely vertical with z = omega(hor a, hor b)
     rng = np.random.default_rng(5)
